@@ -4,15 +4,19 @@ Every operation records a node in a dynamic graph. Calling ``backward()``
 on a scalar walks the graph in reverse topological order and accumulates
 gradients into ``Tensor.grad``. Arithmetic is float64 throughout so
 central finite differences remain a meaningful oracle for the analytic
-gradients.
+gradients. Inside ``no_grad()`` nothing is recorded, for inference.
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "parameter",
     "concat",
     "embedding",
@@ -27,6 +31,26 @@ def as_tensor(value) -> "Tensor":
     if isinstance(value, Tensor):
         return value
     return Tensor(value)
+
+
+class _GradMode(threading.local):
+    recording = True
+
+
+_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside the block, in this thread: results keep no
+    parents and no backward closure, and so never require grad. Leaves
+    keep their own ``requires_grad``. The previous state returns on exit,
+    also after an exception or from a nested block."""
+    previous, _mode.recording = _mode.recording, False
+    try:
+        yield
+    finally:
+        _mode.recording = previous
 
 
 def parameter(array) -> "Tensor":
@@ -74,7 +98,7 @@ class Tensor:
     @staticmethod
     def _node(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _mode.recording and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
@@ -239,9 +263,10 @@ class Tensor:
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    z = t.data - t.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    # In place on one fresh array: attention scores can be megabytes.
+    y = t.data - t.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def backward(g):
         dot = (g * y).sum(axis=axis, keepdims=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -487,6 +488,7 @@ def cmd_chat(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="empgen", description=__doc__)
+    parser.add_argument("--debug", action="store_true", help="print the full traceback of an error")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make-fixtures", help="generate the synthetic mini-corpus and fixtures")
@@ -570,7 +572,10 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return 0
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if args.debug:
+            traceback.print_exc()
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,6 +1,12 @@
 """Tri-stream decoder: memory assembly over the fused context, knowledge
 and analysis representations, teacher-forced NLL, and token-by-token
 generation (greedy or beam).
+
+Generation runs without the autodiff tape and feeds one new row per
+hypothesis per step: a ``DecoderCache`` keeps the memory's cross-attention
+keys and values, projected once per response, and every layer's
+self-attention keys and values of the rows fed so far. The live beams
+advance together in one batched step.
 """
 
 from __future__ import annotations
@@ -9,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, embedding, log_softmax, take_per_row
+from .autodiff import Tensor, concat, embedding, log_softmax, no_grad, take_per_row
 from .corpus import BOS_ID, EOS_ID, Vocab
-from .layers import DecoderLayer, Linear, causal_mask, sinusoidal_positions
+from .layers import DecoderLayer, KeyValues, Linear, causal_mask, sinusoidal_positions
 
 SEGMENT_CONTEXT, SEGMENT_KNOWLEDGE, SEGMENT_ANALYSIS = 0, 1, 2
 NUM_SEGMENTS = 3
@@ -57,6 +63,26 @@ def assemble_memory(
     return DecoderMemory(values, np.concatenate(segments))
 
 
+class DecoderCache:
+    """What one response's decoding keeps between steps.
+
+    ``memory`` holds each layer's cross-attention keys and values of the
+    segment-tagged memory, projected on the first step; ``past`` holds
+    each layer's self-attention keys and values of the ``length`` rows fed
+    so far, one set per hypothesis when the rows are batched.
+    """
+
+    def __init__(self):
+        self.memory: list[KeyValues] | None = None
+        self.past: dict[int, KeyValues] = {}
+        self.length = 0
+
+    def reorder(self, parents) -> None:
+        """Keep, for each next hypothesis, the rows of its parent (as
+        constants: only inference reorders hypotheses)."""
+        self.past = {i: KeyValues(Tensor(k.data[parents]), Tensor(v.data[parents])) for i, (k, v) in self.past.items()}
+
+
 class DecoderStack:
     """Masked self-attention plus cross-attention over the segment-tagged memory."""
 
@@ -89,20 +115,31 @@ class DecoderStack:
 
     def forward(
         self,
-        input_ids: list[int],
+        input_ids,
         memory: DecoderMemory,
         rng: np.random.Generator | None = None,
+        cache: DecoderCache | None = None,
     ) -> Tensor:
-        """Logits over the vocabulary for every input position."""
-        if not input_ids:
+        """Logits over the vocabulary for every input position.
+
+        ``input_ids`` is one sequence, or a list of equally long rows, one
+        per hypothesis. Without a cache they are whole prefixes; with one
+        they follow the rows the cache holds, which then grows by them.
+        """
+        ids = np.asarray(input_ids, dtype=np.int64)
+        if ids.size == 0:
             raise ValueError("decoder needs at least one input token")
+        cache = cache if cache is not None else DecoderCache()
         drop = self.dropout if rng is not None else 0.0
-        m = len(input_ids)
-        x = embedding(self.token_embedding, input_ids) + Tensor(self.positions[:m])
-        mem = memory.values + embedding(self.segment_embedding, memory.segment_ids)
-        mask = causal_mask(m)
-        for layer in self.layers:
-            x = layer(x, mem, mask, drop, rng)
+        m, p = ids.shape[-1], cache.length
+        x = embedding(self.token_embedding, ids) + Tensor(self.positions[p : p + m])
+        if cache.memory is None:
+            mem = memory.values + embedding(self.segment_embedding, memory.segment_ids)
+            cache.memory = [layer.cross_attn.keys_values(mem) for layer in self.layers]
+        mask = causal_mask(m, p)
+        for i, layer in enumerate(self.layers):
+            x, cache.past[i] = layer(x, cache.memory[i], mask, drop, rng, cache.past.get(i))
+        cache.length = p + m
         return self.out_proj(x)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -148,13 +185,17 @@ class GeneratedResponse:
 
 
 def greedy_decode(step_fn, eos_id: int, max_len: int, bos_id: int = BOS_ID):
-    """Argmax decoding; exact ties resolve to the lowest token id."""
+    """Argmax decoding; exact ties resolve to the lowest token id.
+
+    ``step_fn(prefixes, parents=None)`` returns next-token log-probs, one
+    row per prefix; greedy decoding passes its one prefix.
+    """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     ids: list[int] = []
     log_probs: list[float] = []
     while len(ids) < max_len:
-        lp = step_fn([bos_id] + ids)
+        lp = step_fn([[bos_id] + ids])[0]
         tok = int(np.argmax(lp))
         ids.append(tok)
         log_probs.append(float(lp[tok]))
@@ -166,34 +207,41 @@ def greedy_decode(step_fn, eos_id: int, max_len: int, bos_id: int = BOS_ID):
 def beam_decode(step_fn, k: int, eos_id: int, max_len: int, bos_id: int = BOS_ID):
     """Beam search over summed log-probs, length-normalized at final selection.
 
-    Candidate ordering breaks ties by token id then parent rank, so
-    beam(1) reproduces greedy decoding exactly.
+    Every step advances all live hypotheses in one ``step_fn(prefixes,
+    parents)`` call, where ``parents[i]`` is the row of the previous call
+    that prefix i extends. Candidate ordering breaks ties by token id then
+    parent rank, so beam(1) reproduces greedy decoding exactly. Returns the
+    best sequence and its per-token log-probs.
     """
     if k < 1:
         raise ValueError("beam size must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
-    finished: list[tuple[tuple[int, ...], float]] = []
+    # A hypothesis is (ids, summed score, per-token log-probs).
+    live: list[tuple[tuple[int, ...], float, tuple[float, ...]]] = [((), 0.0, ())]
+    finished: list[tuple[tuple[int, ...], float, tuple[float, ...]]] = []
+    parents = [0]
     for _ in range(max_len):
         if not live:
             break
-        candidates = []
-        for rank, (ids, score) in enumerate(live):
-            lp = step_fn([bos_id] + list(ids))
-            for tok in range(len(lp)):
-                candidates.append((score + float(lp[tok]), tok, rank, ids))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        live = []
-        for score, tok, _rank, ids in candidates[: k]:
-            seq = ids + (tok,)
+        lp = step_fn([[bos_id, *ids] for ids, _, _ in live], parents)
+        scores = np.array([[score] for _, score, _ in live]) + lp
+        ranks, toks = np.indices(lp.shape)
+        # Best k by score, ties to the lower token id, then the lower rank.
+        order = np.lexsort((ranks.ravel(), toks.ravel(), -scores.ravel()))[:k]
+        previous, parents, live = live, [], []
+        for i in order:
+            rank, tok = divmod(int(i), lp.shape[1])
+            ids, _, lps = previous[rank]
+            hyp = (ids + (tok,), float(scores.flat[i]), lps + (float(lp[rank, tok]),))
             if tok == eos_id:
-                finished.append((seq, score))
+                finished.append(hyp)
             else:
-                live.append((seq, score))
+                live.append(hyp)
+                parents.append(rank)
     finished.extend(live)  # hypotheses cut off at max_len count as ended
     best = min(finished, key=lambda h: (-h[1] / len(h[0]), h[0]))
-    return list(best[0]), best[1]
+    return list(best[0]), list(best[2])
 
 
 def generate(
@@ -204,21 +252,22 @@ def generate(
     beam_size: int = 3,
     max_gen_len: int = DEFAULT_MAX_GEN_LEN,
 ) -> GeneratedResponse:
-    def step_fn(prefix: list[int]) -> np.ndarray:
-        logits = stack.forward(prefix, memory)
-        row = logits.data[-1]
-        z = row - row.max()
-        return z - np.log(np.exp(z).sum())
-
-    if strategy == "greedy":
-        ids, log_probs = greedy_decode(step_fn, EOS_ID, max_gen_len)
-    elif strategy == "beam":
-        ids, _score = beam_decode(step_fn, beam_size, EOS_ID, max_gen_len)
-        log_probs = []
-        for t in range(len(ids)):
-            lp = step_fn([BOS_ID] + ids[:t])
-            log_probs.append(float(lp[ids[t]]))
-    else:
+    if strategy not in ("greedy", "beam"):
         raise ValueError(f"unknown decoding strategy {strategy!r}")
+    cache = DecoderCache()
+
+    def step_fn(prefixes, parents=None) -> np.ndarray:
+        if parents is not None:
+            cache.reorder(parents)
+        new = [prefix[cache.length :] for prefix in prefixes]
+        logits = stack.forward(new, memory, cache=cache).data[:, -1]
+        z = logits - logits.max(axis=-1, keepdims=True)
+        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+    with no_grad():
+        if strategy == "greedy":
+            ids, log_probs = greedy_decode(step_fn, EOS_ID, max_gen_len)
+        else:
+            ids, log_probs = beam_decode(step_fn, beam_size, EOS_ID, max_gen_len)
     text = vocab.decode(ids) if vocab is not None else ""
     return GeneratedResponse(ids, text, log_probs)

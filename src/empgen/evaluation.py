@@ -16,7 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import no_grad
 from .corpus import DialogueSample, Vocab, tokenize
+from .decoder import generate
+from .emotion import classify_emotion
 from .model import PLANS, EmpathyModel, Providers, prepare_samples
 from .training import TrainConfig
 
@@ -224,16 +227,15 @@ def evaluate(
     gold: list[int] = []
     generations: list[dict] = []
     for sample, prep in zip(samples, prepared):
-        fwd = model.forward_sample(prep, plan)
+        with no_grad():  # one encoding serves the NLL, the reply and the emotion
+            fwd = model.forward_sample(prep, plan)
+            response = generate(fwd.memory, model.decoder, vocab, strategy, beam_size, config.max_gen_len)
+            probs = classify_emotion(fwd.feature, model.classifier)
         per_token.extend(fwd.per_token_nll.tolist())
-        response = model.generate_response(
-            prep, plan, vocab, strategy, beam_size, config.max_gen_len
-        )
         hyp_tokens = vocab.tokens_of(response.ids)
         ref_tokens = tokenize(sample.gold_response)
         hyps.append(hyp_tokens)
         refs.append(ref_tokens)
-        probs = model.classify(prep, plan)
         predicted.append(int(np.argmax(probs)))
         gold.append(prep.emotion_index)
         generations.append(

@@ -10,6 +10,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -323,7 +324,30 @@ class AnalysisCache:
         self._records: dict[str, AnalysisRecord] = {}
         self._lock = threading.Lock()
         if self.path is not None and self.path.exists():
-            for rec in read_jsonl(self.path):
+            self._load()
+
+    def _load(self) -> None:
+        """Read the file. An unparseable last line is an append cut short
+        by a crash: it is dropped, with a warning, and cut from the file so
+        that the next append starts on a clean line. An unparseable line
+        before it is damage this cache cannot explain, and raises."""
+        data = self.path.read_bytes()
+        if data and not data.endswith(b"\n"):  # the last append was cut short
+            with open(self.path, "ab") as fh:
+                fh.write(b"\n")
+        offset = 0
+        for number, line in enumerate(data.splitlines(keepends=True), 1):
+            try:
+                rec = json.loads(line) if line.strip() else None
+            except ValueError as exc:
+                if data[offset + len(line) :].strip():
+                    raise ValueError(f"{self.path}:{number}: malformed analysis cache line: {exc}") from exc
+                warnings.warn(f"{self.path}:{number}: dropped a torn last line", RuntimeWarning, stacklevel=3)
+                with open(self.path, "r+b") as fh:
+                    fh.truncate(offset)
+                return
+            offset += len(line)
+            if rec is not None:
                 record = AnalysisRecord(
                     prompt=rec["prompt"],
                     response=rec["response"],

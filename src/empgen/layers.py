@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Tensor, parameter, softmax
+from .autodiff import Tensor, concat, parameter, softmax
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -22,9 +23,11 @@ def sinusoidal_positions(length: int, d: int) -> np.ndarray:
     return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
 
 
-def causal_mask(length: int) -> np.ndarray:
-    """Additive mask: -1e9 above the diagonal, 0 on and below it."""
-    return np.triu(np.full((length, length), -1e9), k=1)
+def causal_mask(length: int, cached: int = 0) -> np.ndarray:
+    """Additive mask of ``length`` new rows over ``cached`` earlier rows and
+    themselves, shape (length, cached + length): new row i sees columns
+    0..cached+i (0) and nothing after them (-1e9)."""
+    return np.triu(np.full((length, cached + length), -1e9), k=cached + 1)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
@@ -71,8 +74,15 @@ class LayerNorm:
         return {"gain": self.gain, "bias": self.bias}
 
 
+class KeyValues(NamedTuple):
+    """Head-split keys and values of attended rows, each (..., heads, rows, dh)."""
+
+    k: Tensor
+    v: Tensor
+
+
 class MultiHeadAttention:
-    """Scaled dot-product attention over full sequences (no incremental cache)."""
+    """Scaled dot-product attention; every input may carry leading batch axes."""
 
     def __init__(self, rng: np.random.Generator, d: int, heads: int):
         if d % heads != 0:
@@ -87,20 +97,23 @@ class MultiHeadAttention:
         self.wv = Linear(rng, d, d)
         self.wo = Linear(rng, d, d)
 
-    def _split(self, x: Tensor, length: int) -> Tensor:
-        # (l, d) -> (heads, l, dh)
-        return x.reshape(length, self.heads, self.dh).swapaxes(0, 1)
+    def _split(self, x: Tensor) -> Tensor:
+        # (..., l, d) -> (..., heads, l, dh)
+        return x.reshape(*x.shape[:-1], self.heads, self.dh).swapaxes(-3, -2)
 
-    def __call__(self, query: Tensor, context: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        lq, lk = query.shape[0], context.shape[0]
-        q = self._split(self.wq(query), lq)
-        k = self._split(self.wk(context), lk)
-        v = self._split(self.wv(context), lk)
-        scores = (q @ k.swapaxes(1, 2)) * (1.0 / math.sqrt(self.dh))
+    def keys_values(self, context: Tensor) -> KeyValues:
+        return KeyValues(self._split(self.wk(context)), self._split(self.wv(context)))
+
+    def __call__(self, query: Tensor, context, mask: np.ndarray | None = None) -> Tensor:
+        """Attend from ``query`` rows over ``context``: the rows themselves,
+        or their ``KeyValues`` when those were projected before."""
+        q = self._split(self.wq(query))
+        kv = context if isinstance(context, KeyValues) else self.keys_values(context)
+        scores = (q @ kv.k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.dh))
         if mask is not None:
             scores = scores + Tensor(mask)
         attn = softmax(scores, axis=-1)
-        merged = (attn @ v).swapaxes(0, 1).reshape(lq, self.d)
+        merged = (attn @ kv.v).swapaxes(-3, -2).reshape(*query.shape[:-1], self.d)
         return self.wo(merged)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -162,14 +175,24 @@ class DecoderLayer:
     def __call__(
         self,
         x: Tensor,
-        memory: Tensor,
+        memory: KeyValues,
         mask: np.ndarray,
         drop: float,
         rng: np.random.Generator | None,
-    ) -> Tensor:
-        x = self.ln1(x + dropout(self.self_attn(x, x, mask), drop, rng))
+        past: KeyValues | None = None,
+    ) -> tuple[Tensor, KeyValues]:
+        """The block over new rows ``x`` that follow the rows of ``past``.
+
+        ``memory`` is the cross-attention's projection of the memory rows.
+        Returns the output and the self-attention keys and values of the
+        earlier rows and ``x``'s.
+        """
+        kv = self.self_attn.keys_values(x)
+        if past is not None:
+            kv = KeyValues(concat([past.k, kv.k], axis=-2), concat([past.v, kv.v], axis=-2))
+        x = self.ln1(x + dropout(self.self_attn(x, kv, mask), drop, rng))
         x = self.ln2(x + dropout(self.cross_attn(x, memory), drop, rng))
-        return self.ln3(x + dropout(self.ffn(x), drop, rng))
+        return self.ln3(x + dropout(self.ffn(x), drop, rng)), kv
 
     def parameters(self) -> dict[str, Tensor]:
         out = {}

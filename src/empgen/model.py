@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .corpus import (
     DialogueSample,
     Vocab,
@@ -140,7 +140,7 @@ def prepare_sample(
         prep.relation_ids = relation_token_ids(bundle, vocab)
     if plan.use_analysis:
         prompt = build_analysis_prompt(sample, label)
-        cache = providers.analysis_cache or AnalysisCache()
+        cache = providers.analysis_cache if providers.analysis_cache is not None else AnalysisCache()
         record = query_analysis(prompt, providers.llm, cache)
         prep.analysis_ids = analysis_token_ids(record.response, vocab, max_analysis_len)
     return prep
@@ -252,12 +252,16 @@ class EmpathyModel:
             analysis = self.context_encoder.encode(prep.analysis_ids, rng)
         return context, knowledge, analysis
 
-    def forward_sample(self, prep: PreparedSample, plan: AblationPlan, rng=None) -> SampleForward:
+    def encode_sample(self, prep: PreparedSample, plan: AblationPlan, rng=None) -> tuple[DecoderMemory, Tensor]:
+        """The decoder memory and the emotion feature of one sample."""
         context, knowledge, analysis = self.encode_streams(prep, plan, rng)
-        memory = assemble_memory(context, knowledge, analysis)
-        nll_sum, per_token = nll_loss(prep.target_ids, memory, self.decoder, rng)
         pooled = pool_knowledge(knowledge) if knowledge is not None else None
         feature = fuse_features(context, analysis, pooled, self.d)
+        return assemble_memory(context, knowledge, analysis), feature
+
+    def forward_sample(self, prep: PreparedSample, plan: AblationPlan, rng=None) -> SampleForward:
+        memory, feature = self.encode_sample(prep, plan, rng)
+        nll_sum, per_token = nll_loss(prep.target_ids, memory, self.decoder, rng)
         emo = emotion_nll(feature, self.classifier, prep.emotion_index)
         return SampleForward(
             nll_sum=nll_sum,
@@ -277,12 +281,11 @@ class EmpathyModel:
         beam_size: int = 3,
         max_gen_len: int = 32,
     ):
-        context, knowledge, analysis = self.encode_streams(prep, plan)
-        memory = assemble_memory(context, knowledge, analysis)
-        return generate(memory, self.decoder, vocab, strategy, beam_size, max_gen_len)
+        with no_grad():
+            memory, _ = self.encode_sample(prep, plan)
+            return generate(memory, self.decoder, vocab, strategy, beam_size, max_gen_len)
 
     def classify(self, prep: PreparedSample, plan: AblationPlan) -> np.ndarray:
-        context, knowledge, analysis = self.encode_streams(prep, plan)
-        pooled = pool_knowledge(knowledge) if knowledge is not None else None
-        feature = fuse_features(context, analysis, pooled, self.d)
-        return classify_emotion(feature, self.classifier)
+        with no_grad():
+            _, feature = self.encode_sample(prep, plan)
+            return classify_emotion(feature, self.classifier)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -440,7 +441,20 @@ def save_checkpoint(
         "rng_state": json.dumps(rng.bit_generator.state) if rng is not None else None,
     }
     arrays["meta"] = np.array(json.dumps(meta))
-    np.savez(path, **arrays)
+    # Written beside the final path and renamed onto it, so an interrupted
+    # save leaves the previous checkpoint in place. The name gets np.savez's
+    # ".npz" suffix as a direct np.savez(path) would.
+    final = path if path.name.endswith(".npz") else path.with_name(path.name + ".npz")
+    tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, final)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass

@@ -169,3 +169,84 @@ def fd_gradient(loss_fn, array, h=1e-5):
         flat[i] = keep
         gflat[i] = (up - down) / (2 * h)
     return grad
+
+
+def decoder_log_probs_oracle(stack, input_ids, memory_values, segment_ids):
+    """Full-prefix replay of the decoder stack from its raw arrays:
+    log-probabilities over the vocabulary at every input position."""
+    params = {name: t.data for name, t in stack.parameters().items()}
+    heads = stack.layers[0].self_attn.heads
+    m = len(input_ids)
+
+    def norm(x, prefix):
+        mu = x.mean(axis=1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+        return (x - mu) / np.sqrt(var + 1e-5) * params[prefix + ".gain"] + params[prefix + ".bias"]
+
+    def attend(prefix, x_q, x_kv, visible):
+        d = x_q.shape[1]
+        dh = d // heads
+        q = x_q @ params[prefix + ".wq.weight"] + params[prefix + ".wq.bias"]
+        k = x_kv @ params[prefix + ".wk.weight"]
+        v = x_kv @ params[prefix + ".wv.weight"] + params[prefix + ".wv.bias"]
+        merged = np.zeros((x_q.shape[0], d))
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            scores = np.where(visible, q[:, cols] @ k[:, cols].T / math.sqrt(dh), -np.inf)
+            weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+            merged[:, cols] = (weights / weights.sum(axis=1, keepdims=True)) @ v[:, cols]
+        return merged @ params[prefix + ".wo.weight"] + params[prefix + ".wo.bias"]
+
+    x = params["token_embedding"][np.asarray(input_ids)] + stack.positions[:m]
+    memory = memory_values + params["segment_embedding"][np.asarray(segment_ids)]
+    causal = np.tri(m, dtype=bool)
+    for li in range(len(stack.layers)):
+        pre = f"layers.{li}."
+        x = norm(x + attend(pre + "self_attn", x, x, causal), pre + "ln1")
+        x = norm(x + attend(pre + "cross_attn", x, memory, True), pre + "ln2")
+        hidden = np.maximum(0.0, x @ params[pre + "ffn.lin1.weight"] + params[pre + "ffn.lin1.bias"])
+        x = norm(x + hidden @ params[pre + "ffn.lin2.weight"] + params[pre + "ffn.lin2.bias"], pre + "ln3")
+    logits = x @ params["out_proj.weight"] + params["out_proj.bias"]
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def greedy_oracle(log_probs_fn, eos, max_len, bos=1):
+    """Argmax of the last row of ``log_probs_fn(prefix)`` until eos or max_len;
+    the first maximum wins a tie."""
+    ids, log_probs = [], []
+    while len(ids) < max_len:
+        row = log_probs_fn([bos] + ids)[-1]
+        tok = int(np.argmax(row))
+        ids.append(tok)
+        log_probs.append(float(row[tok]))
+        if tok == eos:
+            break
+    return ids, log_probs
+
+
+def beam_oracle(log_probs_fn, k, eos, max_len, bos=1):
+    """Beam search from its definition, one hypothesis at a time.
+
+    Each step ranks every one-token extension of every live hypothesis by
+    summed log-prob (ties: lower token id, then earlier hypothesis) and
+    keeps k; those ending in eos retire. The answer is the best mean
+    log-prob (ties: the smaller id sequence)."""
+    live = [((), 0.0, ())]
+    finished = []
+    for _ in range(max_len):
+        if not live:
+            break
+        candidates = []
+        for rank, (seq, score, lps) in enumerate(live):
+            row = log_probs_fn([bos] + list(seq))[-1]
+            for tok in range(len(row)):
+                lp = float(row[tok])
+                candidates.append((score + lp, tok, rank, seq + (tok,), lps + (lp,)))
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        live = []
+        for score, tok, _, seq, lps in candidates[:k]:
+            (finished if tok == eos else live).append((seq, score, lps))
+    finished.extend(live)
+    best = min(finished, key=lambda h: (-h[1] / len(h[0]), h[0]))
+    return list(best[0]), list(best[2])

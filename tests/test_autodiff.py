@@ -6,6 +6,7 @@ from empgen.autodiff import (
     concat,
     embedding,
     log_softmax,
+    no_grad,
     parameter,
     slice_rows,
     softmax,
@@ -157,3 +158,45 @@ def test_constants_build_no_graph():
     out = a @ b + a
     assert not out.requires_grad
     assert out._parents == ()
+
+
+def test_no_grad_records_no_parents_and_keeps_leaves_trainable():
+    x = parameter(np.ones((2, 3)))
+    w = parameter(np.full((3, 2), 0.5))
+    with no_grad():
+        out = softmax((x @ w).relu() + x.sum(axis=1, keepdims=True), axis=-1)
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+    assert x.requires_grad and w.requires_grad
+    taped = (x @ w).sum()
+    assert taped.requires_grad and taped._parents
+
+
+def test_no_grad_nests_and_restores_after_an_exception():
+    x = parameter(np.ones(2))
+    with no_grad():
+        with no_grad():
+            assert not (x * 2.0).requires_grad
+        assert not (x * 2.0).requires_grad
+    assert (x * 2.0).requires_grad
+    with pytest.raises(RuntimeError, match="inside"):
+        with no_grad():
+            raise RuntimeError("inside")
+    out = (x * 2.0).sum()
+    assert out.requires_grad
+    out.backward()
+    np.testing.assert_allclose(x.grad, [2.0, 2.0])
+
+
+def test_no_grad_holds_only_in_its_own_thread():
+    import threading
+
+    x = parameter(np.ones(2))
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append((x * 2.0).requires_grad))
+    with no_grad():
+        worker.start()
+        worker.join(timeout=10)
+        assert not (x * 2.0).requires_grad
+    assert not worker.is_alive()
+    assert seen == [True]

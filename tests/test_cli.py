@@ -70,6 +70,17 @@ def test_prepare_data_missing_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_debug_flag_prints_the_traceback(tmp_path, capsys):
+    args = ["prepare-data", "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert main(["--debug", *args]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "nope.jsonl" in err.splitlines()[-1]
+
+
 def test_build_knowledge_refuses_vanilla(workspace, capsys):
     code = main(
         [

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from empgen.autodiff import Tensor
+from empgen.autodiff import Tensor, no_grad
 from empgen.corpus import BOS_ID, EOS_ID
 from empgen.decoder import (
     SEGMENT_ANALYSIS,
     SEGMENT_CONTEXT,
     SEGMENT_KNOWLEDGE,
+    DecoderCache,
     DecoderStack,
     assemble_memory,
     beam_decode,
@@ -17,6 +18,11 @@ from empgen.decoder import (
     greedy_decode,
     nll_loss,
 )
+from empgen.layers import causal_mask
+from empgen.model import PLANS, prepare_samples
+from empgen.training import TrainConfig
+
+from .oracles import beam_oracle, decoder_log_probs_oracle, greedy_oracle
 
 
 def micro_decoder(seed=0, vocab_size=10, d=4, layers=1, heads=2):
@@ -144,12 +150,19 @@ def test_output_distribution_normalized(rng):
 
 def rigged_step(table, vocab_size):
     """step_fn serving log-probs from a dict keyed by the prefix tuple;
-    unrigged prefixes fall back to uniform."""
+    unrigged prefixes fall back to uniform. Given a list of prefixes it
+    returns one row per prefix, as the decoders call it; given one prefix,
+    that prefix's row."""
 
-    def step(prefix):
+    def row(prefix):
         key = tuple(prefix[1:])  # drop bos
         probs = np.array(table.get(key, [1.0] * vocab_size), dtype=np.float64)
         return np.log(probs / probs.sum())
+
+    def step(prefixes, parents=None):
+        if prefixes and not isinstance(prefixes[0], (list, tuple)):
+            return row(prefixes)
+        return np.stack([row(p) for p in prefixes])
 
     return step
 
@@ -239,3 +252,68 @@ def test_generated_response_detokenizes(mini_vocab, rng):
     assert len(response.ids) <= 5
     assert all(np.isfinite(response.log_probs))
     assert isinstance(response.text, str)
+
+
+# ----------------------------------------------------------------------
+# cached, batched decoding
+
+
+def test_causal_mask_after_cached_rows():
+    np.testing.assert_array_equal(causal_mask(3), np.triu(np.full((3, 3), -1e9), k=1))
+    full = causal_mask(6)
+    for cached in range(6):
+        np.testing.assert_array_equal(causal_mask(6 - cached, cached), full[cached:])
+
+
+def test_cached_rows_match_full_prefix_forward(rng):
+    stack = micro_decoder(seed=4, vocab_size=12, layers=2)
+    mem = random_memory(rng)
+    seq = [BOS_ID, 5, 7, 3, 9]
+    full = stack.forward(seq, mem).data
+    with no_grad():
+        cache = DecoderCache()
+        rows = [stack.forward([[tok]], mem, cache=cache).data[0, 0] for tok in seq]
+        assert cache.length == len(seq)
+        np.testing.assert_allclose(rows, full, rtol=0, atol=1e-12)
+        # Two hypotheses share a cached prefix and advance in one batched step.
+        cache = DecoderCache()
+        stack.forward([seq[:3]], mem, cache=cache)
+        cache.reorder([0, 0])
+        both = stack.forward([[4], [6]], mem, cache=cache).data[:, 0]
+    np.testing.assert_allclose(both[0], stack.forward(seq[:3] + [4], mem).data[-1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(both[1], stack.forward(seq[:3] + [6], mem).data[-1], rtol=0, atol=1e-12)
+
+
+def test_decoding_matches_full_prefix_oracle_on_fixture_corpus(mini_samples, mini_vocab, providers):
+    model = TrainConfig(seed=3, d=16, layers=2, heads=2, ffn_mult=2).build_model(len(mini_vocab))
+    # Make <eos> close to the top so that some replies end early and some run out.
+    model.decoder.out_proj.bias.data[EOS_ID] = 1.15
+    plan = PLANS["full"]
+    ended = {"greedy": set(), "beam": set()}
+    for prep in prepare_samples(mini_samples, mini_vocab, providers, plan):
+        with no_grad():
+            memory, _ = model.encode_sample(prep, plan)
+
+        def step(prefix):
+            return decoder_log_probs_oracle(model.decoder, prefix, memory.values.data, memory.segment_ids)
+
+        for strategy, (ids, log_probs) in (
+            ("greedy", greedy_oracle(step, EOS_ID, 16)),
+            ("beam", beam_oracle(step, 3, EOS_ID, 16)),
+        ):
+            got = generate(memory, model.decoder, strategy=strategy, beam_size=3, max_gen_len=16)
+            assert got.ids == ids, (prep.sample_id, strategy)
+            np.testing.assert_allclose(got.log_probs, log_probs, rtol=0, atol=1e-9)
+            ended[strategy].add(ids[-1] == EOS_ID)
+    assert ended == {"greedy": {True, False}, "beam": {True, False}}
+
+
+def test_generation_records_no_tape(rng):
+    stack = micro_decoder(seed=2, vocab_size=12)
+    mem = assemble_memory(Tensor(rng.normal(0, 1, (3, 4)), requires_grad=True))
+    calls = []
+    forward = stack.forward
+    stack.forward = lambda *a, **k: calls.append(forward(*a, **k)) or calls[-1]
+    generate(mem, stack, strategy="beam", beam_size=3, max_gen_len=6)
+    assert len(calls) == 6  # one batched call per step, and no second pass
+    assert all(not out.requires_grad and out._parents == () for out in calls)

@@ -21,7 +21,15 @@ from empgen.model import Providers
 from empgen.selectors import HeuristicCauseDetector, OracleSentimentPredictor
 from empgen.training import TrainConfig, train
 
-from .oracles import accuracy_oracle, bleu_oracle, dist_oracle, ppl_oracle, rouge_f1_oracle
+from .oracles import (
+    accuracy_oracle,
+    bleu_oracle,
+    decoder_log_probs_oracle,
+    dist_oracle,
+    greedy_oracle,
+    ppl_oracle,
+    rouge_f1_oracle,
+)
 
 
 def random_corpus(rng, n_pairs, vocab=12, max_len=9, min_len=1):
@@ -260,6 +268,57 @@ def test_evaluate_ppl_consistency(trained, mini_samples, mini_vocab, lexicon):
         fwd = result.model.forward_sample(prep, plan)
         per_token.extend(fwd.per_token_nll.tolist())
     assert abs(report.ppl - math.exp(np.mean(per_token))) < 1e-9
+
+
+def test_evaluate_equals_the_per_stage_reference(trained, mini_samples, mini_vocab, lexicon):
+    # evaluate() encodes each sample once, without the tape. Its report must
+    # equal one built stage by stage: a taped forward for the NLL, greedy
+    # replies recomputed over the whole prefix at every step, and a separate
+    # classify() call.
+    from empgen.corpus import EOS_ID, tokenize
+    from empgen.model import PLANS, prepare_samples
+
+    config, result = trained
+    model = result.model
+    samples = mini_samples[24:40]
+    report = evaluate(model, config, samples, mini_vocab, eval_providers(lexicon))
+    plan = PLANS[config.ablation]
+    prepared = prepare_samples(samples, mini_vocab, eval_providers(lexicon), plan)
+    per_token, hyps, refs, predicted, generations = [], [], [], [], []
+    for sample, prep in zip(samples, prepared):
+        fwd = model.forward_sample(prep, plan)
+        assert fwd.nll_sum.requires_grad
+        per_token.extend(fwd.per_token_nll.tolist())
+        values, segments = fwd.memory.values.data, fwd.memory.segment_ids
+        ids, _ = greedy_oracle(
+            lambda prefix: decoder_log_probs_oracle(model.decoder, prefix, values, segments),
+            EOS_ID,
+            config.max_gen_len,
+        )
+        label = int(np.argmax(model.classify(prep, plan)))
+        hyps.append(mini_vocab.tokens_of(ids))
+        refs.append(tokenize(sample.gold_response))
+        predicted.append(label)
+        generations.append(
+            {
+                "id": sample.id,
+                "response": mini_vocab.decode(ids),
+                "reference": sample.gold_response,
+                "predicted_emotion": label,
+                "gold_emotion": prep.emotion_index,
+            }
+        )
+    assert report.generations == generations
+    expected = [
+        ppl_oracle(per_token),
+        *[100 * bleu_oracle(hyps, refs, n) for n in (1, 2, 3, 4)],
+        100 * float(np.mean([rouge_f1_oracle(h, r, 1) for h, r in zip(hyps, refs)])),
+        100 * float(np.mean([rouge_f1_oracle(h, r, 2) for h, r in zip(hyps, refs)])),
+        100 * dist_oracle(hyps, 1),
+        100 * dist_oracle(hyps, 2),
+        100 * accuracy_oracle(predicted, [p.emotion_index for p in prepared]),
+    ]
+    np.testing.assert_allclose(report.row_values(), expected, rtol=1e-9, atol=1e-9)
 
 
 def test_evaluate_provider_mismatch_errors(trained, mini_samples, mini_vocab):

@@ -181,3 +181,49 @@ def test_bundle_relation_property(rng):
         bundle = provider.generate(text)
         assert len(bundle.relations) == 5
         assert tuple(bundle.relations.keys()) == RELATIONS
+
+
+def test_cache_drops_a_torn_last_line_and_appends_cleanly(tmp_path):
+    path = tmp_path / "analysis_cache.jsonl"
+    client = EchoLlmClient()
+    query_analysis("Sentiment label: proud", client, AnalysisCache(path))
+    query_analysis("Sentiment label: joyful", client, AnalysisCache(path))
+    whole = path.read_bytes()
+    path.write_bytes(whole + b'{"prompt": "Sentiment label: sad", "respo')  # append cut short
+    with pytest.warns(RuntimeWarning, match="analysis_cache.jsonl:3"):
+        cache = AnalysisCache(path)
+    assert len(cache) == 2
+    assert path.read_bytes() == whole
+    query_analysis("Sentiment label: sad", client, cache)
+    assert len(AnalysisCache(path)) == 3
+    # Cut after a whole record but before its newline: the record stays.
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    cache = AnalysisCache(path)
+    assert len(cache) == 3
+    query_analysis("Sentiment label: calm", client, cache)
+    assert len(AnalysisCache(path)) == 4
+
+
+def test_cache_malformed_line_before_the_tail_raises(tmp_path):
+    path = tmp_path / "analysis_cache.jsonl"
+    client = EchoLlmClient()
+    query_analysis("Sentiment label: proud", client, AnalysisCache(path))
+    good = path.read_text(encoding="utf-8")
+    path.write_text("{not json\n" + good, encoding="utf-8")
+    with pytest.raises(ValueError, match="analysis_cache.jsonl:1"):
+        AnalysisCache(path)
+
+
+def test_empty_path_backed_cache_fills_through_prepare_samples(tmp_path, mini_samples, mini_vocab, providers):
+    from empgen.model import PLANS, prepare_samples
+
+    path = tmp_path / "analysis_cache.jsonl"
+    providers.analysis_cache = AnalysisCache(path)
+    samples = mini_samples[:6]
+    first = prepare_samples(samples, mini_vocab, providers, PLANS["full"])
+    assert providers.llm.calls == len(samples)
+    assert len(AnalysisCache(path)) == len(samples)
+    providers.analysis_cache = AnalysisCache(path)
+    second = prepare_samples(samples, mini_vocab, providers, PLANS["full"])
+    assert providers.llm.calls == len(samples)
+    assert [p.analysis_ids for p in first] == [p.analysis_ids for p in second]
