@@ -18,7 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures
+from .autodiff import no_grad
 from .corpus import LabelSet, Vocab, build_vocab, load_dataset, sample_to_record, split_dataset
+from .decoder import generate
+from .emotion import classify_emotion
 from .evaluation import evaluate, format_table, write_report
 from .knowledge import (
     AnalysisCache,
@@ -294,7 +297,14 @@ def cmd_train(args) -> int:
     providers = build_providers(args, config, train_samples, labels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = train(config, train_samples, vocab, providers, log_path=out / "train_log.jsonl")
+    result = train(
+        config,
+        train_samples,
+        vocab,
+        providers,
+        log_path=out / "train_log.jsonl",
+        timing_path=out / "train_timing.jsonl",
+    )
     save_checkpoint(
         out / "checkpoint.npz",
         result.model,
@@ -384,10 +394,11 @@ def cmd_generate(args) -> int:
     prep = prepare_sample(
         sample, vocab, providers, plan, config.max_context_len, config.max_analysis_len
     )
-    response = loaded.model.generate_response(
-        prep, plan, vocab, args.strategy, args.beam_size, config.max_gen_len
-    )
-    probs = loaded.model.classify(prep, plan)
+    model = loaded.model
+    with no_grad():  # one encoding serves the reply and the emotion
+        memory, feature = model.encode_sample(prep, plan)
+        response = generate(memory, model.decoder, vocab, args.strategy, args.beam_size, config.max_gen_len)
+        probs = classify_emotion(feature, model.classifier)
     emotion = labels.by_index(int(np.argmax(probs))).name
     print(response.text)
     print(f"predicted emotion: {emotion}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import Tensor, concat, embedding, log_softmax, no_grad, take_per_row
 from .corpus import BOS_ID, EOS_ID, Vocab
-from .layers import DecoderLayer, KeyValues, Linear, causal_mask, sinusoidal_positions
+from .layers import DecoderLayer, KeyValues, Linear, causal_mask, pad_ids, sinusoidal_positions
 
 SEGMENT_CONTEXT, SEGMENT_KNOWLEDGE, SEGMENT_ANALYSIS = 0, 1, 2
 NUM_SEGMENTS = 3
@@ -30,11 +30,14 @@ class DecoderMemory:
     """Row-stacked memory with per-row segment ids.
 
     Row order is fixed: context rows, then knowledge rows, then analysis
-    rows. Disabled streams are simply absent.
+    rows. Disabled streams are simply absent. A padded batch has values
+    (B, rows, d), each stream padded to its longest member, and an additive
+    ``key_mask`` (B, rows) that hides the padding from cross-attention.
     """
 
     values: Tensor
     segment_ids: np.ndarray
+    key_mask: np.ndarray | None = None
 
     def segment_histogram(self) -> dict[int, int]:
         ids, counts = np.unique(self.segment_ids, return_counts=True)
@@ -48,19 +51,28 @@ def assemble_memory(
     context_rep: Tensor,
     knowledge_rep: Tensor | None = None,
     analysis_rep: Tensor | None = None,
+    lengths=None,
 ) -> DecoderMemory:
-    parts = [context_rep]
-    segments = [np.full(context_rep.shape[0], SEGMENT_CONTEXT, dtype=np.int64)]
-    d = context_rep.shape[1]
-    for rep, seg in ((knowledge_rep, SEGMENT_KNOWLEDGE), (analysis_rep, SEGMENT_ANALYSIS)):
+    """Stack the streams' rows. For a padded batch, ``lengths`` gives each
+    stream's (B,) valid row counts, in argument order (None for an absent
+    stream)."""
+    reps = (context_rep, knowledge_rep, analysis_rep)
+    lengths = lengths or (None,) * len(reps)
+    d = context_rep.shape[-1]
+    parts, segments, valid = [], [], []
+    for rep, n, seg in zip(reps, lengths, (SEGMENT_CONTEXT, SEGMENT_KNOWLEDGE, SEGMENT_ANALYSIS)):
         if rep is None:
             continue
-        if rep.shape[1] != d:
-            raise ValueError(f"width mismatch in memory: {rep.shape[1]} vs {d}")
+        if rep.shape[-1] != d:
+            raise ValueError(f"width mismatch in memory: {rep.shape[-1]} vs {d}")
         parts.append(rep)
-        segments.append(np.full(rep.shape[0], seg, dtype=np.int64))
-    values = concat(parts, axis=0) if len(parts) > 1 else parts[0]
-    return DecoderMemory(values, np.concatenate(segments))
+        segments.append(np.full(rep.shape[-2], seg, dtype=np.int64))
+        if n is not None:
+            valid.append(np.arange(rep.shape[-2]) < n[:, None])
+    values = concat(parts, axis=-2) if len(parts) > 1 else parts[0]
+    valid = np.concatenate(valid, axis=-1) if valid else None
+    key_mask = None if valid is None or valid.all() else np.where(valid, 0.0, -1e9)
+    return DecoderMemory(values, np.concatenate(segments), key_mask)
 
 
 class DecoderCache:
@@ -137,8 +149,9 @@ class DecoderStack:
             mem = memory.values + embedding(self.segment_embedding, memory.segment_ids)
             cache.memory = [layer.cross_attn.keys_values(mem) for layer in self.layers]
         mask = causal_mask(m, p)
+        memory_mask = None if memory.key_mask is None else memory.key_mask[..., None, None, :]
         for i, layer in enumerate(self.layers):
-            x, cache.past[i] = layer(x, cache.memory[i], mask, drop, rng, cache.past.get(i))
+            x, cache.past[i] = layer(x, cache.memory[i], mask, drop, rng, cache.past.get(i), memory_mask)
         cache.length = p + m
         return self.out_proj(x)
 
@@ -156,25 +169,38 @@ class DecoderStack:
 
 
 def nll_loss(
-    target_ids: list[int],
+    target_ids,
     memory: DecoderMemory,
     stack: DecoderStack,
     rng: np.random.Generator | None = None,
-) -> tuple[Tensor, np.ndarray]:
+):
     """Teacher-forced negative log-likelihood, summed over target positions.
 
-    Returns the scalar sum (a graph node) and the per-token values used
-    for perplexity.
+    For one target sequence, returns the scalar sum (a graph node) and the
+    per-token values used for perplexity. For a list of them, decoded as
+    one padded batch over a batched memory, returns a (B,) node of
+    per-sample sums, to which padded positions add nothing, and a list of
+    per-token arrays.
     """
-    if not target_ids:
+    single = len(target_ids) > 0 and np.ndim(target_ids[0]) == 0
+    seqs = [target_ids] if single else target_ids
+    if not len(seqs) or not all(len(t) for t in seqs):
         raise ValueError("empty target")
-    input_ids = [BOS_ID] + list(target_ids[:-1])
+    targets, lengths = pad_ids(seqs)
+    input_ids = np.concatenate([np.full((len(targets), 1), BOS_ID), targets[:, :-1]], axis=1)
+    if single:
+        targets, input_ids = targets[0], input_ids[0]
     logits = stack.forward(input_ids, memory, rng)
     logp = log_softmax(logits, axis=-1)
-    picked = take_per_row(logp, target_ids)
-    total = -picked.sum()
-    per_token = -picked.data[:, 0].copy()
-    return total, per_token
+    picked = take_per_row(logp, targets)
+    per_token = -picked.data[..., 0]
+    if single:
+        return -picked.sum(), per_token.copy()
+    valid = np.arange(targets.shape[1]) < lengths[:, None]
+    if not valid.all():
+        picked = picked * Tensor(valid[..., None])
+    total = -picked.sum(axis=(1, 2))
+    return total, [row[:n].copy() for row, n in zip(per_token, lengths)]
 
 
 @dataclass

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, embedding, parameter, softmax
+from .autodiff import Tensor, attention, embedding, parameter
 from .corpus import CLS_ID, Vocab
 from .knowledge import RELATIONS, KnowledgeBundle
-from .layers import EncoderLayer, sinusoidal_positions
+from .layers import EncoderLayer, pad_ids, padding_mask, sinusoidal_positions
 
 DEFAULT_MAX_ANALYSIS_LEN = 128
 
@@ -62,14 +62,31 @@ class EncoderStack:
         self.layers = [EncoderLayer(rng, d, heads, ffn_mult) for _ in range(layers)]
 
     def encode(self, ids: list[int], rng: np.random.Generator | None = None) -> Tensor:
-        if not ids:
+        """Rows of one id sequence, shape (len(ids), d)."""
+        return self._forward(np.asarray(ids, dtype=np.int64), None, rng)
+
+    def encode_padded(
+        self, ids: np.ndarray, lengths: np.ndarray, rng: np.random.Generator | None = None
+    ) -> Tensor:
+        """Rows of right-padded id rows (N, L), shape (N, L, d). Keys past
+        each row's length are masked, so a row's first ``lengths[i]``
+        outputs are those of its unpadded sequence."""
+        mask = padding_mask(lengths, ids.shape[-1])
+        return self._forward(ids, None if mask is None else mask[:, None, None, :], rng)
+
+    def _forward(self, ids: np.ndarray, mask: np.ndarray | None, rng) -> Tensor:
+        if ids.size == 0:
             raise ValueError("cannot encode an empty id sequence")
-        if max(ids) >= self.vocab_size or min(ids) < 0:
+        if ids.max() >= self.vocab_size or ids.min() < 0:
             raise ValueError(f"token id out of range for vocab of {self.vocab_size}")
+        if ids.shape[-1] > len(self.positions):
+            raise ValueError(
+                f"cannot encode {ids.shape[-1]} tokens: the encoder has {len(self.positions)} positions"
+            )
         drop = self.dropout if rng is not None else 0.0
-        x = embedding(self.token_embedding, ids) + Tensor(self.positions[: len(ids)])
+        x = embedding(self.token_embedding, ids) + Tensor(self.positions[: ids.shape[-1]])
         for layer in self.layers:
-            x = layer(x, drop, rng)
+            x = layer(x, drop, rng, mask)
         return x
 
     def parameters(self) -> dict[str, Tensor]:
@@ -80,21 +97,12 @@ class EncoderStack:
         return out
 
 
-def encode_context(ids: list[int], stack: EncoderStack, rng=None) -> Tensor:
-    """Context representation over the flattened dialogue ids."""
-    return stack.encode(ids, rng)
-
-
-def encode_cause(ids: list[int], stack: EncoderStack, rng=None) -> Tensor:
-    """Cause representation over the separator-joined cause utterances."""
-    return stack.encode(ids, rng)
-
-
 def fuse_sensible(
     context_rep: Tensor,
     cause_rep: Tensor,
     params: FusionParams,
     return_attention: bool = False,
+    mask: np.ndarray | None = None,
 ):
     """Single-head attention of context queries over cause keys/values.
 
@@ -102,22 +110,20 @@ def fuse_sensible(
 
     Row count of the output equals the context length; each attention row
     is a probability vector over the cause tokens. Note the scale is
-    sqrt(2*d), not the usual sqrt(d).
+    sqrt(2*d), not the usual sqrt(d). Both inputs may carry a leading batch
+    axis; ``mask`` (B, cause rows) then hides padded cause keys.
     """
-    if context_rep.shape[1] != cause_rep.shape[1]:
+    if context_rep.shape[-1] != cause_rep.shape[-1]:
         raise ValueError(
-            f"width mismatch: context {context_rep.shape[1]} vs cause {cause_rep.shape[1]}"
+            f"width mismatch: context {context_rep.shape[-1]} vs cause {cause_rep.shape[-1]}"
         )
-    d = context_rep.shape[1]
+    d = context_rep.shape[-1]
     q = context_rep @ params.w_q.swapaxes(0, 1)
     k = cause_rep @ params.w_k.swapaxes(0, 1)
     v = cause_rep @ params.w_v.swapaxes(0, 1)
-    scores = (q @ k.swapaxes(0, 1)) * (1.0 / math.sqrt(2.0 * d))
-    attention = softmax(scores, axis=-1)
-    fused = attention @ v
-    if return_attention:
-        return fused, attention
-    return fused
+    return attention(
+        q, k, v, 1.0 / math.sqrt(2.0 * d), None if mask is None else mask[:, None, :], return_attention
+    )
 
 
 def relation_token_ids(bundle: KnowledgeBundle, vocab: Vocab) -> list[list[int]]:
@@ -140,20 +146,33 @@ def encode_relations(
     vocab: Vocab | None = None,
     rng=None,
 ) -> Tensor:
-    """Encode each relation sequence separately and stack the outputs row-wise.
+    """Encode the relation sequences as one padded batch and stack each
+    sample's outputs row-wise, in relation order.
 
-    Total row count is the summed token count plus one summary row per
-    relation.
+    One sample (a bundle, or its five id lists) gives (rows, d), where rows
+    is the summed token count plus one summary row per relation. A list of
+    samples' five id lists gives (B, most rows, d): each sample's rows come
+    first, and the padding after them repeats row 0 of the batch.
     """
     if isinstance(bundle_or_ids, KnowledgeBundle):
         if vocab is None:
             raise ValueError("vocab required to tokenize a bundle")
-        token_lists = relation_token_ids(bundle_or_ids, vocab)
-    else:
-        token_lists = bundle_or_ids
-    if len(token_lists) != len(RELATIONS):
+        bundle_or_ids = relation_token_ids(bundle_or_ids, vocab)
+    single = np.ndim(bundle_or_ids[0][0]) == 0
+    samples = [bundle_or_ids] if single else bundle_or_ids
+    if any(len(lists) != len(RELATIONS) for lists in samples):
         raise ValueError(f"expected {len(RELATIONS)} relation sequences")
-    return concat([stack.encode(ids, rng) for ids in token_lists], axis=0)
+    ids, lengths = pad_ids([seq for lists in samples for seq in lists])
+    rows = stack.encode_padded(ids, lengths, rng)
+    # Flat row index of every sample's unpadded rows, in order.
+    per = len(RELATIONS)
+    starts = np.arange(len(lengths)) * ids.shape[1]
+    picks = [
+        np.concatenate([np.arange(s, s + n) for s, n in zip(starts[i : i + per], lengths[i : i + per])])
+        for i in range(0, len(lengths), per)
+    ]
+    index = pad_ids(picks)[0]
+    return embedding(rows.reshape(-1, rows.shape[-1]), index[0] if single else index)
 
 
 def analysis_token_ids(
@@ -165,18 +184,3 @@ def analysis_token_ids(
     ids = [CLS_ID] + vocab.encode_text(text)
     return ids[:max_len]
 
-
-def encode_analysis(
-    text_or_ids,
-    stack: EncoderStack,
-    vocab: Vocab | None = None,
-    max_len: int = DEFAULT_MAX_ANALYSIS_LEN,
-    rng=None,
-) -> Tensor:
-    if isinstance(text_or_ids, str):
-        if vocab is None:
-            raise ValueError("vocab required to tokenize analysis text")
-        ids = analysis_token_ids(text_or_ids, vocab, max_len)
-    else:
-        ids = text_or_ids
-    return stack.encode(ids, rng)

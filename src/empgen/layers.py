@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Tensor, concat, parameter, softmax
+from .autodiff import Tensor, attention, concat, layer_norm, linear, parameter
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -30,6 +30,24 @@ def causal_mask(length: int, cached: int = 0) -> np.ndarray:
     return np.triu(np.full((length, cached + length), -1e9), k=cached + 1)
 
 
+def pad_ids(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Id rows right-padded with <pad> (id 0) to the longest, shape (B, L),
+    and each row's length."""
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    ids = np.zeros((len(seqs), int(lengths.max())), dtype=np.int64)
+    for row, s in zip(ids, seqs):
+        row[: len(s)] = s
+    return ids, lengths
+
+
+def padding_mask(lengths: np.ndarray | None, width: int) -> np.ndarray | None:
+    """Additive key mask (B, width): 0 on each row's first ``lengths[b]``
+    keys, -1e9 on its padding. None when nothing is padded."""
+    if lengths is None or np.all(lengths == width):
+        return None
+    return np.where(np.arange(width) < lengths[:, None], 0.0, -1e9)
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout; identity when rng is None (eval mode) or rate is 0."""
     if rng is None or rate <= 0.0:
@@ -44,10 +62,7 @@ class Linear:
         self.bias = parameter(np.zeros(fan_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = x @ self.weight
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        return linear(x, self.weight, self.bias)
 
     def parameters(self) -> dict[str, Tensor]:
         out = {"weight": self.weight}
@@ -64,11 +79,7 @@ class LayerNorm:
         self.bias = parameter(np.zeros(d))
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        inv = (var + self.EPS).pow(-0.5)
-        return centered * inv * self.gain + self.bias
+        return layer_norm(x, self.gain, self.bias, self.EPS)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"gain": self.gain, "bias": self.bias}
@@ -106,15 +117,13 @@ class MultiHeadAttention:
 
     def __call__(self, query: Tensor, context, mask: np.ndarray | None = None) -> Tensor:
         """Attend from ``query`` rows over ``context``: the rows themselves,
-        or their ``KeyValues`` when those were projected before."""
+        or their ``KeyValues`` when those were projected before. ``mask``
+        is additive and broadcasts against the (..., heads, queries, keys)
+        scores."""
         q = self._split(self.wq(query))
         kv = context if isinstance(context, KeyValues) else self.keys_values(context)
-        scores = (q @ kv.k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.dh))
-        if mask is not None:
-            scores = scores + Tensor(mask)
-        attn = softmax(scores, axis=-1)
-        merged = (attn @ kv.v).swapaxes(-3, -2).reshape(*query.shape[:-1], self.d)
-        return self.wo(merged)
+        heads = attention(q, kv.k, kv.v, 1.0 / math.sqrt(self.dh), mask)
+        return self.wo(heads.swapaxes(-3, -2).reshape(*query.shape[:-1], self.d))
 
     def parameters(self) -> dict[str, Tensor]:
         out = {}
@@ -149,8 +158,10 @@ class EncoderLayer:
         self.ffn = FeedForward(rng, d, ffn_mult * d)
         self.ln2 = LayerNorm(d)
 
-    def __call__(self, x: Tensor, drop: float, rng: np.random.Generator | None) -> Tensor:
-        x = self.ln1(x + dropout(self.attn(x, x), drop, rng))
+    def __call__(
+        self, x: Tensor, drop: float, rng: np.random.Generator | None, mask: np.ndarray | None = None
+    ) -> Tensor:
+        x = self.ln1(x + dropout(self.attn(x, x, mask), drop, rng))
         return self.ln2(x + dropout(self.ffn(x), drop, rng))
 
     def parameters(self) -> dict[str, Tensor]:
@@ -180,18 +191,19 @@ class DecoderLayer:
         drop: float,
         rng: np.random.Generator | None,
         past: KeyValues | None = None,
+        memory_mask: np.ndarray | None = None,
     ) -> tuple[Tensor, KeyValues]:
         """The block over new rows ``x`` that follow the rows of ``past``.
 
-        ``memory`` is the cross-attention's projection of the memory rows.
-        Returns the output and the self-attention keys and values of the
-        earlier rows and ``x``'s.
+        ``memory`` is the cross-attention's projection of the memory rows,
+        and ``memory_mask`` hides the padded ones. Returns the output and
+        the self-attention keys and values of the earlier rows and ``x``'s.
         """
         kv = self.self_attn.keys_values(x)
         if past is not None:
             kv = KeyValues(concat([past.k, kv.k], axis=-2), concat([past.v, kv.v], axis=-2))
         x = self.ln1(x + dropout(self.self_attn(x, kv, mask), drop, rng))
-        x = self.ln2(x + dropout(self.cross_attn(x, memory), drop, rng))
+        x = self.ln2(x + dropout(self.cross_attn(x, memory, memory_mask), drop, rng))
         return self.ln3(x + dropout(self.ffn(x), drop, rng)), kv
 
     def parameters(self) -> dict[str, Tensor]:

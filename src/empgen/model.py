@@ -37,6 +37,7 @@ from .encoder import (
     relation_token_ids,
 )
 from .knowledge import AnalysisCache, CommonsenseProvider, LlmClient, build_analysis_prompt, query_analysis
+from .layers import pad_ids, padding_mask
 from .selectors import CauseDetector, SentimentPredictor
 
 
@@ -154,10 +155,41 @@ def prepare_samples(samples, vocab, providers, plan, max_context_len=256, max_an
     ]
 
 
+def stream_ids(prep: PreparedSample, plan: AblationPlan) -> dict[str, list]:
+    """The id sequences the plan encodes or decodes for one sample, by
+    stream name; the relations come as one list of five."""
+    streams = {"context": [prep.context_ids], "target": [prep.target_ids]}
+    if plan.use_fusion:
+        streams["cause"] = [prep.cause_ids]
+    if plan.use_knowledge:
+        streams["relation"] = list(prep.relation_ids)
+    if plan.use_analysis:
+        streams["analysis"] = [prep.analysis_ids]
+    return streams
+
+
+def padded_rows(preps: list[PreparedSample], plan: AblationPlan) -> int:
+    """Encoder rows of the samples as one padded batch: every encoded
+    stream padded to its longest member."""
+    streams = [stream_ids(p, plan) for p in preps]
+    total = 0
+    for name in ("context", "cause", "relation", "analysis"):
+        lengths = [len(ids) for s in streams for ids in s.get(name, ())]
+        total += len(lengths) * max(lengths, default=0)
+    return total
+
+
 @dataclass
 class SampleForward:
+    """Losses and encodings of one sample, or of a padded batch.
+
+    For one sample the losses are scalars and ``per_token_nll`` one array.
+    For a batch the losses are (B,) nodes and ``per_token_nll`` a list of
+    per-sample arrays; ``token_count`` is always the batch total.
+    """
+
     nll_sum: Tensor
-    per_token_nll: np.ndarray
+    per_token_nll: np.ndarray | list[np.ndarray]
     emo_nll: Tensor
     token_count: int
     memory: DecoderMemory
@@ -237,40 +269,79 @@ class EmpathyModel:
 
     # ------------------------------------------------------------------
 
-    def encode_streams(
-        self, prep: PreparedSample, plan: AblationPlan, rng=None
-    ) -> tuple[Tensor, Tensor | None, Tensor | None]:
-        context = self.context_encoder.encode(prep.context_ids, rng)
+    def check_lengths(self, preps: list[PreparedSample], plan: AblationPlan) -> None:
+        """Refuse, by sample id, any sequence longer than the position table."""
+        limit = len(self.context_encoder.positions)
+        for prep in preps:
+            for name, seqs in stream_ids(prep, plan).items():
+                for ids in seqs:
+                    if len(ids) > limit:
+                        raise ValueError(
+                            f"sample {prep.sample_id!r}: {name} of {len(ids)} tokens is longer "
+                            f"than the model's {limit} positions"
+                        )
+
+    def encode_batch(
+        self, preps: list[PreparedSample], plan: AblationPlan, rng=None
+    ) -> tuple[DecoderMemory, Tensor]:
+        """The decoder memory and the emotion features of the samples.
+
+        Several samples run as one padded batch, each stream padded to its
+        longest member and masked where padded. A lone sample runs without
+        the batch axis: its memory is (rows, d) and nothing is padded.
+        """
+        self.check_lengths(preps, plan)
+        single = len(preps) == 1
+
+        def encode(seqs):
+            if single:
+                return self.context_encoder.encode(seqs[0], rng), None
+            ids, lengths = pad_ids(seqs)
+            return self.context_encoder.encode_padded(ids, lengths, rng), lengths
+
+        context, context_len = encode([p.context_ids for p in preps])
         if plan.use_fusion:
-            cause = self.context_encoder.encode(prep.cause_ids, rng)
-            context = fuse_sensible(context, cause, self.fusion)
-        knowledge = None
+            cause, cause_len = encode([p.cause_ids for p in preps])
+            context = fuse_sensible(
+                context, cause, self.fusion, mask=padding_mask(cause_len, cause.shape[-2])
+            )
+        knowledge = knowledge_len = pooled = None
         if plan.use_knowledge:
-            knowledge = encode_relations(prep.relation_ids, self.relation_encoder, rng=rng)
-        analysis = None
+            relations = [p.relation_ids for p in preps]
+            knowledge = encode_relations(relations[0] if single else relations, self.relation_encoder, rng=rng)
+            if not single:
+                knowledge_len = np.array([sum(map(len, r)) for r in relations])
+            pooled = pool_knowledge(knowledge, knowledge_len)
+        analysis = analysis_len = None
         if plan.use_analysis:
-            analysis = self.context_encoder.encode(prep.analysis_ids, rng)
-        return context, knowledge, analysis
-
-    def encode_sample(self, prep: PreparedSample, plan: AblationPlan, rng=None) -> tuple[DecoderMemory, Tensor]:
-        """The decoder memory and the emotion feature of one sample."""
-        context, knowledge, analysis = self.encode_streams(prep, plan, rng)
-        pooled = pool_knowledge(knowledge) if knowledge is not None else None
+            analysis, analysis_len = encode([p.analysis_ids for p in preps])
         feature = fuse_features(context, analysis, pooled, self.d)
-        return assemble_memory(context, knowledge, analysis), feature
+        lengths = None if single else (context_len, knowledge_len, analysis_len)
+        return assemble_memory(context, knowledge, analysis, lengths), feature
 
-    def forward_sample(self, prep: PreparedSample, plan: AblationPlan, rng=None) -> SampleForward:
-        memory, feature = self.encode_sample(prep, plan, rng)
-        nll_sum, per_token = nll_loss(prep.target_ids, memory, self.decoder, rng)
-        emo = emotion_nll(feature, self.classifier, prep.emotion_index)
+    def forward_batch(self, preps: list[PreparedSample], plan: AblationPlan, rng=None) -> SampleForward:
+        """Teacher-forced losses of the samples, in one padded batch."""
+        memory, feature = self.encode_batch(preps, plan, rng)
+        if len(preps) == 1:
+            targets, labels = preps[0].target_ids, preps[0].emotion_index
+        else:
+            targets, labels = [p.target_ids for p in preps], [p.emotion_index for p in preps]
+        nll_sum, per_token = nll_loss(targets, memory, self.decoder, rng)
         return SampleForward(
             nll_sum=nll_sum,
             per_token_nll=per_token,
-            emo_nll=emo,
-            token_count=len(prep.target_ids),
+            emo_nll=emotion_nll(feature, self.classifier, labels),
+            token_count=sum(len(p.target_ids) for p in preps),
             memory=memory,
             feature=feature,
         )
+
+    def encode_sample(self, prep: PreparedSample, plan: AblationPlan, rng=None) -> tuple[DecoderMemory, Tensor]:
+        """The decoder memory and the emotion feature of one sample."""
+        return self.encode_batch([prep], plan, rng)
+
+    def forward_sample(self, prep: PreparedSample, plan: AblationPlan, rng=None) -> SampleForward:
+        return self.forward_batch([prep], plan, rng)
 
     def generate_response(
         self,

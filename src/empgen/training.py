@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import time
 import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -14,10 +15,15 @@ import numpy as np
 
 from .autodiff import Tensor
 from .corpus import Vocab
-from .model import PLANS, EmpathyModel, PreparedSample, Providers, prepare_samples
+from .model import PLANS, AblationPlan, EmpathyModel, PreparedSample, Providers, padded_rows, prepare_samples
 from .util import canonical_json, sha256_hex
 
 CHECKPOINT_VERSION = 1
+
+# Padded encoder rows per micro-batch: four short dialogues, or one at the
+# 256-token context cap. The tape of a micro-batch lives until its
+# backward pass, so this bounds training's peak memory.
+MICRO_BATCH_ROWS = 768
 
 
 class TrainingDiverged(RuntimeError):
@@ -102,7 +108,8 @@ class TrainConfig:
 
 @dataclass
 class LossBreakdown:
-    """Per-step loss record; total is exactly nll + emo in the same floats."""
+    """Per-step loss record; total is exactly nll + emo in the same floats.
+    ``grad_norm`` is the global gradient norm before any clipping."""
 
     step: int
     epoch: int
@@ -111,6 +118,7 @@ class LossBreakdown:
     total: float
     token_count: int
     nll_sum: float
+    grad_norm: float
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -147,12 +155,19 @@ class Adam:
             p.data -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
-def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
+def gradient_norm(params: dict[str, Tensor]) -> float:
+    """Global L2 norm over every parameter's gradient."""
     total = 0.0
     for p in params.values():
         if p.grad is not None:
             total += float((p.grad**2).sum())
-    norm = float(np.sqrt(total))
+    return float(np.sqrt(total))
+
+
+def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
+    """Scale the gradients down to ``max_norm`` if their global norm is
+    larger; returns the norm before clipping."""
+    norm = gradient_norm(params)
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for p in params.values():
@@ -171,6 +186,17 @@ class TrainResult:
     optimizer: "Adam | None" = field(repr=False, default=None)
 
 
+def micro_batches(batch: list[PreparedSample], plan: AblationPlan) -> list[list[PreparedSample]]:
+    """Split a batch into runs of consecutive samples whose padded encoder
+    rows stay within ``MICRO_BATCH_ROWS``; a sample over it runs alone."""
+    runs: list[list[PreparedSample]] = [[]]
+    for prep in batch:
+        if runs[-1] and padded_rows(runs[-1] + [prep], plan) > MICRO_BATCH_ROWS:
+            runs.append([])
+        runs[-1].append(prep)
+    return runs
+
+
 def train(
     config: TrainConfig,
     samples,
@@ -178,15 +204,23 @@ def train(
     providers: Providers | None = None,
     log_path: str | Path | None = None,
     initial_model: EmpathyModel | None = None,
+    timing_path: str | Path | None = None,
 ) -> TrainResult:
     """Run the joint objective over the samples.
 
     The generation loss enters the reported total as the batch sum divided
     by the batch token count; ``strict_sum`` switches to the raw per-sample
-    sum instead. Both runs of the same config and seed produce identical
-    histories: batch order, dropout, and initialization all draw from one
-    seeded generator. Pass ``initial_model`` to continue from a loaded
-    checkpoint instead of a fresh initialization.
+    sum instead. Each batch runs as a few padded micro-batches
+    (``micro_batches``), one backward pass each, and the gradients add up
+    over the batch before the optimizer step. Both runs of the same config
+    and seed produce identical histories: batch order, dropout, and
+    initialization all draw from one seeded generator. Pass
+    ``initial_model`` to continue from a loaded checkpoint instead of a
+    fresh initialization.
+
+    ``log_path`` receives one JSON line per step (the ``LossBreakdown``),
+    the same bytes on every run; ``timing_path`` receives each step's wall
+    time in ms, which differs from run to run.
     """
     plan = PLANS[config.ablation]
     providers = providers or Providers()
@@ -200,11 +234,13 @@ def train(
 
     history: list[LossBreakdown] = []
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
+    timing_fh = open(timing_path, "w", encoding="utf-8") if timing_path else None
     step = 0
     try:
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(len(prepared))
             for start in range(0, len(order), config.batch_size):
+                began = time.perf_counter()
                 batch = [prepared[i] for i in order[start : start + config.batch_size]]
                 step += 1
                 opt.zero_grad()
@@ -212,17 +248,20 @@ def train(
                 nll_sum_total = 0.0
                 emo_total = 0.0
                 drop_rng = rng if config.dropout > 0 else None
-                for prep in batch:
-                    fwd = model.forward_sample(prep, plan, drop_rng)
+                for micro in micro_batches(batch, plan):
+                    fwd = model.forward_batch(micro, plan, drop_rng)
                     if config.strict_sum:
-                        contribution = (fwd.nll_sum + fwd.emo_nll) * (1.0 / len(batch))
+                        loss = (fwd.nll_sum.sum() + fwd.emo_nll.sum()) * (1.0 / len(batch))
                     else:
-                        contribution = fwd.nll_sum * (1.0 / batch_tokens) + fwd.emo_nll * (
+                        loss = fwd.nll_sum.sum() * (1.0 / batch_tokens) + fwd.emo_nll.sum() * (
                             1.0 / len(batch)
                         )
-                    contribution.backward()
-                    nll_sum_total += float(fwd.nll_sum.data)
-                    emo_total += float(fwd.emo_nll.data)
+                    loss.backward()
+                    for nll_value, emo_value in zip(
+                        np.atleast_1d(fwd.nll_sum.data), np.atleast_1d(fwd.emo_nll.data)
+                    ):
+                        nll_sum_total += float(nll_value)
+                        emo_total += float(emo_value)
                 emo = emo_total / len(batch)
                 nll = (nll_sum_total / len(batch)) if config.strict_sum else (nll_sum_total / batch_tokens)
                 total = nll + emo
@@ -231,15 +270,21 @@ def train(
                         f"non-finite loss at step {step} (epoch {epoch}, batch starting {start})"
                     )
                 if config.grad_clip is not None:
-                    clip_gradients(params, config.grad_clip)
+                    norm = clip_gradients(params, config.grad_clip)
+                else:
+                    norm = gradient_norm(params)
                 opt.step(config.learning_rate)
-                record = LossBreakdown(step, epoch, nll, emo, total, batch_tokens, nll_sum_total)
+                record = LossBreakdown(step, epoch, nll, emo, total, batch_tokens, nll_sum_total, norm)
                 history.append(record)
                 if log_fh:
                     log_fh.write(json.dumps(record.to_dict()) + "\n")
+                if timing_fh:
+                    wall_ms = 1e3 * (time.perf_counter() - began)
+                    timing_fh.write(json.dumps({"step": step, "wall_ms": round(wall_ms, 3)}) + "\n")
     finally:
-        if log_fh:
-            log_fh.close()
+        for fh in (log_fh, timing_fh):
+            if fh:
+                fh.close()
     return TrainResult(model, history, prepared, providers.call_counts(), rng, opt)
 
 
@@ -370,25 +415,27 @@ def grad_check(
     tolerance: float = 1e-4,
     h: float = 1e-5,
     max_entries_per_param: int = 12,
+    preps: list[PreparedSample] | None = None,
 ) -> GradCheckReport:
     """Analytic vs central-difference gradients on a micro model (d=8, one
-    layer, tiny vocab) through the full joint loss."""
+    layer, tiny vocab) through the full joint loss of ``preps`` as one
+    padded batch (default: the one micro sample)."""
     config = config or TrainConfig(
         seed=3, d=8, layers=1, heads=2, ffn_mult=2, dropout=0.0, num_emotions=5, ablation="full"
     )
     vocab_size = 24
     plan = PLANS[config.ablation]
-    prep = micro_prepared_sample(vocab_size)
+    preps = preps or [micro_prepared_sample(vocab_size)]
     model = config.build_model(vocab_size)
     params = model.named_parameters()
 
     def loss_value() -> float:
-        fwd = model.forward_sample(prep, plan)
-        return float(fwd.nll_sum.data / fwd.token_count + fwd.emo_nll.data)
+        fwd = model.forward_batch(preps, plan)
+        return float(fwd.nll_sum.data.sum() / fwd.token_count + fwd.emo_nll.data.sum())
 
     model.zero_grad()
-    fwd = model.forward_sample(prep, plan)
-    loss = fwd.nll_sum * (1.0 / fwd.token_count) + fwd.emo_nll
+    fwd = model.forward_batch(preps, plan)
+    loss = fwd.nll_sum.sum() * (1.0 / fwd.token_count) + fwd.emo_nll.sum()
     loss.backward()
     analytic = {
         name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))

@@ -250,3 +250,48 @@ def beam_oracle(log_probs_fn, k, eos, max_len, bos=1):
     finished.extend(live)
     best = min(finished, key=lambda h: (-h[1] / len(h[0]), h[0]))
     return list(best[0]), list(best[2])
+
+
+def sample_losses_oracle(model, prep, plan):
+    """Per-token NLL and emotion NLL of one sample under an ablation plan,
+    replayed stream by stream from the model's raw arrays."""
+    d = model.d
+    context = encoder_forward_oracle(model.context_encoder, prep.context_ids)
+    if plan.use_fusion:
+        cause = encoder_forward_oracle(model.context_encoder, prep.cause_ids)
+        q = context @ model.fusion.w_q.data.T
+        k = cause @ model.fusion.w_k.data.T
+        v = cause @ model.fusion.w_v.data.T
+        scores = q @ k.T / math.sqrt(2.0 * d)
+        weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+        context = (weights / weights.sum(axis=1, keepdims=True)) @ v
+    rows, segments = [context], [np.zeros(len(context), dtype=int)]
+    knowledge = analysis = None
+    if plan.use_knowledge:
+        knowledge = np.concatenate(
+            [encoder_forward_oracle(model.relation_encoder, ids) for ids in prep.relation_ids]
+        )
+        rows.append(knowledge)
+        segments.append(np.ones(len(knowledge), dtype=int))
+    if plan.use_analysis:
+        analysis = encoder_forward_oracle(model.context_encoder, prep.analysis_ids)
+        rows.append(analysis)
+        segments.append(np.full(len(analysis), 2))
+    targets = list(prep.target_ids)
+    lp = decoder_log_probs_oracle(
+        model.decoder, [1] + targets[:-1], np.concatenate(rows), np.concatenate(segments)
+    )
+    per_token = -lp[np.arange(len(targets)), targets]
+    feature = np.concatenate(
+        [
+            context[0],
+            analysis[0] if analysis is not None else np.zeros(d),
+            knowledge.mean(axis=0) if knowledge is not None else np.zeros(d),
+        ]
+    )
+    logits = feature @ model.classifier.weight.data
+    if model.classifier.bias is not None:
+        logits = logits + model.classifier.bias.data
+    z = logits - logits.max()
+    emo = -(z[prep.emotion_index] - math.log(np.exp(z).sum()))
+    return per_token, emo

@@ -200,3 +200,80 @@ def test_no_grad_holds_only_in_its_own_thread():
         assert not (x * 2.0).requires_grad
     assert not worker.is_alive()
     assert seen == [True]
+
+
+# ----------------------------------------------------------------------
+# fused nodes and tape release
+
+
+def test_fused_nodes_match_composed_ops_and_differences():
+    from empgen.autodiff import attention, layer_norm, linear
+
+    rng = np.random.default_rng(8)
+    x = parameter(rng.normal(0, 1, (2, 3, 4)))
+    w = parameter(rng.normal(0, 1, (4, 5)))
+    b = parameter(rng.normal(0, 1, (5,)))
+    gain = parameter(rng.normal(1, 0.3, (5,)))
+    shift = parameter(rng.normal(0, 1, (5,)))
+    k = parameter(rng.normal(0, 1, (2, 6, 5)))
+    v = parameter(rng.normal(0, 1, (2, 6, 5)))
+    mask = np.where(np.arange(6) < np.array([[4], [6]]), 0.0, -1e9)[:, None, :]
+    probe = rng.normal(0, 1, (2, 3, 5))
+
+    def fused():
+        h = layer_norm(linear(x, w, b), gain, shift, 1e-5)
+        return (attention(h, k, v, 0.7, mask) * Tensor(probe)).sum()
+
+    def composed():
+        h = x @ w + b
+        centered = h - h.mean(axis=-1, keepdims=True)
+        inv = ((centered * centered).mean(axis=-1, keepdims=True) + 1e-5).pow(-0.5)
+        h = centered * inv * gain + shift
+        weights = softmax((h @ k.swapaxes(-1, -2)) * 0.7 + Tensor(mask), axis=-1)
+        return ((weights @ v) * Tensor(probe)).sum()
+
+    assert float(fused().data) == float(composed().data)
+    fused().backward()
+    ours = {name: t.grad.copy() for name, t in zip("xwbgskv", (x, w, b, gain, shift, k, v))}
+    for name, t in zip("xwbgskv", (x, w, b, gain, shift, k, v)):
+        t.zero_grad()
+    composed().backward()
+    for name, t in zip("xwbgskv", (x, w, b, gain, shift, k, v)):
+        np.testing.assert_allclose(ours[name], t.grad, rtol=1e-12, atol=1e-13, err_msg=name)
+        fd = fd_gradient(lambda: float(fused().data), t.data, h=1e-5)
+        assert rel_err(ours[name], fd) < 1e-5, name
+    # Padded keys get no gradient at all.
+    assert not ours["k"][0, 4:].any() and not ours["v"][0, 4:].any()
+
+
+def test_backward_releases_intermediates_and_keeps_leaf_grads():
+    import gc
+    import weakref
+
+    from empgen.autodiff import layer_norm, linear
+
+    rng = np.random.default_rng(9)
+    x = parameter(rng.normal(0, 1, (3, 4)))
+    w = parameter(rng.normal(0, 1, (4, 4)))
+    gain, shift = parameter(np.ones(4)), parameter(np.zeros(4))
+    hidden = linear(x, w)
+    out = layer_norm(hidden.relu(), gain, shift, 1e-5)
+    loss = (out * out).sum()
+    refs = [weakref.ref(t) for t in (hidden, out)]
+    del hidden, out
+    gc.collect()
+    assert all(r() is not None for r in refs)  # held by the tape
+    loss.backward()
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert loss.grad is None and loss._parents == ()
+    for leaf in (x, w, gain, shift):
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+
+
+def test_accumulate_copies_the_first_gradient():
+    a = parameter(np.zeros(3))
+    b = parameter(np.zeros(3))
+    (a + b).sum().backward()  # both receive the same incoming array
+    a.grad += 1.0
+    np.testing.assert_array_equal(b.grad, np.ones(3))

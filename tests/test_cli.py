@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from empgen.cli import main
@@ -246,3 +247,53 @@ def test_fixture_manifest_records_checksums(workspace):
     assert "corpus.jsonl" in checksums
     corpus_bytes = (workspace / "fixtures" / "corpus.jsonl").read_bytes()
     assert checksums["corpus.jsonl"] == sha256_hex(corpus_bytes)
+
+
+def test_generate_encodes_each_stream_once(workspace, tmp_path, capsys, monkeypatch):
+    from empgen.cli import _load_split, build_parser, build_providers
+    from empgen.corpus import LabelSet, Vocab, parse_sample
+    from empgen.encoder import EncoderStack
+    from empgen.model import PLANS, prepare_sample
+    from empgen.training import load_checkpoint
+
+    data = workspace / "data"
+    run = tmp_path / "run"
+    assert main(["train", "--data-dir", str(data), "--out", str(run), "--config", str(fast_config(tmp_path))]) == 0
+    record = {"history": [{"role": "speaker", "text": "i felt so thankful about the trip"}]}
+    dialogue = tmp_path / "dialogue.json"
+    dialogue.write_text(json.dumps(record), encoding="utf-8")
+    capsys.readouterr()
+
+    calls = []
+    encode, encode_padded = EncoderStack.encode, EncoderStack.encode_padded
+
+    def counted_encode(stack, ids, rng=None):
+        calls.append(list(ids))
+        return encode(stack, ids, rng)
+
+    def counted_encode_padded(stack, ids, lengths, rng=None):
+        calls.append(len(ids))
+        return encode_padded(stack, ids, lengths, rng)
+
+    monkeypatch.setattr(EncoderStack, "encode", counted_encode)
+    monkeypatch.setattr(EncoderStack, "encode_padded", counted_encode_padded)
+    args = ["generate", "--checkpoint", str(run / "checkpoint.npz"), "--data-dir", str(data)]
+    args += ["--dialogue", str(dialogue)]
+    assert main(args) == 0
+    printed = capsys.readouterr().out.strip().splitlines()
+    monkeypatch.undo()
+
+    # The same reply and emotion as two separate calls, which encode twice.
+    labels = LabelSet.default()
+    loaded = load_checkpoint(run / "checkpoint.npz")
+    vocab = Vocab.load(data / "vocab.json")
+    sample = parse_sample({**record, "id": "adhoc", "emotion": labels.names[0], "response": "placeholder"}, labels)
+    train_samples = _load_split(data, "train", labels)
+    providers = build_providers(build_parser().parse_args(args), loaded.config, train_samples, labels)
+    plan = PLANS[loaded.config.ablation]
+    prep = prepare_sample(sample, vocab, providers, plan)
+    reply = loaded.model.generate_response(prep, plan, vocab)
+    emotion = labels.by_index(int(np.argmax(loaded.model.classify(prep, plan)))).name
+    assert printed == [reply.text, f"predicted emotion: {emotion}"]
+    # context, cause and analysis once each, the five relations in one padded call
+    assert calls == [prep.context_ids, prep.cause_ids, 5, prep.analysis_ids]

@@ -7,9 +7,6 @@ from empgen.encoder import (
     EncoderStack,
     FusionParams,
     analysis_token_ids,
-    encode_analysis,
-    encode_cause,
-    encode_context,
     encode_relations,
     fuse_sensible,
     relation_cls_positions,
@@ -42,8 +39,8 @@ def micro_stack(seed=0, vocab_size=16, d=4, layers=1, heads=2):
 
 def test_encode_shape_and_determinism():
     stack = micro_stack()
-    out1 = encode_context([1, 2], stack)
-    out2 = encode_context([1, 2], stack)
+    out1 = stack.encode([1, 2])
+    out2 = stack.encode([1, 2])
     assert out1.shape == (2, 4)
     np.testing.assert_array_equal(out1.data, out2.data)
     assert np.all(np.isfinite(out1.data))
@@ -58,7 +55,7 @@ def test_encode_rejects_out_of_range_ids():
 def test_encoder_forward_matches_independent_oracle():
     stack = micro_stack(seed=5, vocab_size=12, d=4, layers=1, heads=2)
     ids = [3, 1, 7, 2]
-    ours = encode_context(ids, stack).data
+    ours = stack.encode(ids).data
     theirs = encoder_forward_oracle(stack, ids)
     np.testing.assert_allclose(ours, theirs, atol=1e-12)
 
@@ -71,10 +68,23 @@ def test_encoder_two_layer_oracle():
     )
 
 
-def test_encode_cause_same_math_as_context():
-    stack = micro_stack()
+def test_encode_cause_same_math_as_context(monkeypatch):
+    # The model encodes the cause span with the context's encoder stack.
+    import empgen.model
+    from empgen.model import AblationPlan, EmpathyModel, PreparedSample
+
+    model = EmpathyModel(vocab_size=16, d=4, layers=1, heads=2, ffn_mult=2, dropout=0.0, seed=0)
     ids = [2, 4, 5]
-    np.testing.assert_array_equal(encode_cause(ids, stack).data, encode_context(ids, stack).data)
+    prep = PreparedSample("s", context_ids=[1, 3], target_ids=[3], emotion_index=0, cause_ids=ids)
+    seen = []
+
+    def capture(ctx, cause, params, **kwargs):
+        seen.append(cause.data)
+        return ctx
+
+    monkeypatch.setattr(empgen.model, "fuse_sensible", capture)
+    model.encode_sample(prep, AblationPlan("fusion", True, False, False))
+    np.testing.assert_array_equal(seen[0], model.context_encoder.encode(ids).data)
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +245,7 @@ def test_analysis_ids_prefix_and_truncation():
 def test_encode_analysis_shape():
     vocab = Vocab.from_texts(["alpha beta gamma"])
     stack = micro_stack(vocab_size=len(vocab))
-    rep = encode_analysis("alpha beta gamma beta", stack, vocab)
+    rep = stack.encode(analysis_token_ids("alpha beta gamma beta", vocab))
     assert rep.shape == (5, 4)
 
 

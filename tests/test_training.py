@@ -305,3 +305,228 @@ def test_adam_moves_toward_minimum():
         (x * x).sum().backward()
         opt.step(0.05)
     assert abs(float(x.data[0])) < 0.05
+
+
+# ----------------------------------------------------------------------
+# batched, padded training
+
+
+def padded_micro_pair():
+    """Two micro samples whose every stream differs in length, so a batch
+    of both pads each stream (and the relations within a sample)."""
+    from empgen.model import PreparedSample
+
+    longer = PreparedSample(
+        sample_id="micro-b",
+        context_ids=[5, 9, 4, 11],
+        target_ids=[8, 12, 13, 2],
+        emotion_index=3,
+        cause_ids=[7, 8, 4],
+        relation_ids=[[5, 7, 9], [5], [5, 8, 8, 10], [5, 11], [5, 6]],
+        analysis_ids=[5, 9],
+    )
+    return [micro_prepared_sample(), longer]
+
+
+def test_grad_check_passes_on_a_padded_pair():
+    from empgen.model import PLANS
+    from empgen.training import TrainConfig as Config
+
+    preps = padded_micro_pair()
+    config = Config(seed=3, d=8, layers=1, heads=2, ffn_mult=2, dropout=0.0, num_emotions=5)
+    memory, _ = config.build_model(24).encode_batch(preps, PLANS["full"])
+    # Padding shows in every memory stream: context, knowledge and analysis.
+    hidden = memory.key_mask < 0
+    for segment in (0, 1, 2):
+        assert hidden[:, memory.segment_ids == segment].any(), segment
+    report = grad_check(preps=preps)
+    assert report.passed, report.summary()
+    assert {"encoder", "fusion", "decoder", "emotion"} <= set(report.group_errors())
+
+
+def reference_train(config, prepared, vocab_size):
+    """The per-sample training loop: one forward and one backward per
+    sample, the history's floats summed in sample order."""
+    from empgen.training import LossBreakdown, gradient_norm
+
+    plan = PLANS[config.ablation]
+    rng = np.random.default_rng(config.seed)
+    model = config.build_model(vocab_size, rng)
+    params = model.named_parameters()
+    opt = Adam(params, config.adam_beta1, config.adam_beta2, config.adam_eps)
+    history, grads, step = [], [], 0
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(len(prepared))
+        for start in range(0, len(order), config.batch_size):
+            batch = [prepared[i] for i in order[start : start + config.batch_size]]
+            step += 1
+            opt.zero_grad()
+            tokens = sum(len(p.target_ids) for p in batch)
+            nll_sum = emo = 0.0
+            for prep in batch:
+                fwd = model.forward_sample(prep, plan)
+                (fwd.nll_sum * (1.0 / tokens) + fwd.emo_nll * (1.0 / len(batch))).backward()
+                nll_sum += float(fwd.nll_sum.data)
+                emo += float(fwd.emo_nll.data)
+            norm = gradient_norm(params)
+            grads.append({k: p.grad.copy() for k, p in params.items() if p.grad is not None})
+            opt.step(config.learning_rate)
+            nll, emo = nll_sum / tokens, emo / len(batch)
+            history.append(LossBreakdown(step, epoch, nll, emo, nll + emo, tokens, nll_sum, norm))
+    return model, history, grads
+
+
+@pytest.mark.parametrize(
+    "ablation,share",
+    [("vanilla", False), ("self_pres", False), ("analysis", False), ("full", False), ("full", True)],
+)
+def test_batched_steps_match_per_sample_loop_and_oracle(
+    ablation, share, mini_samples, mini_vocab, lexicon, monkeypatch
+):
+    from empgen.model import prepare_samples
+    from empgen.training import micro_batches
+
+    from .oracles import sample_losses_oracle
+
+    config = tiny_config(ablation=ablation, share_relation_encoder=share, dropout=0.0, batch_size=7, epochs=2)
+    plan = PLANS[ablation]
+    samples = mini_samples[:14]
+    prepared = prepare_samples(samples, mini_vocab, fresh_providers(lexicon), plan)
+    assert any(len(run) > 1 for run in micro_batches(prepared[:7], plan))
+
+    # Step 1's losses against the numpy oracle at the initial parameters.
+    first_order = np.random.default_rng(config.seed)
+    initial = config.build_model(len(mini_vocab), first_order)
+    batch = [prepared[i] for i in first_order.permutation(len(prepared))[:7]]
+    losses = [sample_losses_oracle(initial, p, plan) for p in batch]
+    tokens = sum(len(p.target_ids) for p in batch)
+    oracle_nll = sum(per_token.sum() for per_token, _ in losses) / tokens
+    oracle_emo = sum(emo for _, emo in losses) / len(batch)
+
+    seen = []
+    original_step = Adam.step
+
+    def recording_step(self, lr):
+        seen.append({k: p.grad.copy() for k, p in self.params.items() if p.grad is not None})
+        original_step(self, lr)
+
+    monkeypatch.setattr(Adam, "step", recording_step)
+    result = train(config, samples, mini_vocab, fresh_providers(lexicon))
+    monkeypatch.undo()
+    model, history, grads = reference_train(config, result.prepared, len(mini_vocab))
+
+    assert abs(result.history[0].nll - oracle_nll) <= 1e-10 * oracle_nll
+    assert abs(result.history[0].emo - oracle_emo) <= 1e-10 * oracle_emo
+    assert len(result.history) == len(history) == 4
+    for ours, ref in zip(result.history, history):
+        for field in ("nll", "emo", "total", "nll_sum", "grad_norm"):
+            a, b = getattr(ours, field), getattr(ref, field)
+            assert abs(a - b) <= 1e-10 * abs(b), (ours.step, field, a, b)
+    for ours, ref in zip(seen, grads):
+        assert ours.keys() == ref.keys()
+        for name in ref:
+            scale = np.abs(ref[name]).max()
+            np.testing.assert_allclose(ours[name], ref[name], rtol=1e-10, atol=1e-10 * scale, err_msg=name)
+
+
+def test_micro_batches_keep_order_and_budget(mini_samples, mini_vocab, lexicon, monkeypatch):
+    import empgen.training
+    from empgen.model import padded_rows, prepare_samples
+    from empgen.training import micro_batches
+
+    plan = PLANS["full"]
+    prepared = prepare_samples(mini_samples[:16], mini_vocab, fresh_providers(lexicon), plan)
+    runs = micro_batches(prepared, plan)
+    assert [p for run in runs for p in run] == prepared
+    assert all(padded_rows(run, plan) <= empgen.training.MICRO_BATCH_ROWS for run in runs)
+    monkeypatch.setattr(empgen.training, "MICRO_BATCH_ROWS", 1)
+    assert micro_batches(prepared, plan) == [[p] for p in prepared]
+
+
+def test_backward_releases_the_tape_on_a_real_step(mini_samples, mini_vocab, lexicon):
+    import gc
+    import weakref
+
+    from empgen.model import prepare_samples
+
+    plan = PLANS["full"]
+    config = tiny_config(dropout=0.0)
+    prepared = prepare_samples(mini_samples[:3], mini_vocab, fresh_providers(lexicon), plan)
+    model = config.build_model(len(mini_vocab))
+    fwd = model.forward_batch(prepared, plan)
+    loss = fwd.nll_sum.sum() + fwd.emo_nll.sum()
+    memory = weakref.ref(fwd.memory.values)
+    fwd = None
+    gc.collect()
+    assert memory() is not None  # the tape holds it until backward
+    loss.backward()
+    gc.collect()
+    assert memory() is None
+    assert all(p.grad is not None for p in model.named_parameters().values())
+
+
+# ----------------------------------------------------------------------
+# length guard
+
+
+def test_overlong_cause_names_sample_stream_and_limit(mini_samples, mini_vocab, lexicon):
+    from empgen.model import prepare_samples
+
+    plan = PLANS["full"]
+    model = tiny_config().build_model(len(mini_vocab))
+    prepared = prepare_samples(mini_samples[:2], mini_vocab, fresh_providers(lexicon), plan)
+    prepared[1].cause_ids = [7] * 720
+    with pytest.raises(ValueError, match=r"sample '.+': cause of 720 tokens .* 512 positions") as err:
+        model.forward_batch(prepared, plan)
+    assert prepared[1].sample_id in str(err.value)
+    with pytest.raises(ValueError, match="cause of 720 tokens"):
+        model.forward_sample(prepared[1], plan)
+
+
+def test_overlong_target_fails_the_step_by_sample_id(mini_samples, mini_vocab, lexicon):
+    from dataclasses import replace
+
+    long_reply = replace(mini_samples[3], gold_response=" ".join(["thanks"] * 600))
+    samples = mini_samples[:3] + [long_reply]
+    with pytest.raises(ValueError, match=rf"sample '{long_reply.id}': target of 601 tokens .* 512 positions"):
+        train(tiny_config(epochs=1), samples, mini_vocab, fresh_providers(lexicon))
+
+
+# ----------------------------------------------------------------------
+# step telemetry
+
+
+def test_step_log_records_grad_norm_and_wall_time(tmp_path, mini_samples, mini_vocab, lexicon):
+    log, timing = tmp_path / "log.jsonl", tmp_path / "timing.jsonl"
+    result = train(
+        tiny_config(epochs=1), mini_samples[:16], mini_vocab, fresh_providers(lexicon),
+        log_path=log, timing_path=timing,
+    )
+    lines = [json.loads(l) for l in log.read_text().splitlines()]
+    times = [json.loads(l) for l in timing.read_text().splitlines()]
+    assert [l["grad_norm"] for l in lines] == [h.grad_norm for h in result.history]
+    assert all(l["grad_norm"] > 0 for l in lines)
+    assert [t["step"] for t in times] == [l["step"] for l in lines]
+    assert all(t["wall_ms"] > 0 for t in times)
+    assert "wall_ms" not in lines[0]
+
+
+def test_grad_norm_is_the_norm_before_clipping(mini_samples, mini_vocab, lexicon, monkeypatch):
+    from empgen.training import gradient_norm
+
+    clipped_norms = []
+    original_step = Adam.step
+
+    def recording_step(self, lr):
+        clipped_norms.append(gradient_norm(self.params))
+        original_step(self, lr)
+
+    clip = 1e-3
+    monkeypatch.setattr(Adam, "step", recording_step)
+    clipped = train(tiny_config(epochs=1, grad_clip=clip), mini_samples[:8], mini_vocab, fresh_providers(lexicon))
+    monkeypatch.undo()
+    free = train(tiny_config(epochs=1), mini_samples[:8], mini_vocab, fresh_providers(lexicon))
+    # Same seed, same first batch: the same gradient before clipping.
+    assert clipped.history[0].grad_norm == free.history[0].grad_norm
+    assert clipped.history[0].grad_norm > 100 * clip
+    assert abs(clipped_norms[0] - clip) <= 1e-12
