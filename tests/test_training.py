@@ -344,6 +344,24 @@ def test_grad_check_passes_on_a_padded_pair():
     assert {"encoder", "fusion", "decoder", "emotion"} <= set(report.group_errors())
 
 
+def test_padded_batch_equals_each_sample_alone():
+    # Knowledge, context, cause, analysis and target all differ in length.
+    from empgen.model import PLANS
+
+    preps = padded_micro_pair()
+    model = TrainConfig(seed=3, d=8, layers=1, heads=2, ffn_mult=2, dropout=0.0, num_emotions=5).build_model(24)
+    for plan in PLANS.values():
+        batch = model.forward_batch(preps, plan)
+        for i, prep in enumerate(preps):
+            alone = model.forward_sample(prep, plan)
+            np.testing.assert_allclose(batch.feature.data[i], alone.feature.data[0], rtol=0, atol=1e-13)
+            valid = batch.memory.key_mask is None or batch.memory.key_mask[i] == 0
+            np.testing.assert_allclose(batch.memory.values.data[i][valid], alone.memory.values.data, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(batch.per_token_nll[i], alone.per_token_nll, rtol=0, atol=1e-13)
+            assert abs(batch.nll_sum.data[i] - alone.nll_sum.data) < 1e-12
+            assert abs(batch.emo_nll.data[i] - alone.emo_nll.data) < 1e-12
+
+
 def reference_train(config, prepared, vocab_size):
     """The per-sample training loop: one forward and one backward per
     sample, the history's floats summed in sample order."""
@@ -394,35 +412,40 @@ def test_batched_steps_match_per_sample_loop_and_oracle(
     prepared = prepare_samples(samples, mini_vocab, fresh_providers(lexicon), plan)
     assert any(len(run) > 1 for run in micro_batches(prepared[:7], plan))
 
-    # Step 1's losses against the numpy oracle at the initial parameters.
-    first_order = np.random.default_rng(config.seed)
-    initial = config.build_model(len(mini_vocab), first_order)
-    batch = [prepared[i] for i in first_order.permutation(len(prepared))[:7]]
-    losses = [sample_losses_oracle(initial, p, plan) for p in batch]
-    tokens = sum(len(p.target_ids) for p in batch)
-    oracle_nll = sum(per_token.sum() for per_token, _ in losses) / tokens
-    oracle_emo = sum(emo for _, emo in losses) / len(batch)
-
-    seen = []
+    # Each step's gradients, and its parameters before the update.
+    seen_grads, seen_params = [], []
     original_step = Adam.step
 
     def recording_step(self, lr):
-        seen.append({k: p.grad.copy() for k, p in self.params.items() if p.grad is not None})
+        seen_grads.append({k: p.grad.copy() for k, p in self.params.items() if p.grad is not None})
+        seen_params.append({k: p.data.copy() for k, p in self.params.items()})
         original_step(self, lr)
 
     monkeypatch.setattr(Adam, "step", recording_step)
     result = train(config, samples, mini_vocab, fresh_providers(lexicon))
     monkeypatch.undo()
     model, history, grads = reference_train(config, result.prepared, len(mini_vocab))
-
-    assert abs(result.history[0].nll - oracle_nll) <= 1e-10 * oracle_nll
-    assert abs(result.history[0].emo - oracle_emo) <= 1e-10 * oracle_emo
     assert len(result.history) == len(history) == 4
+
+    # Every step's losses against the numpy oracle at that step's parameters;
+    # the batches follow the same seeded draws as train().
+    rng = np.random.default_rng(config.seed)
+    replay = config.build_model(len(mini_vocab), rng)
+    batches = [order[i : i + 7] for order in (rng.permutation(14), rng.permutation(14)) for i in (0, 7)]
+    for record, params, batch in zip(result.history, seen_params, batches):
+        for name, p in replay.named_parameters().items():
+            p.data = params[name]
+        losses = [sample_losses_oracle(replay, result.prepared[i], plan) for i in batch]
+        nll = sum(per_token.sum() for per_token, _ in losses) / record.token_count
+        emo = sum(e for _, e in losses) / len(batch)
+        assert abs(record.nll - nll) <= 1e-10 * nll and abs(record.emo - emo) <= 1e-10 * emo, record.step
+
+    # Losses and every gradient against the per-sample loop.
     for ours, ref in zip(result.history, history):
         for field in ("nll", "emo", "total", "nll_sum", "grad_norm"):
             a, b = getattr(ours, field), getattr(ref, field)
             assert abs(a - b) <= 1e-10 * abs(b), (ours.step, field, a, b)
-    for ours, ref in zip(seen, grads):
+    for ours, ref in zip(seen_grads, grads):
         assert ours.keys() == ref.keys()
         for name in ref:
             scale = np.abs(ref[name]).max()
