@@ -10,8 +10,8 @@ inference.
 
 ``linear``, ``layer_norm`` and ``attention`` are fused nodes with
 closed-form backward passes: one node each where the composed ops would
-record 2, 12 and 6. Their forward passes do the composed ops' float
-operations in the same order.
+record 2, 12 and 6 (14 with attention's head split and merge). Their
+forward passes do the composed ops' float operations in the same order.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "attention",
+    "grad_enabled",
     "layer_norm",
     "linear",
     "no_grad",
@@ -61,6 +62,11 @@ def no_grad():
         yield
     finally:
         _mode.recording = previous
+
+
+def grad_enabled() -> bool:
+    """Whether this thread records the tape: False inside ``no_grad()``."""
+    return _mode.recording
 
 
 def parameter(array) -> "Tensor":
@@ -114,9 +120,11 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        # Keep a first gradient the caller owned (made and holds no other
+        # reference to); copy any other, which the caller may share.
         if self.grad is None:
-            self.grad = np.array(grad, dtype=np.float64)  # a copy: the caller may share it
+            self.grad = grad if owned else np.array(grad, dtype=np.float64)
         else:
             self.grad += grad
 
@@ -372,11 +380,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     def backward(g):
         g = g.reshape(-1, m)
         if x.requires_grad:
-            x._accumulate((g @ weight.data.T).reshape(x.data.shape))
+            x._accumulate((g @ weight.data.T).reshape(x.data.shape), owned=True)
         if weight.requires_grad:
-            weight._accumulate(rows.T @ g)
+            weight._accumulate(rows.T @ g, owned=True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=0))
+            bias._accumulate(g.sum(axis=0), owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._node(y.reshape(*x.data.shape[:-1], m), parents, backward)
@@ -393,14 +401,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
 
     def backward(g):
         if gain.requires_grad:
-            gain._accumulate((g * normed).reshape(-1, n).sum(axis=0))
+            gain._accumulate((g * normed).reshape(-1, n).sum(axis=0), owned=True)
         if bias.requires_grad:
-            bias._accumulate(g.reshape(-1, n).sum(axis=0))
+            bias._accumulate(g.reshape(-1, n).sum(axis=0), owned=True)
         if x.requires_grad:
             gn = g * gain.data
             mean_gn = gn.sum(axis=-1, keepdims=True) * (1.0 / n)
             mean_gn_normed = (gn * normed).sum(axis=-1, keepdims=True) * (1.0 / n)
-            x._accumulate(inv * (gn - mean_gn - normed * mean_gn_normed))
+            x._accumulate(inv * (gn - mean_gn - normed * mean_gn_normed), owned=True)
 
     return Tensor._node(normed * gain.data + bias.data, (x, gain, bias), backward)
 
@@ -412,30 +420,43 @@ def attention(
     scale: float,
     mask: np.ndarray | None = None,
     return_weights: bool = False,
+    heads: int = 1,
 ):
     """``softmax(q kᵀ * scale + mask) v`` over the last two axes; leading
-    axes broadcast. ``mask`` is additive (-1e9 hides a key). With
-    ``return_weights`` the attention weights come back too, as a constant."""
+    axes broadcast. With ``heads`` > 1, each of ``heads`` equal slices of
+    the last axis attends on its own, split and merged inside this node.
+    ``mask`` is additive (-1e9 hides a key) and broadcasts against each
+    head's (..., queries, keys) scores. With ``return_weights`` the weights,
+    (..., heads, queries, keys) when heads > 1, come back as a constant."""
+
+    def split(x):  # (..., rows, d) -> (..., heads, rows, d / heads)
+        return x.reshape(*x.shape[:-1], heads, -1).swapaxes(-3, -2) if heads > 1 else x
+
+    def merge(x):  # (..., heads, rows, d / heads) -> (..., rows, d)
+        return x.swapaxes(-3, -2).reshape(*x.shape[:-3], x.shape[-2], -1) if heads > 1 else x
+
+    qs, ks, vs = split(q.data), split(k.data), split(v.data)
     # One scores array, changed in place: it can be megabytes.
-    p = q.data @ np.swapaxes(k.data, -1, -2)
+    p = qs @ ks.swapaxes(-1, -2)
     p *= scale
     if mask is not None:
-        p += mask
+        p += mask[..., None, :, :] if heads > 1 else mask
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 
     def backward(g):
+        g = split(g)
         if v.requires_grad:
-            v._accumulate(_unbroadcast(np.swapaxes(p, -1, -2) @ g, v.data.shape))
-        ds = g @ np.swapaxes(v.data, -1, -2)
+            v._accumulate(merge(_unbroadcast(p.swapaxes(-1, -2) @ g, vs.shape)), owned=True)
+        ds = g @ vs.swapaxes(-1, -2)
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
         if q.requires_grad:
-            q._accumulate(_unbroadcast(ds @ k.data, q.data.shape))
+            q._accumulate(merge(_unbroadcast(ds @ ks, qs.shape)), owned=True)
         if k.requires_grad:
-            k._accumulate(_unbroadcast(np.swapaxes(ds, -1, -2) @ q.data, k.data.shape))
+            k._accumulate(merge(_unbroadcast(ds.swapaxes(-1, -2) @ qs, ks.shape)), owned=True)
 
-    out = Tensor._node(p @ v.data, (q, k, v), backward)
+    out = Tensor._node(merge(p @ vs), (q, k, v), backward)
     return (out, Tensor(p)) if return_weights else out

@@ -288,6 +288,16 @@ def _load_split(data_dir: Path, split: str, labels: LabelSet):
     return load_dataset(data_dir / f"{split}.jsonl", labels)
 
 
+def _load_trained(args, labels: LabelSet):
+    """The data dir's vocabulary, the checkpoint (refused unless trained on
+    that vocabulary) and the providers its ablation needs."""
+    data_dir = Path(args.data_dir)
+    vocab = Vocab.load(data_dir / "vocab.json")
+    loaded = load_checkpoint(args.checkpoint, vocab)
+    providers = build_providers(args, loaded.config, _load_split(data_dir, "train", labels), labels)
+    return vocab, loaded, providers
+
+
 def cmd_train(args) -> int:
     config = load_config(args)
     labels = LabelSet.default()
@@ -309,7 +319,7 @@ def cmd_train(args) -> int:
         out / "checkpoint.npz",
         result.model,
         config,
-        len(vocab),
+        vocab,
         optimizer=result.optimizer,
         epoch=config.epochs,
         rng=result.rng,
@@ -326,7 +336,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     labels = LabelSet.default()
-    loaded = load_checkpoint(args.checkpoint)
+    vocab, loaded, providers = _load_trained(args, labels)
     config = loaded.config
     if args.ablation and args.ablation != config.ablation:
         print(
@@ -335,11 +345,7 @@ def cmd_evaluate(args) -> int:
             file=sys.stderr,
         )
         return 2
-    data_dir = Path(args.data_dir)
-    train_samples = _load_split(data_dir, "train", labels)
-    samples = _load_split(data_dir, args.split, labels)
-    vocab = Vocab.load(data_dir / "vocab.json")
-    providers = build_providers(args, config, train_samples, labels)
+    samples = _load_split(Path(args.data_dir), args.split, labels)
     report = evaluate(
         loaded.model,
         config,
@@ -375,11 +381,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_generate(args) -> int:
     labels = LabelSet.default()
-    loaded = load_checkpoint(args.checkpoint)
+    vocab, loaded, providers = _load_trained(args, labels)
     config = loaded.config
-    data_dir = Path(args.data_dir)
-    train_samples = _load_split(data_dir, "train", labels)
-    vocab = Vocab.load(data_dir / "vocab.json")
     with open(args.dialogue, "r", encoding="utf-8") as fh:
         record = json.load(fh)
     record.setdefault("id", "adhoc")
@@ -388,7 +391,6 @@ def cmd_generate(args) -> int:
     from .corpus import parse_sample
 
     sample = parse_sample(record, labels)
-    providers = build_providers(args, config, train_samples, labels)
     plan = PLANS[config.ablation]
     providers.require(plan)
     prep = prepare_sample(
@@ -421,7 +423,7 @@ def cmd_ablate(args) -> int:
         config.ablation = ablation
         providers = build_providers(args, config, train_samples, labels)
         result = train(config, train_samples, vocab, providers, log_path=out / f"train_{ablation}.jsonl")
-        save_checkpoint(out / f"checkpoint_{ablation}.npz", result.model, config, len(vocab))
+        save_checkpoint(out / f"checkpoint_{ablation}.npz", result.model, config, vocab)
         eval_providers = build_providers(args, config, train_samples, labels)
         report = evaluate(
             result.model,
@@ -461,12 +463,8 @@ def cmd_chat(args) -> int:
         # Non-interactive default: read one dialogue JSON and answer once.
         return cmd_generate(args)
     labels = LabelSet.default()
-    loaded = load_checkpoint(args.checkpoint)
+    vocab, loaded, providers = _load_trained(args, labels)
     config = loaded.config
-    data_dir = Path(args.data_dir)
-    train_samples = _load_split(data_dir, "train", labels)
-    vocab = Vocab.load(data_dir / "vocab.json")
-    providers = build_providers(args, config, train_samples, labels)
     plan = PLANS[config.ablation]
     providers.require(plan)
     history = []

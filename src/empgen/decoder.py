@@ -5,8 +5,8 @@ generation (greedy or beam).
 Generation runs without the autodiff tape and feeds one new row per
 hypothesis per step: a ``DecoderCache`` keeps the memory's cross-attention
 keys and values, projected once per response, and every layer's
-self-attention keys and values of the rows fed so far. The live beams
-advance together in one batched step.
+self-attention keys and values of the rows fed so far, as plain arrays.
+The live beams advance together in one batched step.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, embedding, log_softmax, no_grad, take_per_row
+from .autodiff import Tensor, concat, embedding, grad_enabled, log_softmax, no_grad, take_per_row
 from .corpus import BOS_ID, EOS_ID, Vocab
-from .layers import DecoderLayer, KeyValues, Linear, causal_mask, pad_ids, sinusoidal_positions
+from .layers import DecoderLayer, KeyValues, Linear, causal_mask, pad_ids, prefixed, sinusoidal_positions
 
 SEGMENT_CONTEXT, SEGMENT_KNOWLEDGE, SEGMENT_ANALYSIS = 0, 1, 2
 NUM_SEGMENTS = 3
@@ -80,19 +80,19 @@ class DecoderCache:
 
     ``memory`` holds each layer's cross-attention keys and values of the
     segment-tagged memory, projected on the first step; ``past`` holds
-    each layer's self-attention keys and values of the ``length`` rows fed
-    so far, one set per hypothesis when the rows are batched.
+    each layer's self-attention key and value arrays of the ``length`` rows
+    fed so far, one set per hypothesis when the rows are batched. A cache
+    is filled only without the tape, inside ``no_grad()``.
     """
 
     def __init__(self):
         self.memory: list[KeyValues] | None = None
-        self.past: dict[int, KeyValues] = {}
+        self.past: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.length = 0
 
     def reorder(self, parents) -> None:
-        """Keep, for each next hypothesis, the rows of its parent (as
-        constants: only inference reorders hypotheses)."""
-        self.past = {i: KeyValues(Tensor(k.data[parents]), Tensor(v.data[parents])) for i, (k, v) in self.past.items()}
+        """Keep, for each next hypothesis, the rows of its parent."""
+        self.past = {i: (k[parents], v[parents]) for i, (k, v) in self.past.items()}
 
 
 class DecoderStack:
@@ -136,36 +136,34 @@ class DecoderStack:
 
         ``input_ids`` is one sequence, or a list of equally long rows, one
         per hypothesis. Without a cache they are whole prefixes; with one
-        they follow the rows the cache holds, which then grows by them.
+        they follow the rows the cache holds, which then grows by them, and
+        must run under ``no_grad()``: the cache keeps no tape.
         """
         ids = np.asarray(input_ids, dtype=np.int64)
         if ids.size == 0:
             raise ValueError("decoder needs at least one input token")
-        cache = cache if cache is not None else DecoderCache()
+        if cache is None:
+            cache = DecoderCache()
+        elif grad_enabled():
+            raise RuntimeError("a cached decoder forward keeps no gradients; run it under no_grad()")
         drop = self.dropout if rng is not None else 0.0
         m, p = ids.shape[-1], cache.length
         x = embedding(self.token_embedding, ids) + Tensor(self.positions[p : p + m])
         if cache.memory is None:
             mem = memory.values + embedding(self.segment_embedding, memory.segment_ids)
             cache.memory = [layer.cross_attn.keys_values(mem) for layer in self.layers]
-        mask = causal_mask(m, p)
-        memory_mask = None if memory.key_mask is None else memory.key_mask[..., None, None, :]
+        # A lone new row may see every row so far: causal_mask(1, p) is all 0.
+        mask = causal_mask(m, p) if m > 1 else None
+        memory_mask = None if memory.key_mask is None else memory.key_mask[..., None, :]
         for i, layer in enumerate(self.layers):
             x, cache.past[i] = layer(x, cache.memory[i], mask, drop, rng, cache.past.get(i), memory_mask)
         cache.length = p + m
         return self.out_proj(x)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {
-            "token_embedding": self.token_embedding,
-            "segment_embedding": self.segment_embedding,
-        }
-        for i, layer in enumerate(self.layers):
-            for k, v in layer.parameters().items():
-                out[f"layers.{i}.{k}"] = v
-        for k, v in self.out_proj.parameters().items():
-            out[f"out_proj.{k}"] = v
-        return out
+        layers = {f"layers.{i}": layer for i, layer in enumerate(self.layers)}
+        named = prefixed({**layers, "out_proj": self.out_proj})
+        return {"token_embedding": self.token_embedding, "segment_embedding": self.segment_embedding, **named}
 
 
 def nll_loss(

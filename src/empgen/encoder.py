@@ -13,7 +13,7 @@ import numpy as np
 from .autodiff import Tensor, attention, embedding, parameter
 from .corpus import CLS_ID, Vocab
 from .knowledge import RELATIONS, KnowledgeBundle
-from .layers import EncoderLayer, pad_ids, padding_mask, sinusoidal_positions
+from .layers import EncoderLayer, pad_ids, padding_mask, prefixed, sinusoidal_positions
 
 DEFAULT_MAX_ANALYSIS_LEN = 128
 
@@ -72,7 +72,7 @@ class EncoderStack:
         each row's length are masked, so a row's first ``lengths[i]``
         outputs are those of its unpadded sequence."""
         mask = padding_mask(lengths, ids.shape[-1])
-        return self._forward(ids, None if mask is None else mask[:, None, None, :], rng)
+        return self._forward(ids, None if mask is None else mask[:, None, :], rng)
 
     def _forward(self, ids: np.ndarray, mask: np.ndarray | None, rng) -> Tensor:
         if ids.size == 0:
@@ -90,11 +90,8 @@ class EncoderStack:
         return x
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {"token_embedding": self.token_embedding}
-        for i, layer in enumerate(self.layers):
-            for k, v in layer.parameters().items():
-                out[f"layers.{i}.{k}"] = v
-        return out
+        layers = prefixed({f"layers.{i}": layer for i, layer in enumerate(self.layers)})
+        return {"token_embedding": self.token_embedding, **layers}
 
 
 def fuse_sensible(

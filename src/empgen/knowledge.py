@@ -138,10 +138,6 @@ class FixtureCommonsenseProvider(CommonsenseProvider):
         return KnowledgeBundle(relations, last_utterance)
 
 
-def generate_commonsense(last_utterance: str, provider: CommonsenseProvider) -> KnowledgeBundle:
-    return provider.generate(last_utterance)
-
-
 # ----------------------------------------------------------------------
 # analysis prompt + LLM clients
 

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Tensor, attention, concat, layer_norm, linear, parameter
+from .autodiff import Tensor, attention, layer_norm, linear, parameter
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -48,6 +48,11 @@ def padding_mask(lengths: np.ndarray | None, width: int) -> np.ndarray | None:
     return np.where(np.arange(width) < lengths[:, None], 0.0, -1e9)
 
 
+def prefixed(parts: dict) -> dict[str, Tensor]:
+    """Each part's parameters, named ``<part name>.<parameter name>``."""
+    return {f"{name}.{k}": v for name, part in parts.items() for k, v in part.parameters().items()}
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout; identity when rng is None (eval mode) or rate is 0."""
     if rng is None or rate <= 0.0:
@@ -86,7 +91,7 @@ class LayerNorm:
 
 
 class KeyValues(NamedTuple):
-    """Head-split keys and values of attended rows, each (..., heads, rows, dh)."""
+    """Projected keys and values of attended rows, each (..., rows, d)."""
 
     k: Tensor
     v: Tensor
@@ -98,9 +103,8 @@ class MultiHeadAttention:
     def __init__(self, rng: np.random.Generator, d: int, heads: int):
         if d % heads != 0:
             raise ValueError(f"width {d} not divisible by {heads} heads")
-        self.d = d
         self.heads = heads
-        self.dh = d // heads
+        self.scale = 1.0 / math.sqrt(d // heads)
         self.wq = Linear(rng, d, d)
         # A key bias shifts every score of a query row equally, which the
         # softmax cancels; leave it out rather than carry a dead parameter.
@@ -108,29 +112,19 @@ class MultiHeadAttention:
         self.wv = Linear(rng, d, d)
         self.wo = Linear(rng, d, d)
 
-    def _split(self, x: Tensor) -> Tensor:
-        # (..., l, d) -> (..., heads, l, dh)
-        return x.reshape(*x.shape[:-1], self.heads, self.dh).swapaxes(-3, -2)
-
     def keys_values(self, context: Tensor) -> KeyValues:
-        return KeyValues(self._split(self.wk(context)), self._split(self.wv(context)))
+        return KeyValues(self.wk(context), self.wv(context))
 
     def __call__(self, query: Tensor, context, mask: np.ndarray | None = None) -> Tensor:
         """Attend from ``query`` rows over ``context``: the rows themselves,
         or their ``KeyValues`` when those were projected before. ``mask``
-        is additive and broadcasts against the (..., heads, queries, keys)
+        is additive and broadcasts against each head's (..., queries, keys)
         scores."""
-        q = self._split(self.wq(query))
         kv = context if isinstance(context, KeyValues) else self.keys_values(context)
-        heads = attention(q, kv.k, kv.v, 1.0 / math.sqrt(self.dh), mask)
-        return self.wo(heads.swapaxes(-3, -2).reshape(*query.shape[:-1], self.d))
+        return self.wo(attention(self.wq(query), kv.k, kv.v, self.scale, mask, heads=self.heads))
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for name, lin in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
-            for k, v in lin.parameters().items():
-                out[f"{name}.{k}"] = v
-        return out
+        return prefixed({"wq": self.wq, "wk": self.wk, "wv": self.wv, "wo": self.wo})
 
 
 class FeedForward:
@@ -142,11 +136,7 @@ class FeedForward:
         return self.lin2(self.lin1(x).relu())
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for name, lin in (("lin1", self.lin1), ("lin2", self.lin2)):
-            for k, v in lin.parameters().items():
-                out[f"{name}.{k}"] = v
-        return out
+        return prefixed({"lin1": self.lin1, "lin2": self.lin2})
 
 
 class EncoderLayer:
@@ -165,11 +155,7 @@ class EncoderLayer:
         return self.ln2(x + dropout(self.ffn(x), drop, rng))
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for name, sub in (("attn", self.attn), ("ln1", self.ln1), ("ffn", self.ffn), ("ln2", self.ln2)):
-            for k, v in sub.parameters().items():
-                out[f"{name}.{k}"] = v
-        return out
+        return prefixed({"attn": self.attn, "ln1": self.ln1, "ffn": self.ffn, "ln2": self.ln2})
 
 
 class DecoderLayer:
@@ -187,36 +173,28 @@ class DecoderLayer:
         self,
         x: Tensor,
         memory: KeyValues,
-        mask: np.ndarray,
+        mask: np.ndarray | None,
         drop: float,
         rng: np.random.Generator | None,
-        past: KeyValues | None = None,
+        past: tuple[np.ndarray, np.ndarray] | None = None,
         memory_mask: np.ndarray | None = None,
-    ) -> tuple[Tensor, KeyValues]:
+    ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
         """The block over new rows ``x`` that follow the rows of ``past``.
 
         ``memory`` is the cross-attention's projection of the memory rows,
-        and ``memory_mask`` hides the padded ones. Returns the output and
-        the self-attention keys and values of the earlier rows and ``x``'s.
+        and ``memory_mask`` hides the padded ones. ``past`` holds the
+        self-attention keys and values of the earlier rows as plain arrays,
+        joined to ``x``'s without the tape. Returns the output and the key
+        and value arrays of the earlier rows and ``x``'s.
         """
-        kv = self.self_attn.keys_values(x)
+        k, v = self.self_attn.keys_values(x)
         if past is not None:
-            kv = KeyValues(concat([past.k, kv.k], axis=-2), concat([past.v, kv.v], axis=-2))
-        x = self.ln1(x + dropout(self.self_attn(x, kv, mask), drop, rng))
+            k = Tensor(np.concatenate([past[0], k.data], axis=-2))
+            v = Tensor(np.concatenate([past[1], v.data], axis=-2))
+        x = self.ln1(x + dropout(self.self_attn(x, KeyValues(k, v), mask), drop, rng))
         x = self.ln2(x + dropout(self.cross_attn(x, memory, memory_mask), drop, rng))
-        return self.ln3(x + dropout(self.ffn(x), drop, rng)), kv
+        return self.ln3(x + dropout(self.ffn(x), drop, rng)), (k.data, v.data)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        subs = (
-            ("self_attn", self.self_attn),
-            ("ln1", self.ln1),
-            ("cross_attn", self.cross_attn),
-            ("ln2", self.ln2),
-            ("ffn", self.ffn),
-            ("ln3", self.ln3),
-        )
-        for name, sub in subs:
-            for k, v in sub.parameters().items():
-                out[f"{name}.{k}"] = v
-        return out
+        names = ("self_attn", "ln1", "cross_attn", "ln2", "ffn", "ln3")
+        return prefixed({name: getattr(self, name) for name in names})

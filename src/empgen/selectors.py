@@ -174,12 +174,3 @@ class FileCauseDetector(CauseDetector):
                 raise ValueError(f"cause turn index {i} out of range for sample {sample.id!r}")
         return [sample.history[i] for i in indices]
 
-
-def predict_global_emotion(sample: DialogueSample, predictor: SentimentPredictor) -> EmotionLabel:
-    return predictor.predict(sample)
-
-
-def detect_sensible(
-    sample: DialogueSample, target: EmotionLabel, detector: CauseDetector
-) -> list[Utterance]:
-    return detector.detect(sample, target)

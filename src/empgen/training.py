@@ -7,6 +7,7 @@ import io
 import json
 import os
 import time
+import warnings
 import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -465,7 +466,7 @@ def save_checkpoint(
     path: str | Path,
     model: EmpathyModel,
     config: TrainConfig,
-    vocab_size: int,
+    vocab: Vocab,
     optimizer: Adam | None = None,
     epoch: int = 0,
     rng: np.random.Generator | None = None,
@@ -482,7 +483,8 @@ def save_checkpoint(
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
-        "vocab_size": vocab_size,
+        "vocab_size": len(vocab),
+        "vocab_fingerprint": vocab.fingerprint(),
         "epoch": epoch,
         "adam_t": optimizer.t if optimizer is not None else 0,
         "rng_state": json.dumps(rng.bit_generator.state) if rng is not None else None,
@@ -514,16 +516,31 @@ class LoadedCheckpoint:
     rng_state: dict | None
 
 
-def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
+def _check_vocab(meta: dict, vocab: Vocab) -> None:
+    """Refuse a vocabulary other than the one the checkpoint was trained on.
+    A checkpoint that records no fingerprint is checked by size alone."""
+    if len(vocab) != int(meta["vocab_size"]):
+        raise CheckpointError(f"vocabulary of {len(vocab)} tokens; the checkpoint's has {meta['vocab_size']}")
+    stored, ours = meta.get("vocab_fingerprint"), vocab.fingerprint()
+    if stored is None:
+        warnings.warn("checkpoint records no vocabulary fingerprint; only the vocabulary size was checked")
+    elif stored != ours:
+        raise CheckpointError(f"vocabulary fingerprint {ours} does not match the checkpoint's {stored}")
+
+
+def load_checkpoint(path: str | Path, vocab: Vocab | None = None) -> LoadedCheckpoint:
+    """Read a checkpoint; with ``vocab``, first check that it is the
+    vocabulary the checkpoint was trained on."""
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except (zipfile.BadZipFile, ValueError, OSError, io.UnsupportedOperation) as exc:
-        size = path.stat().st_size
-        raise CheckpointError(f"corrupt checkpoint ({size} bytes on disk): {exc}") from exc
-    with archive:
+    # Not np.load(path): that leaves the file open when the archive is corrupt.
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+        except (zipfile.BadZipFile, ValueError, OSError, io.UnsupportedOperation) as exc:
+            size = path.stat().st_size
+            raise CheckpointError(f"corrupt checkpoint ({size} bytes on disk): {exc}") from exc
         if "meta" not in archive.files:
             raise CheckpointError("corrupt checkpoint: missing metadata entry")
         meta = json.loads(str(archive["meta"]))
@@ -532,6 +549,8 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
                 f"checkpoint version {meta.get('version')} does not match "
                 f"supported version {CHECKPOINT_VERSION}"
             )
+        if vocab is not None:
+            _check_vocab(meta, vocab)
         config = TrainConfig.from_dict(meta["config"])
         vocab_size = int(meta["vocab_size"])
         model = config.build_model(vocab_size)

@@ -277,3 +277,79 @@ def test_accumulate_copies_the_first_gradient():
     (a + b).sum().backward()  # both receive the same incoming array
     a.grad += 1.0
     np.testing.assert_array_equal(b.grad, np.ones(3))
+
+
+def test_shared_gradient_stays_distinct_over_two_passes():
+    from empgen.autodiff import linear
+
+    rng = np.random.default_rng(12)
+    a, b = parameter(rng.normal(0, 1, (2, 3))), parameter(rng.normal(0, 1, (2, 3)))
+    w = parameter(rng.normal(0, 1, (3, 4)))
+
+    def loss():
+        return linear(a + b, w).sum()  # the add hands one array to both leaves
+
+    loss().backward()
+    assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+    first = a.grad.copy()
+    np.testing.assert_array_equal(b.grad, first)
+    first_w = w.grad.copy()
+    loss().backward()
+    np.testing.assert_allclose(a.grad, 2 * first, rtol=1e-15)
+    np.testing.assert_allclose(b.grad, 2 * first, rtol=1e-15)
+    np.testing.assert_allclose(w.grad, 2 * first_w, rtol=1e-15)
+
+
+def split_heads(t, heads):
+    return t.reshape(*t.shape[:-1], heads, t.shape[-1] // heads).swapaxes(-3, -2)
+
+
+def test_multi_head_attention_matches_split_attend_merge():
+    from empgen.autodiff import attention
+
+    rng = np.random.default_rng(13)
+    q = parameter(rng.normal(0, 1, (2, 3, 8)))
+    k = parameter(rng.normal(0, 1, (2, 5, 8)))
+    v = parameter(rng.normal(0, 1, (2, 5, 8)))
+    mask = np.where(np.arange(5) < np.array([[3], [5]]), 0.0, -1e9)[:, None, :]
+    probe = rng.normal(0, 1, (2, 3, 8))
+
+    def fused():
+        return attention(q, k, v, 0.6, mask, heads=4)
+
+    def composed():
+        out = attention(split_heads(q, 4), split_heads(k, 4), split_heads(v, 4), 0.6, mask[:, None])
+        return out.swapaxes(-3, -2).reshape(2, 3, 8)
+
+    np.testing.assert_array_equal(fused().data, composed().data)
+    grads = []
+    for make in (fused, composed):
+        (make() * Tensor(probe)).sum().backward()
+        grads.append([t.grad.copy() for t in (q, k, v)])
+        for t in (q, k, v):
+            t.zero_grad()
+    for name, ours, theirs in zip("qkv", *grads):
+        np.testing.assert_allclose(ours, theirs, rtol=1e-12, atol=1e-13, err_msg=name)
+    _, weights = attention(q, k, v, 0.6, mask, return_weights=True, heads=4)
+    assert weights.shape == (2, 4, 3, 5)
+    np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, rtol=1e-14)
+
+
+def test_multi_head_attention_gradients_over_hypotheses_and_padding():
+    from empgen.autodiff import attention
+
+    rng = np.random.default_rng(14)
+    q = parameter(rng.normal(0, 1, (3, 2, 8)))  # three hypotheses
+    k = parameter(rng.normal(0, 1, (6, 8)))  # one unbatched memory
+    v = parameter(rng.normal(0, 1, (6, 8)))
+    mask = np.where(np.arange(6) < 4, 0.0, -1e9)[None, :]  # two padded keys
+    probe = rng.normal(0, 1, (3, 2, 8))
+
+    def loss():
+        return (attention(q, k, v, 0.5, mask, heads=4) * Tensor(probe)).sum()
+
+    loss().backward()
+    for name, t in zip("qkv", (q, k, v)):
+        fd = fd_gradient(lambda: float(loss().data), t.data, h=1e-5)
+        assert rel_err(t.grad, fd) < 1e-6, name
+    assert not k.grad[4:].any() and not v.grad[4:].any()

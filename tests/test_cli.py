@@ -297,3 +297,35 @@ def test_generate_encodes_each_stream_once(workspace, tmp_path, capsys, monkeypa
     assert printed == [reply.text, f"predicted emotion: {emotion}"]
     # context, cause and analysis once each, the five relations in one padded call
     assert calls == [prep.context_ids, prep.cause_ids, 5, prep.analysis_ids]
+
+
+def test_commands_refuse_a_reordered_vocabulary(workspace, tmp_path, capsys):
+    import shutil
+
+    from empgen.corpus import Vocab
+    from empgen.training import TrainConfig, save_checkpoint
+
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    vocab = Vocab.load(data / "vocab.json")
+    config = TrainConfig(seed=3, d=16, layers=1, heads=2, ffn_mult=2)
+    checkpoint = tmp_path / "checkpoint.npz"
+    save_checkpoint(checkpoint, config.build_model(len(vocab)), config, vocab)
+    mapping = dict(vocab.token_to_id)
+    a, b = vocab.id_to_token[-2:]
+    mapping[a], mapping[b] = mapping[b], mapping[a]
+    other = Vocab(mapping)
+    other.save(data / "vocab.json")
+    dialogue = tmp_path / "dialogue.json"
+    dialogue.write_text(json.dumps({"history": [{"role": "speaker", "text": "i am here"}]}), encoding="utf-8")
+    common = ["--checkpoint", str(checkpoint), "--data-dir", str(data)]
+    for args in (
+        ["evaluate", *common, "--out", str(tmp_path / "eval")],
+        ["generate", *common, "--dialogue", str(dialogue)],
+        ["chat", *common, "--dialogue", str(dialogue)],
+    ):
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert vocab.fingerprint() in err and other.fingerprint() in err, args[0]
+    assert not (tmp_path / "eval").exists()

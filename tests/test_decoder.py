@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from empgen.autodiff import Tensor, no_grad
+from empgen.autodiff import Tensor, embedding, no_grad
 from empgen.corpus import BOS_ID, EOS_ID
 from empgen.decoder import (
     SEGMENT_ANALYSIS,
@@ -282,6 +282,32 @@ def test_cached_rows_match_full_prefix_forward(rng):
         both = stack.forward([[4], [6]], mem, cache=cache).data[:, 0]
     np.testing.assert_allclose(both[0], stack.forward(seq[:3] + [4], mem).data[-1], rtol=0, atol=1e-12)
     np.testing.assert_allclose(both[1], stack.forward(seq[:3] + [6], mem).data[-1], rtol=0, atol=1e-12)
+
+
+def test_cached_forward_refuses_the_tape(rng):
+    stack = micro_decoder(seed=4, vocab_size=12)
+    mem = random_memory(rng)
+    with pytest.raises(RuntimeError, match="no_grad"):
+        stack.forward([[BOS_ID]], mem, cache=DecoderCache())
+    assert stack.forward([BOS_ID, 5], mem).requires_grad  # no cache: the tape records
+
+
+def test_one_row_step_needs_no_causal_mask(rng):
+    stack = micro_decoder(seed=5, vocab_size=12, layers=2)
+    mem = random_memory(rng)
+    with no_grad():
+        cache = DecoderCache()
+        stack.forward([[BOS_ID, 5, 7]], mem, cache=cache)
+        past = dict(cache.past)
+        unmasked = stack.forward([[3]], mem, cache=cache).data
+        # The same step through the layers with the one-row mask over 4 rows.
+        mask = causal_mask(1, 3)
+        x = embedding(stack.token_embedding, np.array([[3]])) + Tensor(stack.positions[3:4])
+        for i, layer in enumerate(stack.layers):
+            x, _ = layer(x, cache.memory[i], mask, 0.0, None, past[i])
+        masked = stack.out_proj(x).data
+    assert not mask.any()
+    np.testing.assert_array_equal(masked, unmasked)
 
 
 def test_decoding_matches_full_prefix_oracle_on_fixture_corpus(mini_samples, mini_vocab, providers):

@@ -19,7 +19,6 @@ from empgen.knowledge import (
     LlmError,
     TemplateCommonsenseProvider,
     build_analysis_prompt,
-    generate_commonsense,
     prompt_cache_key,
     query_analysis,
 )
@@ -28,7 +27,7 @@ from empgen.util import write_jsonl
 
 
 def test_bundle_has_exactly_five_relations():
-    bundle = generate_commonsense("i passed my exam", TemplateCommonsenseProvider())
+    bundle = TemplateCommonsenseProvider().generate("i passed my exam")
     assert tuple(bundle.relations.keys()) == RELATIONS
     assert all(bundle.relations.values())
 

@@ -8,10 +8,8 @@ from empgen.selectors import (
     HeuristicCauseDetector,
     LexiconSentimentPredictor,
     OracleSentimentPredictor,
-    detect_sensible,
     load_lexicon,
     majority_label,
-    predict_global_emotion,
 )
 from empgen.util import write_jsonl
 
@@ -29,7 +27,7 @@ def sample_from(history_texts, labels, emotion="lonely", sid="s0"):
 def test_oracle_returns_gold(labels):
     sample = sample_from(["some words here"], labels, emotion="grateful")
     predictor = OracleSentimentPredictor()
-    assert predict_global_emotion(sample, predictor).name == "grateful"
+    assert predictor.predict(sample).name == "grateful"
     assert predictor.calls == 1
 
 
@@ -84,7 +82,7 @@ def test_heuristic_selects_matching_utterance(labels):
     lexicon = {"alone": ["lonely"]}
     detector = HeuristicCauseDetector(lexicon)
     sample = sample_from(["fine words", "listener words", "i am alone now"], labels)
-    picked = detect_sensible(sample, labels.get("lonely"), detector)
+    picked = detector.detect(sample, labels.get("lonely"))
     assert [u.turn_index for u in picked] == [2]
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from empgen.corpus import Vocab
 from empgen.knowledge import AnalysisCache, EchoLlmClient, TemplateCommonsenseProvider
 from empgen.model import PLANS, Providers
 from empgen.selectors import HeuristicCauseDetector, OracleSentimentPredictor
@@ -199,7 +200,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, mini_samples, mini_vocab, lex
     plan = PLANS[config.ablation]
     before = result.model.forward_sample(result.prepared[0], plan)
     path = tmp_path / "ck.npz"
-    save_checkpoint(path, result.model, config, len(mini_vocab), rng=result.rng)
+    save_checkpoint(path, result.model, config, mini_vocab, rng=result.rng)
     loaded = load_checkpoint(path)
     after = loaded.model.forward_sample(result.prepared[0], plan)
     assert float(before.nll_sum.data) == float(after.nll_sum.data)
@@ -212,7 +213,7 @@ def test_checkpoint_version_mismatch(tmp_path, mini_vocab):
     config = tiny_config()
     model = config.build_model(len(mini_vocab))
     path = tmp_path / "ck.npz"
-    save_checkpoint(path, model, config, len(mini_vocab))
+    save_checkpoint(path, model, config, mini_vocab)
     import numpy as np_
 
     # rewrite the metadata with a bumped version
@@ -229,17 +230,71 @@ def test_checkpoint_truncated_file(tmp_path, mini_vocab):
     config = tiny_config()
     model = config.build_model(len(mini_vocab))
     path = tmp_path / "ck.npz"
-    save_checkpoint(path, model, config, len(mini_vocab))
+    save_checkpoint(path, model, config, mini_vocab)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 3])
     with pytest.raises(CheckpointError, match="corrupt"):
         load_checkpoint(path)
 
 
+def test_truncated_checkpoint_closes_its_file(tmp_path, mini_vocab):
+    import gc
+    import warnings
+
+    config = tiny_config()
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, config.build_model(len(mini_vocab)), config, mini_vocab)
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 3])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(CheckpointError, match="corrupt"):
+            load_checkpoint(path)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def reordered(vocab):
+    """The same tokens with two ordinary tokens' ids swapped."""
+    mapping = dict(vocab.token_to_id)
+    a, b = vocab.id_to_token[-2:]
+    mapping[a], mapping[b] = mapping[b], mapping[a]
+    return Vocab(mapping)
+
+
+def test_checkpoint_refuses_another_vocabulary(tmp_path, mini_vocab):
+    config = tiny_config()
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, config.build_model(len(mini_vocab)), config, mini_vocab)
+    assert load_checkpoint(path, mini_vocab).vocab_size == len(mini_vocab)
+    other = reordered(mini_vocab)
+    assert len(other) == len(mini_vocab) and other.fingerprint() != mini_vocab.fingerprint()
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path, other)
+    assert mini_vocab.fingerprint() in str(err.value) and other.fingerprint() in str(err.value)
+    smaller = Vocab({t: i for i, t in enumerate(mini_vocab.id_to_token[:-1])})
+    with pytest.raises(CheckpointError, match="tokens"):
+        load_checkpoint(path, smaller)
+
+
+def test_checkpoint_without_fingerprint_loads_with_a_warning(tmp_path, mini_vocab):
+    config = tiny_config()
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, config.build_model(len(mini_vocab)), config, mini_vocab)
+    data = dict(np.load(path, allow_pickle=False))
+    meta = json.loads(str(data["meta"]))
+    del meta["vocab_fingerprint"]
+    data["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **data)
+    with pytest.warns(UserWarning, match="fingerprint"):
+        loaded = load_checkpoint(path, reordered(mini_vocab))
+    assert loaded.vocab_size == len(mini_vocab)
+
+
 def test_checkpoint_write_is_atomic(tmp_path, mini_vocab, monkeypatch):
     config = tiny_config()
     model = config.build_model(len(mini_vocab))
-    save_checkpoint(tmp_path / "ck", model, config, len(mini_vocab))  # np.savez adds ".npz"
+    save_checkpoint(tmp_path / "ck", model, config, mini_vocab)  # np.savez adds ".npz"
     assert [p.name for p in tmp_path.iterdir()] == ["ck.npz"]
     before = (tmp_path / "ck.npz").read_bytes()
 
@@ -251,7 +306,7 @@ def test_checkpoint_write_is_atomic(tmp_path, mini_vocab, monkeypatch):
     for p in model.named_parameters().values():
         p.data = p.data + 1.0
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(tmp_path / "ck.npz", model, config, len(mini_vocab))
+        save_checkpoint(tmp_path / "ck.npz", model, config, mini_vocab)
     monkeypatch.undo()
     assert [p.name for p in tmp_path.iterdir()] == ["ck.npz"]
     assert (tmp_path / "ck.npz").read_bytes() == before
@@ -286,7 +341,7 @@ def test_checkpoint_restores_optimizer_state(tmp_path, mini_samples, mini_vocab,
     config = tiny_config(epochs=1)
     result = train(config, mini_samples[:8], mini_vocab, fresh_providers(lexicon))
     path = tmp_path / "ck.npz"
-    save_checkpoint(path, result.model, config, len(mini_vocab), optimizer=result.optimizer)
+    save_checkpoint(path, result.model, config, mini_vocab, optimizer=result.optimizer)
     loaded = load_checkpoint(path)
     assert loaded.optimizer is not None
     assert loaded.optimizer.t == result.optimizer.t
