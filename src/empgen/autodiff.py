@@ -440,7 +440,7 @@ def attention(
     p = qs @ ks.swapaxes(-1, -2)
     p *= scale
     if mask is not None:
-        p += mask[..., None, :, :] if heads > 1 else mask
+        p += mask[..., None, :, :] if heads > 1 and mask.ndim > 1 else mask
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)

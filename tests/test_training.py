@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -233,24 +235,12 @@ def test_checkpoint_truncated_file(tmp_path, mini_vocab):
     save_checkpoint(path, model, config, mini_vocab)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 3])
-    with pytest.raises(CheckpointError, match="corrupt"):
-        load_checkpoint(path)
-
-
-def test_truncated_checkpoint_closes_its_file(tmp_path, mini_vocab):
-    import gc
-    import warnings
-
-    config = tiny_config()
-    path = tmp_path / "ck.npz"
-    save_checkpoint(path, config.build_model(len(mini_vocab)), config, mini_vocab)
-    raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) // 3])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(CheckpointError, match="corrupt"):
             load_checkpoint(path)
         gc.collect()
+    # The refused file is closed, not left for the garbage collector.
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
