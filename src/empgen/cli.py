@@ -88,14 +88,11 @@ def load_config(args) -> TrainConfig:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    config = TrainConfig.from_dict(data)
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "ablation", None):
-        config.ablation = args.ablation
-    if getattr(args, "epochs", None) is not None:
-        config.epochs = args.epochs
-    return config
+    # Flags override the file before the config checks its values.
+    for name in ("seed", "ablation", "epochs"):
+        if getattr(args, name, None) is not None:
+            data[name] = getattr(args, name)
+    return TrainConfig.from_dict(data)
 
 
 def build_providers(args, config: TrainConfig, train_samples, labels: LabelSet) -> Providers:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -15,12 +16,16 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, (fan_in, fan_out))
 
 
+@functools.lru_cache(maxsize=None)
 def sinusoidal_positions(length: int, d: int) -> np.ndarray:
-    """Classic fixed sin/cos position table, shape (length, d)."""
+    """Classic fixed sin/cos position table, shape (length, d). Built once
+    per shape and shared by every model, so it is read-only."""
     pos = np.arange(length, dtype=np.float64)[:, None]
     i = np.arange(d, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, (2.0 * np.floor(i / 2.0)) / d)
-    return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    table.flags.writeable = False
+    return table
 
 
 def causal_mask(length: int, cached: int = 0) -> np.ndarray:

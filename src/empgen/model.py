@@ -168,14 +168,15 @@ def stream_ids(prep: PreparedSample, plan: AblationPlan) -> dict[str, list]:
     return streams
 
 
-def padded_rows(preps: list[PreparedSample], plan: AblationPlan) -> int:
+def padded_rows(preps: list[PreparedSample], plan: AblationPlan, padded: bool = True) -> int:
     """Encoder rows of the samples as one padded batch: every encoded
-    stream padded to its longest member."""
+    stream padded to its longest member. With ``padded=False``, the real
+    rows alone."""
     streams = [stream_ids(p, plan) for p in preps]
     total = 0
     for name in ("context", "cause", "relation", "analysis"):
         lengths = [len(ids) for s in streams for ids in s.get(name, ())]
-        total += len(lengths) * max(lengths, default=0)
+        total += len(lengths) * max(lengths, default=0) if padded else sum(lengths)
     return total
 
 

@@ -65,6 +65,7 @@ class TrainConfig:
             ("d", self.d),
             ("layers", self.layers),
             ("heads", self.heads),
+            ("ffn_mult", self.ffn_mult),
             ("learning_rate", self.learning_rate),
             ("epochs", self.epochs),
             ("batch_size", self.batch_size),
@@ -72,6 +73,10 @@ class TrainConfig:
         for name, value in positive:
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ValueError(f"grad_clip must be positive or None, got {self.grad_clip}")
         if self.ablation not in PLANS:
             raise ValueError(f"unknown ablation {self.ablation!r}; choose from {sorted(PLANS)}")
 
@@ -211,9 +216,11 @@ def train(
 
     The generation loss enters the reported total as the batch sum divided
     by the batch token count; ``strict_sum`` switches to the raw per-sample
-    sum instead. Each batch runs as a few padded micro-batches
-    (``micro_batches``), one backward pass each, and the gradients add up
-    over the batch before the optimizer step. Both runs of the same config
+    sum instead. Each batch is sorted by its samples' own padded encoder
+    rows (ties keep the shuffled order) and runs as a few padded
+    micro-batches (``micro_batches``), one backward pass each, so samples
+    of like length pad together; the gradients add up over the batch
+    before the optimizer step. Both runs of the same config
     and seed produce identical histories: batch order, dropout, and
     initialization all draw from one seeded generator. Pass
     ``initial_model`` to continue from a loaded checkpoint instead of a
@@ -221,7 +228,8 @@ def train(
 
     ``log_path`` receives one JSON line per step (the ``LossBreakdown``),
     the same bytes on every run; ``timing_path`` receives each step's wall
-    time in ms, which differs from run to run.
+    time in ms and target tokens per second, which differ from run to run,
+    and its real and padded encoder rows summed over the micro-batches.
     """
     plan = PLANS[config.ablation]
     providers = providers or Providers()
@@ -231,6 +239,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     model = config.build_model(len(vocab), rng) if initial_model is None else initial_model
     params = model.named_parameters()
+    own_rows = [padded_rows([p], plan) for p in prepared]
     opt = Adam(params, config.adam_beta1, config.adam_beta2, config.adam_eps)
 
     history: list[LossBreakdown] = []
@@ -242,14 +251,16 @@ def train(
             order = rng.permutation(len(prepared))
             for start in range(0, len(order), config.batch_size):
                 began = time.perf_counter()
-                batch = [prepared[i] for i in order[start : start + config.batch_size]]
+                ids = sorted(order[start : start + config.batch_size], key=own_rows.__getitem__)
+                batch = [prepared[i] for i in ids]
                 step += 1
                 opt.zero_grad()
                 batch_tokens = sum(len(p.target_ids) for p in batch)
                 nll_sum_total = 0.0
                 emo_total = 0.0
                 drop_rng = rng if config.dropout > 0 else None
-                for micro in micro_batches(batch, plan):
+                micros = micro_batches(batch, plan)
+                for micro in micros:
                     fwd = model.forward_batch(micro, plan, drop_rng)
                     if config.strict_sum:
                         loss = (fwd.nll_sum.sum() + fwd.emo_nll.sum()) * (1.0 / len(batch))
@@ -280,37 +291,20 @@ def train(
                 if log_fh:
                     log_fh.write(json.dumps(record.to_dict()) + "\n")
                 if timing_fh:
-                    wall_ms = 1e3 * (time.perf_counter() - began)
-                    timing_fh.write(json.dumps({"step": step, "wall_ms": round(wall_ms, 3)}) + "\n")
+                    wall_s = time.perf_counter() - began
+                    line = {
+                        "step": step,
+                        "wall_ms": round(1e3 * wall_s, 3),
+                        "encoder_rows": padded_rows(batch, plan, padded=False),
+                        "padded_encoder_rows": sum(padded_rows(m, plan) for m in micros),
+                        "tokens_per_s": round(batch_tokens / wall_s, 1),
+                    }
+                    timing_fh.write(json.dumps(line) + "\n")
     finally:
         for fh in (log_fh, timing_fh):
             if fh:
                 fh.close()
     return TrainResult(model, history, prepared, providers.call_counts(), rng, opt)
-
-
-def epoch_mean_total(history: list[LossBreakdown], epoch: int) -> float:
-    totals = [h.total for h in history if h.epoch == epoch]
-    return float(np.mean(totals))
-
-
-def gradient_footprint(model: EmpathyModel) -> frozenset:
-    """Names of parameters carrying nonzero gradient.
-
-    The decoder's segment-embedding table is reported per row, since which
-    memory segments exist is exactly what distinguishes ablation configs.
-    """
-    names = set()
-    for name, p in model.named_parameters().items():
-        if p.grad is None or not np.any(p.grad != 0):
-            continue
-        if name.endswith("segment_embedding"):
-            for row in range(p.data.shape[0]):
-                if np.any(p.grad[row] != 0):
-                    names.add(f"{name}[{row}]")
-        else:
-            names.add(name)
-    return frozenset(names)
 
 
 # ----------------------------------------------------------------------

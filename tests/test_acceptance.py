@@ -33,8 +33,9 @@ from empgen.knowledge import (
 )
 from empgen.model import PLANS, Providers
 from empgen.selectors import HeuristicCauseDetector, OracleSentimentPredictor, load_lexicon
-from empgen.training import TrainConfig, epoch_mean_total, grad_check, train
+from empgen.training import TrainConfig, grad_check, train
 
+from .helpers import epoch_mean_total
 from .oracles import accuracy_oracle, bleu_oracle, dist_oracle, ppl_oracle, rouge_f1_oracle
 
 

@@ -71,6 +71,14 @@ def test_prepare_data_missing_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_flags_are_checked_like_the_config_file(workspace, tmp_path, capsys):
+    run = tmp_path / "run"
+    args = ["train", "--data-dir", str(workspace / "data"), "--out", str(run), "--config", str(fast_config(tmp_path))]
+    assert main([*args, "--epochs", "0"]) == 1
+    assert "error: epochs must be positive, got 0" in capsys.readouterr().err
+    assert not run.exists()
+
+
 def test_debug_flag_prints_the_traceback(tmp_path, capsys):
     args = ["prepare-data", "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")]
     assert main(args) == 1

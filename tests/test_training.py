@@ -41,6 +41,24 @@ def fresh_providers(lexicon):
     )
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("dropout", 1.0), ("dropout", -0.5), ("grad_clip", -1.0), ("grad_clip", 0.0), ("ffn_mult", 0)],
+)
+def test_bad_config_values_are_refused_by_name(field, value, tmp_path, capsys):
+    from empgen.cli import main
+
+    with pytest.raises(ValueError, match=rf"^{field} must be .*, got {value}$"):
+        tiny_config(**{field: value})
+    bad = tmp_path / "config.json"
+    bad.write_text(json.dumps({field: value}), encoding="utf-8")
+    out = tmp_path / "run"
+    args = ["train", "--data-dir", str(tmp_path / "data"), "--out", str(out), "--config", str(bad)]
+    assert main(args) == 1
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_total_equals_nll_plus_emo_exactly(mini_samples, mini_vocab, lexicon):
     result = train(tiny_config(), mini_samples[:24], mini_vocab, fresh_providers(lexicon))
     assert len(result.history) > 0
@@ -93,7 +111,8 @@ def test_ablation_gradient_footprints_distinct(mini_samples, mini_vocab, lexicon
     # One step per config; the set of parameters receiving gradient must
     # differ across all four configurations.
     from empgen.model import prepare_samples
-    from empgen.training import gradient_footprint
+
+    from .helpers import gradient_footprint
 
     footprints = {}
     for ablation in PLANS:
@@ -511,6 +530,52 @@ def test_micro_batches_keep_order_and_budget(mini_samples, mini_vocab, lexicon, 
     assert micro_batches(prepared, plan) == [[p] for p in prepared]
 
 
+def test_train_groups_each_batch_by_length(mini_samples, mini_vocab, lexicon, monkeypatch):
+    import empgen.training
+    from empgen.model import padded_rows
+    from empgen.training import micro_batches
+
+    runs = []
+
+    def recording(batch, plan):
+        out = micro_batches(batch, plan)
+        runs.extend(out)
+        return out
+
+    monkeypatch.setattr(empgen.training, "micro_batches", recording)
+    config = tiny_config(epochs=1, batch_size=16)
+    result = train(config, mini_samples[:16], mini_vocab, fresh_providers(lexicon))
+    monkeypatch.undo()
+    assert len(result.history) == 1 and len(runs) > 1
+
+    plan = PLANS[config.ablation]
+    grouped = [p.sample_id for run in runs for p in run]
+    assert sorted(grouped) == sorted(p.sample_id for p in result.prepared)
+    rows = {p.sample_id: padded_rows([p], plan) for p in result.prepared}
+    assert [rows[i] for i in grouped] == sorted(rows[i] for i in grouped)
+
+    # The seeded shuffle that train() draws after building its model.
+    rng = np.random.default_rng(config.seed)
+    config.build_model(len(mini_vocab), rng)
+    shuffled = [result.prepared[i] for i in rng.permutation(16)]
+    assert grouped == [p.sample_id for p in sorted(shuffled, key=lambda p: rows[p.sample_id])]
+    assert len({rows[i] for i in grouped}) < len(grouped)  # some ties were kept in order
+    consecutive = sum(padded_rows(run, plan) for run in micro_batches(shuffled, plan))
+    assert sum(padded_rows(run, plan) for run in runs) <= consecutive
+
+
+def test_models_share_one_read_only_position_table(mini_vocab):
+    a = tiny_config().build_model(len(mini_vocab))
+    b = tiny_config(seed=9).build_model(len(mini_vocab))
+    tables = [m.context_encoder.positions for m in (a, b)] + [a.relation_encoder.positions, b.decoder.positions]
+    assert all(t is tables[0] for t in tables)
+    assert not tables[0].flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        tables[0][0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        tables[0][3:5] += 1.0
+
+
 def test_backward_releases_the_tape_on_a_real_step(mini_samples, mini_vocab, lexicon):
     import gc
     import weakref
@@ -577,6 +642,17 @@ def test_step_log_records_grad_norm_and_wall_time(tmp_path, mini_samples, mini_v
     assert [t["step"] for t in times] == [l["step"] for l in lines]
     assert all(t["wall_ms"] > 0 for t in times)
     assert "wall_ms" not in lines[0]
+    # Padding telemetry: the real and padded encoder rows of the step's
+    # micro-batches, and target tokens over the step's wall time.
+    from empgen.model import padded_rows
+
+    plan = PLANS["full"]
+    assert sum(t["encoder_rows"] for t in times) == padded_rows(result.prepared, plan, padded=False)
+    assert all(0 < t["encoder_rows"] < t["padded_encoder_rows"] for t in times)
+    for t, record in zip(times, result.history):
+        assert t["tokens_per_s"] == pytest.approx(record.token_count / (t["wall_ms"] / 1e3), rel=1e-3)
+    for field in ("encoder_rows", "padded_encoder_rows", "tokens_per_s"):
+        assert field not in lines[0]
 
 
 def test_grad_norm_is_the_norm_before_clipping(mini_samples, mini_vocab, lexicon, monkeypatch):
