@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fixtures
 from .autodiff import no_grad
-from .corpus import LabelSet, Vocab, build_vocab, load_dataset, sample_to_record, split_dataset
+from .corpus import LabelSet, Vocab, build_vocab, load_dataset, parse_sample, sample_to_record, split_dataset
 from .decoder import generate
 from .emotion import classify_emotion
 from .evaluation import evaluate, format_table, write_report
@@ -241,8 +241,6 @@ def cmd_build_knowledge(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     args.knowledge_dir = args.knowledge_dir or str(out)
     providers = build_providers(args, config, train_samples, labels)
-    if providers.analysis_cache is None and plan.use_analysis:
-        providers.analysis_cache = AnalysisCache(out / "analysis_cache.jsonl")
     commonsense_rows = {}
     built = 0
     failures = 0
@@ -376,29 +374,30 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_generate(args) -> int:
-    labels = LabelSet.default()
-    vocab, loaded, providers = _load_trained(args, labels)
-    config = loaded.config
-    with open(args.dialogue, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
-    record.setdefault("id", "adhoc")
-    record.setdefault("emotion", labels.names[0])
-    record.setdefault("response", "placeholder")
-    from .corpus import parse_sample
-
-    sample = parse_sample(record, labels)
+def _reply(record: dict, args, vocab: Vocab, loaded, providers: Providers, labels: LabelSet):
+    """The reply to one dialogue record and its predicted emotion, from one
+    encoding of the sample, decoded with ``args.strategy`` and
+    ``args.beam_size``."""
+    config, model = loaded.config, loaded.model
+    record = {"id": "adhoc", "emotion": labels.names[0], "response": "placeholder", **record}
     plan = PLANS[config.ablation]
     providers.require(plan)
     prep = prepare_sample(
-        sample, vocab, providers, plan, config.max_context_len, config.max_analysis_len
+        parse_sample(record, labels), vocab, providers, plan, config.max_context_len, config.max_analysis_len
     )
-    model = loaded.model
-    with no_grad():  # one encoding serves the reply and the emotion
-        memory, feature = model.encode_sample(prep, plan)
+    with no_grad():
+        memory, feature = model.encode_batch([prep], plan)
         response = generate(memory, model.decoder, vocab, args.strategy, args.beam_size, config.max_gen_len)
-        probs = classify_emotion(feature, model.classifier)
-    emotion = labels.by_index(int(np.argmax(probs))).name
+        probs = classify_emotion(feature, model.classifier)[0]
+    return response, labels.by_index(int(np.argmax(probs))).name
+
+
+def cmd_generate(args) -> int:
+    labels = LabelSet.default()
+    vocab, loaded, providers = _load_trained(args, labels)
+    with open(args.dialogue, "r", encoding="utf-8") as fh:
+        record = json.load(fh)
+    response, emotion = _reply(record, args, vocab, loaded, providers, labels)
     print(response.text)
     print(f"predicted emotion: {emotion}")
     return 0
@@ -461,9 +460,6 @@ def cmd_chat(args) -> int:
         return cmd_generate(args)
     labels = LabelSet.default()
     vocab, loaded, providers = _load_trained(args, labels)
-    config = loaded.config
-    plan = PLANS[config.ablation]
-    providers.require(plan)
     history = []
     print("speaker turns only; blank line quits")
     while True:
@@ -474,19 +470,8 @@ def cmd_chat(args) -> int:
         if not line:
             break
         history.append({"role": "speaker", "text": line})
-        record = {
-            "id": f"chat-{len(history)}",
-            "history": list(history),
-            "emotion": labels.names[0],
-            "response": "placeholder",
-        }
-        from .corpus import parse_sample
-
-        sample = parse_sample(record, labels)
-        prep = prepare_sample(
-            sample, vocab, providers, plan, config.max_context_len, config.max_analysis_len
-        )
-        response = loaded.model.generate_response(prep, plan, vocab, "greedy", 1, config.max_gen_len)
+        record = {"id": f"chat-{len(history)}", "history": list(history)}
+        response, _ = _reply(record, args, vocab, loaded, providers, labels)
         print(f"bot> {response.text}")
         history.append({"role": "listener", "text": response.text or "i see ."})
     return 0
@@ -534,7 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="greedy", choices=["greedy", "beam"])
     p.add_argument("--beam-size", type=int, default=3)
     p.add_argument("--metrics", default=None, help="comma list of table columns to print, e.g. PPL,B-2,Acc")
-    _add_config_flags(p)
+    p.add_argument(
+        "--ablation", default=None, choices=ABLATION_ORDER, help="refuse a checkpoint of another ablation"
+    )
     _add_provider_flags(p)
     p.set_defaults(fn=cmd_evaluate)
 
@@ -544,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dialogue", required=True)
     p.add_argument("--strategy", default="greedy", choices=["greedy", "beam"])
     p.add_argument("--beam-size", type=int, default=3)
-    _add_config_flags(p)
     _add_provider_flags(p)
     p.set_defaults(fn=cmd_generate)
 
@@ -563,7 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interactive", action="store_true")
     p.add_argument("--strategy", default="greedy", choices=["greedy", "beam"])
     p.add_argument("--beam-size", type=int, default=3)
-    _add_config_flags(p)
     _add_provider_flags(p)
     p.set_defaults(fn=cmd_chat)
 

@@ -27,12 +27,13 @@ DEFAULT_MAX_GEN_LEN = 32
 
 @dataclass
 class DecoderMemory:
-    """Row-stacked memory with per-row segment ids.
+    """Row-stacked memory of a batch with per-row segment ids.
 
     Row order is fixed: context rows, then knowledge rows, then analysis
-    rows. Disabled streams are simply absent. A padded batch has values
-    (B, rows, d), each stream padded to its longest member, and an additive
-    ``key_mask`` (B, rows) that hides the padding from cross-attention.
+    rows. Disabled streams are simply absent. Values are (B, rows, d),
+    each stream padded to its longest member, and an additive ``key_mask``
+    (B, rows) hides the padding from cross-attention; it is None when
+    nothing is padded, as for a batch of one.
     """
 
     values: Tensor
@@ -43,9 +44,6 @@ class DecoderMemory:
         ids, counts = np.unique(self.segment_ids, return_counts=True)
         return {int(i): int(c) for i, c in zip(ids, counts)}
 
-    def rows_of(self, segment: int) -> np.ndarray:
-        return self.values.data[self.segment_ids == segment]
-
 
 def assemble_memory(
     context_rep: Tensor,
@@ -53,9 +51,9 @@ def assemble_memory(
     analysis_rep: Tensor | None = None,
     lengths=None,
 ) -> DecoderMemory:
-    """Stack the streams' rows. For a padded batch, ``lengths`` gives each
+    """Stack the streams' (B, rows, d) rows. ``lengths`` gives each
     stream's (B,) valid row counts, in argument order (None for an absent
-    stream)."""
+    stream); without it nothing is padded."""
     reps = (context_rep, knowledge_rep, analysis_rep)
     lengths = lengths or (None,) * len(reps)
     d = context_rep.shape[-1]
@@ -134,10 +132,11 @@ class DecoderStack:
     ) -> Tensor:
         """Logits over the vocabulary for every input position.
 
-        ``input_ids`` is one sequence, or a list of equally long rows, one
-        per hypothesis. Without a cache they are whole prefixes; with one
-        they follow the rows the cache holds, which then grows by them, and
-        must run under ``no_grad()``: the cache keeps no tape.
+        ``input_ids`` is a list of equally long rows (B, m): one per sample,
+        or one per hypothesis over a memory of one sample. Without a cache
+        they are whole prefixes; with one they follow the rows the cache
+        holds, which then grows by them, and must run under ``no_grad()``:
+        the cache keeps no tape.
         """
         ids = np.asarray(input_ids, dtype=np.int64)
         if ids.size == 0:
@@ -167,38 +166,29 @@ class DecoderStack:
 
 
 def nll_loss(
-    target_ids,
+    target_ids: list[list[int]],
     memory: DecoderMemory,
     stack: DecoderStack,
     rng: np.random.Generator | None = None,
 ):
-    """Teacher-forced negative log-likelihood, summed over target positions.
+    """Teacher-forced negative log-likelihood of the target sequences,
+    decoded as one padded batch over the batched memory.
 
-    For one target sequence, returns the scalar sum (a graph node) and the
-    per-token values used for perplexity. For a list of them, decoded as
-    one padded batch over a batched memory, returns a (B,) node of
-    per-sample sums, to which padded positions add nothing, and a list of
-    per-token arrays.
+    Returns a (B,) node of per-sample sums over target positions, to which
+    padded positions add nothing, and each sample's per-token values, used
+    for perplexity.
     """
-    single = len(target_ids) > 0 and np.ndim(target_ids[0]) == 0
-    seqs = [target_ids] if single else target_ids
-    if not len(seqs) or not all(len(t) for t in seqs):
+    if not len(target_ids) or not all(len(t) for t in target_ids):
         raise ValueError("empty target")
-    targets, lengths = pad_ids(seqs)
+    targets, lengths = pad_ids(target_ids)
     input_ids = np.concatenate([np.full((len(targets), 1), BOS_ID), targets[:, :-1]], axis=1)
-    if single:
-        targets, input_ids = targets[0], input_ids[0]
     logits = stack.forward(input_ids, memory, rng)
-    logp = log_softmax(logits, axis=-1)
-    picked = take_per_row(logp, targets)
+    picked = take_per_row(log_softmax(logits, axis=-1), targets)
     per_token = -picked.data[..., 0]
-    if single:
-        return -picked.sum(), per_token.copy()
     valid = np.arange(targets.shape[1]) < lengths[:, None]
     if not valid.all():
         picked = picked * Tensor(valid[..., None])
-    total = -picked.sum(axis=(1, 2))
-    return total, [row[:n].copy() for row, n in zip(per_token, lengths)]
+    return -picked.sum(axis=(1, 2)), [row[:n].copy() for row, n in zip(per_token, lengths)]
 
 
 @dataclass

@@ -62,8 +62,10 @@ class EncoderStack:
         self.layers = [EncoderLayer(rng, d, heads, ffn_mult) for _ in range(layers)]
 
     def encode(self, ids: list[int], rng: np.random.Generator | None = None) -> Tensor:
-        """Rows of one id sequence, shape (len(ids), d)."""
-        return self._forward(np.asarray(ids, dtype=np.int64), None, rng)
+        """Rows (len(ids), d) of one id sequence, run through ``encode_padded``
+        as a batch of one. The model never calls it; ``perfbench/baseline.py``
+        times it."""
+        return self.encode_padded(np.asarray([ids]), np.array([len(ids)]), rng).reshape(len(ids), self.d)
 
     def encode_padded(
         self, ids: np.ndarray, lengths: np.ndarray, rng: np.random.Generator | None = None
@@ -71,10 +73,6 @@ class EncoderStack:
         """Rows of right-padded id rows (N, L), shape (N, L, d). Keys past
         each row's length are masked, so a row's first ``lengths[i]``
         outputs are those of its unpadded sequence."""
-        mask = padding_mask(lengths, ids.shape[-1])
-        return self._forward(ids, None if mask is None else mask[:, None, :], rng)
-
-    def _forward(self, ids: np.ndarray, mask: np.ndarray | None, rng) -> Tensor:
         if ids.size == 0:
             raise ValueError("cannot encode an empty id sequence")
         if ids.max() >= self.vocab_size or ids.min() < 0:
@@ -83,6 +81,8 @@ class EncoderStack:
             raise ValueError(
                 f"cannot encode {ids.shape[-1]} tokens: the encoder has {len(self.positions)} positions"
             )
+        mask = padding_mask(lengths, ids.shape[-1])
+        mask = None if mask is None else mask[:, None, :]
         drop = self.dropout if rng is not None else 0.0
         x = embedding(self.token_embedding, ids) + Tensor(self.positions[: ids.shape[-1]])
         for layer in self.layers:
@@ -128,38 +128,17 @@ def relation_token_ids(bundle: KnowledgeBundle, vocab: Vocab) -> list[list[int]]
     return [[CLS_ID] + vocab.encode_text(text) for text in bundle.texts_in_order()]
 
 
-def relation_cls_positions(token_lists: list[list[int]]) -> list[int]:
-    """Row indices of the five summary tokens inside the stacked encoding."""
-    positions, offset = [], 0
-    for ids in token_lists:
-        positions.append(offset)
-        offset += len(ids)
-    return positions
+def encode_relations(relation_ids: list[list[list[int]]], stack: EncoderStack, rng=None) -> Tensor:
+    """Encode every sample's five relation sequences as one padded batch and
+    stack each sample's outputs row-wise, in relation order.
 
-
-def encode_relations(
-    bundle_or_ids,
-    stack: EncoderStack,
-    vocab: Vocab | None = None,
-    rng=None,
-) -> Tensor:
-    """Encode the relation sequences as one padded batch and stack each
-    sample's outputs row-wise, in relation order.
-
-    One sample (a bundle, or its five id lists) gives (rows, d), where rows
-    is the summed token count plus one summary row per relation. A list of
-    samples' five id lists gives (B, most rows, d): each sample's rows come
-    first, and the padding after them repeats row 0 of the batch.
+    Gives (B, most rows, d), where a sample's rows are its summed token
+    count plus one summary row per relation. Each sample's rows come first,
+    and the padding after them repeats row 0 of the batch.
     """
-    if isinstance(bundle_or_ids, KnowledgeBundle):
-        if vocab is None:
-            raise ValueError("vocab required to tokenize a bundle")
-        bundle_or_ids = relation_token_ids(bundle_or_ids, vocab)
-    single = np.ndim(bundle_or_ids[0][0]) == 0
-    samples = [bundle_or_ids] if single else bundle_or_ids
-    if any(len(lists) != len(RELATIONS) for lists in samples):
+    if any(len(lists) != len(RELATIONS) for lists in relation_ids):
         raise ValueError(f"expected {len(RELATIONS)} relation sequences")
-    ids, lengths = pad_ids([seq for lists in samples for seq in lists])
+    ids, lengths = pad_ids([seq for lists in relation_ids for seq in lists])
     rows = stack.encode_padded(ids, lengths, rng)
     # Flat row index of every sample's unpadded rows, in order.
     per = len(RELATIONS)
@@ -168,8 +147,7 @@ def encode_relations(
         np.concatenate([np.arange(s, s + n) for s, n in zip(starts[i : i + per], lengths[i : i + per])])
         for i in range(0, len(lengths), per)
     ]
-    index = pad_ids(picks)[0]
-    return embedding(rows.reshape(-1, rows.shape[-1]), index[0] if single else index)
+    return embedding(rows.reshape(-1, rows.shape[-1]), pad_ids(picks)[0])
 
 
 def analysis_token_ids(

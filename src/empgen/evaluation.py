@@ -230,7 +230,7 @@ def evaluate(
         with no_grad():  # one encoding serves the NLL, the reply and the emotion
             fwd = model.forward_sample(prep, plan)
             response = generate(fwd.memory, model.decoder, vocab, strategy, beam_size, config.max_gen_len)
-            probs = classify_emotion(fwd.feature, model.classifier)
+            probs = classify_emotion(fwd.feature, model.classifier)[0]
         per_token.extend(fwd.per_token_nll.tolist())
         hyp_tokens = vocab.tokens_of(response.ids)
         ref_tokens = tokenize(sample.gold_response)

@@ -194,11 +194,3 @@ def load_case_fixture() -> dict:
 def case_sample(labels: LabelSet | None = None):
     labels = labels or LabelSet.default()
     return parse_sample(load_case_fixture(), labels)
-
-
-def case_analysis_fixture_rows() -> list[dict]:
-    """Fixture rows mapping the case prompt to its authored analysis."""
-    case = load_case_fixture()
-    sample = case_sample()
-    prompt = build_analysis_prompt(sample, sample.gold_emotion)
-    return [{"prompt": prompt, "response": case["analysis"]}]

@@ -14,7 +14,7 @@ ablation axes strictly control the fusion stream and the analysis stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -182,12 +182,9 @@ def padded_rows(preps: list[PreparedSample], plan: AblationPlan, padded: bool = 
 
 @dataclass
 class SampleForward:
-    """Losses and encodings of one sample, or of a padded batch.
-
-    For one sample the losses are scalars and ``per_token_nll`` one array.
-    For a batch the losses are (B,) nodes and ``per_token_nll`` a list of
-    per-sample arrays; ``token_count`` is always the batch total.
-    """
+    """Losses and encodings of a padded batch: the losses are (B,) nodes,
+    ``per_token_nll`` a list of per-sample arrays, and ``token_count`` the
+    batch total. ``forward_sample`` unwraps the losses of a batch of one."""
 
     nll_sum: Tensor
     per_token_nll: np.ndarray | list[np.ndarray]
@@ -285,18 +282,12 @@ class EmpathyModel:
     def encode_batch(
         self, preps: list[PreparedSample], plan: AblationPlan, rng=None
     ) -> tuple[DecoderMemory, Tensor]:
-        """The decoder memory and the emotion features of the samples.
-
-        Several samples run as one padded batch, each stream padded to its
-        longest member and masked where padded. A lone sample runs without
-        the batch axis: its memory is (rows, d) and nothing is padded.
-        """
+        """The decoder memory and the emotion features of the samples, run
+        as one padded batch: each stream padded to its longest member and
+        masked where padded. A lone sample is a batch of one, unmasked."""
         self.check_lengths(preps, plan)
-        single = len(preps) == 1
 
         def encode(seqs):
-            if single:
-                return self.context_encoder.encode(seqs[0], rng), None
             ids, lengths = pad_ids(seqs)
             return self.context_encoder.encode_padded(ids, lengths, rng), lengths
 
@@ -309,40 +300,37 @@ class EmpathyModel:
         knowledge = knowledge_len = pooled = None
         if plan.use_knowledge:
             relations = [p.relation_ids for p in preps]
-            knowledge = encode_relations(relations[0] if single else relations, self.relation_encoder, rng=rng)
-            if not single:
-                knowledge_len = np.array([sum(map(len, r)) for r in relations])
+            knowledge = encode_relations(relations, self.relation_encoder, rng=rng)
+            knowledge_len = np.array([sum(map(len, r)) for r in relations])
             pooled = pool_knowledge(knowledge, knowledge_len)
         analysis = analysis_len = None
         if plan.use_analysis:
             analysis, analysis_len = encode([p.analysis_ids for p in preps])
         feature = fuse_features(context, analysis, pooled, self.d)
-        lengths = None if single else (context_len, knowledge_len, analysis_len)
+        lengths = (context_len, knowledge_len, analysis_len)
         return assemble_memory(context, knowledge, analysis, lengths), feature
 
     def forward_batch(self, preps: list[PreparedSample], plan: AblationPlan, rng=None) -> SampleForward:
         """Teacher-forced losses of the samples, in one padded batch."""
         memory, feature = self.encode_batch(preps, plan, rng)
-        if len(preps) == 1:
-            targets, labels = preps[0].target_ids, preps[0].emotion_index
-        else:
-            targets, labels = [p.target_ids for p in preps], [p.emotion_index for p in preps]
-        nll_sum, per_token = nll_loss(targets, memory, self.decoder, rng)
+        nll_sum, per_token = nll_loss([p.target_ids for p in preps], memory, self.decoder, rng)
         return SampleForward(
             nll_sum=nll_sum,
             per_token_nll=per_token,
-            emo_nll=emotion_nll(feature, self.classifier, labels),
+            emo_nll=emotion_nll(feature, self.classifier, [p.emotion_index for p in preps]),
             token_count=sum(len(p.target_ids) for p in preps),
             memory=memory,
             feature=feature,
         )
 
-    def encode_sample(self, prep: PreparedSample, plan: AblationPlan, rng=None) -> tuple[DecoderMemory, Tensor]:
-        """The decoder memory and the emotion feature of one sample."""
-        return self.encode_batch([prep], plan, rng)
-
     def forward_sample(self, prep: PreparedSample, plan: AblationPlan, rng=None) -> SampleForward:
-        return self.forward_batch([prep], plan, rng)
+        """``forward_batch`` of the one sample, its losses unwrapped: 0-d
+        ``nll_sum`` and ``emo_nll`` nodes and one ``per_token_nll`` array.
+        The memory and the feature keep their batch axis of 1."""
+        fwd = self.forward_batch([prep], plan, rng)
+        return replace(
+            fwd, nll_sum=fwd.nll_sum.sum(), per_token_nll=fwd.per_token_nll[0], emo_nll=fwd.emo_nll.sum()
+        )
 
     def generate_response(
         self,
@@ -354,10 +342,10 @@ class EmpathyModel:
         max_gen_len: int = 32,
     ):
         with no_grad():
-            memory, _ = self.encode_sample(prep, plan)
+            memory, _ = self.encode_batch([prep], plan)
             return generate(memory, self.decoder, vocab, strategy, beam_size, max_gen_len)
 
     def classify(self, prep: PreparedSample, plan: AblationPlan) -> np.ndarray:
         with no_grad():
-            _, feature = self.encode_sample(prep, plan)
-            return classify_emotion(feature, self.classifier)
+            _, feature = self.encode_batch([prep], plan)
+            return classify_emotion(feature, self.classifier)[0]

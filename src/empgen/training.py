@@ -269,9 +269,7 @@ def train(
                             1.0 / len(batch)
                         )
                     loss.backward()
-                    for nll_value, emo_value in zip(
-                        np.atleast_1d(fwd.nll_sum.data), np.atleast_1d(fwd.emo_nll.data)
-                    ):
+                    for nll_value, emo_value in zip(fwd.nll_sum.data, fwd.emo_nll.data):
                         nll_sum_total += float(nll_value)
                         emo_total += float(emo_value)
                 emo = emo_total / len(batch)

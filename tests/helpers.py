@@ -1,6 +1,10 @@
-"""Summaries of training results that only the tests read."""
+"""Helpers that only the tests use: summaries of training results,
+views of model outputs and fixture rows."""
 
 import numpy as np
+
+from empgen.fixtures import case_sample, load_case_fixture
+from empgen.knowledge import build_analysis_prompt
 
 
 def epoch_mean_total(history, epoch: int) -> float:
@@ -26,3 +30,39 @@ def gradient_footprint(model) -> frozenset:
         else:
             names.add(name)
     return frozenset(names)
+
+
+def encode_one(stack, ids) -> np.ndarray:
+    """The encoder rows (len(ids), d) of one id sequence, run through the
+    padded path as a batch of one."""
+    return stack.encode_padded(np.array([ids]), np.array([len(ids)])).data[0]
+
+
+def memory_rows_of(memory, segment: int) -> np.ndarray:
+    """The rows of one segment in a batched ``DecoderMemory``, (B, rows, d)."""
+    return memory.values.data[:, memory.segment_ids == segment]
+
+
+def relation_cls_positions(token_lists: list[list[int]]) -> list[int]:
+    """Row indices of the five summary tokens inside the stacked encoding."""
+    positions, offset = [], 0
+    for ids in token_lists:
+        positions.append(offset)
+        offset += len(ids)
+    return positions
+
+
+def emotion_loss(probs: np.ndarray, target_index: int) -> float:
+    """-log P(target) of an already-normalized probability vector."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if target_index < 0 or target_index >= probs.shape[0]:
+        raise IndexError(f"label index {target_index} out of range for {probs.shape[0]} labels")
+    return float(-np.log(np.maximum(probs[target_index], 1e-300)))
+
+
+def case_analysis_fixture_rows() -> list[dict]:
+    """Fixture rows mapping the case prompt to its authored analysis."""
+    case = load_case_fixture()
+    sample = case_sample()
+    prompt = build_analysis_prompt(sample, sample.gold_emotion)
+    return [{"prompt": prompt, "response": case["analysis"]}]

@@ -18,7 +18,7 @@ from empgen.autodiff import Tensor, parameter
 from empgen.cli import main
 from empgen.corpus import LabelSet, build_vocab, parse_sample
 from empgen.decoder import assemble_memory, nll_loss
-from empgen.emotion import ClassifierParams, classify_emotion, emotion_loss, fuse_features, pool_knowledge
+from empgen.emotion import ClassifierParams, classify_emotion, fuse_features, pool_knowledge
 from empgen.encoder import EncoderStack, FusionParams, fuse_sensible, relation_token_ids
 from empgen.evaluation import accuracy, bleu_n, dist_n, perplexity, rouge_n
 from empgen.fixtures import GOLDEN_PROMPT_PATH, case_sample, generate_mini_corpus
@@ -35,7 +35,7 @@ from empgen.model import PLANS, Providers
 from empgen.selectors import HeuristicCauseDetector, OracleSentimentPredictor, load_lexicon
 from empgen.training import TrainConfig, grad_check, train
 
-from .helpers import epoch_mean_total
+from .helpers import emotion_loss, epoch_mean_total
 from .oracles import accuracy_oracle, bleu_oracle, dist_oracle, ppl_oracle, rouge_f1_oracle
 
 
@@ -133,12 +133,12 @@ def test_criterion_loss_algebra(corpus_200):
         stack = DecoderStack(rng, vocab_size, 4, 1, 2, ffn_mult=2, dropout=0.0)
         stack.out_proj.weight.data[:] = 0.0
         stack.out_proj.bias.data[:] = 0.0
-        memory = assemble_memory(Tensor(rng.normal(0, 1, (3, 4))))
-        total, _ = nll_loss([1, 2, 3, 4], memory, stack)
-        assert abs(float(total.data) - 4 * math.log(vocab_size)) < 1e-9
+        memory = assemble_memory(Tensor(rng.normal(0, 1, (1, 3, 4))))
+        total, _ = nll_loss([[1, 2, 3, 4]], memory, stack)
+        assert abs(total.data[0] - 4 * math.log(vocab_size)) < 1e-9
         # uniform classifier: emo = ln 32
         params = ClassifierParams(weight=parameter(np.zeros((12, 32))), bias=parameter(np.zeros(32)))
-        probs = classify_emotion(Tensor(rng.normal(0, 1, (1, 12))), params)
+        probs = classify_emotion(Tensor(rng.normal(0, 1, (1, 12))), params)[0]
         assert abs(emotion_loss(probs, 7) - math.log(32)) < 1e-9
 
 
@@ -286,27 +286,26 @@ def test_criterion_structural_fidelity(tmp_path):
             bundle = KnowledgeBundle(dict(zip(RELATIONS, texts)), "src")
             token_lists = relation_token_ids(bundle, vocab)
             stack = EncoderStack(rng, len(vocab), 4, 1, 2, ffn_mult=2, dropout=0.0)
-            rep = stack.encode(token_lists[0])
             total = sum(len(ids) for ids in token_lists)
             from empgen.encoder import encode_relations
 
-            assert encode_relations(token_lists, stack).shape[0] == total
+            assert encode_relations([token_lists], stack).shape[:2] == (1, total)
             assert total == sum(len(vocab.encode_text(t)) for t in texts) + 5
         # fused feature: 3d length, bit-exact slice round trip
         d = 8
-        ctx = Tensor(rng.normal(0, 1, (3, d)))
-        analysis = Tensor(rng.normal(0, 1, (4, d)))
-        pooled = pool_knowledge(Tensor(rng.normal(0, 1, (6, d))))
+        ctx = Tensor(rng.normal(0, 1, (1, 3, d)))
+        analysis = Tensor(rng.normal(0, 1, (1, 4, d)))
+        pooled = pool_knowledge(Tensor(rng.normal(0, 1, (1, 6, d))), np.array([6]))
         fused = fuse_features(ctx, analysis, pooled, d)
         assert fused.shape == (1, 3 * d)
-        assert np.array_equal(fused.data[0, :d], ctx.data[0])
-        assert np.array_equal(fused.data[0, d : 2 * d], analysis.data[0])
+        assert np.array_equal(fused.data[0, :d], ctx.data[0, 0])
+        assert np.array_equal(fused.data[0, d : 2 * d], analysis.data[0, 0])
         assert np.array_equal(fused.data[0, 2 * d :], pooled.data[0])
         # memory layout
         mem = assemble_memory(
-            Tensor(rng.normal(0, 1, (4, d))),
-            Tensor(rng.normal(0, 1, (20, d))),
-            Tensor(rng.normal(0, 1, (10, d))),
+            Tensor(rng.normal(0, 1, (1, 4, d))),
+            Tensor(rng.normal(0, 1, (1, 20, d))),
+            Tensor(rng.normal(0, 1, (1, 10, d))),
         )
         assert mem.segment_histogram() == {0: 4, 1: 20, 2: 10}
         # golden prompt bytes

@@ -273,17 +273,13 @@ def test_generate_encodes_each_stream_once(workspace, tmp_path, capsys, monkeypa
     capsys.readouterr()
 
     calls = []
-    encode, encode_padded = EncoderStack.encode, EncoderStack.encode_padded
-
-    def counted_encode(stack, ids, rng=None):
-        calls.append(list(ids))
-        return encode(stack, ids, rng)
+    encode_padded = EncoderStack.encode_padded
 
     def counted_encode_padded(stack, ids, lengths, rng=None):
-        calls.append(len(ids))
+        # A one-row call is one stream's sequence, a batch of one.
+        calls.append(ids[0].tolist() if len(ids) == 1 else len(ids))
         return encode_padded(stack, ids, lengths, rng)
 
-    monkeypatch.setattr(EncoderStack, "encode", counted_encode)
     monkeypatch.setattr(EncoderStack, "encode_padded", counted_encode_padded)
     args = ["generate", "--checkpoint", str(run / "checkpoint.npz"), "--data-dir", str(data)]
     args += ["--dialogue", str(dialogue)]
@@ -337,3 +333,55 @@ def test_commands_refuse_a_reordered_vocabulary(workspace, tmp_path, capsys):
         err = capsys.readouterr().err
         assert vocab.fingerprint() in err and other.fingerprint() in err, args[0]
     assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("generate", "--seed"), ("generate", "--ablation"), ("chat", "--epochs"), ("evaluate", "--config")],
+)
+def test_inference_commands_refuse_training_flags(workspace, tmp_path, capsys, command, flag):
+    # The checkpoint's config decides; a flag that would be ignored is refused.
+    value = {"--seed": "3", "--ablation": "full", "--epochs": "2", "--config": str(tmp_path / "c.json")}[flag]
+    args = [command, "--checkpoint", str(tmp_path / "checkpoint.npz"), "--data-dir", str(workspace / "data")]
+    args += {"generate": ["--dialogue", "d.json"], "chat": [], "evaluate": ["--out", str(tmp_path / "e")]}[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*args, flag, value])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_interactive_chat_decodes_like_generate(workspace, tmp_path, capsys, monkeypatch):
+    from empgen.corpus import Vocab
+    from empgen.training import TrainConfig, save_checkpoint
+
+    data = workspace / "data"
+    vocab = Vocab.load(data / "vocab.json")
+    # An untrained model whose beam-2 reply differs from its greedy one.
+    config = TrainConfig(seed=4, d=16, layers=1, heads=2, ffn_mult=2)
+    checkpoint = tmp_path / "checkpoint.npz"
+    save_checkpoint(checkpoint, config.build_model(len(vocab)), config, vocab)
+    line = "i felt so thankful about the trip"
+    dialogue = tmp_path / "dialogue.json"
+    dialogue.write_text(json.dumps({"history": [{"role": "speaker", "text": line}]}), encoding="utf-8")
+    common = ["--checkpoint", str(checkpoint), "--data-dir", str(data)]
+
+    def generated(*flags):
+        capsys.readouterr()
+        assert main(["generate", *common, "--dialogue", str(dialogue), *flags]) == 0
+        return capsys.readouterr().out.splitlines()[0]
+
+    lines = iter([line])
+
+    def one_line_then_eof(prompt):
+        try:
+            return next(lines)
+        except StopIteration:
+            raise EOFError from None
+
+    monkeypatch.setattr("builtins.input", one_line_then_eof)
+    capsys.readouterr()
+    assert main(["chat", *common, "--interactive", "--strategy", "beam", "--beam-size", "2"]) == 0
+    replies = [l for l in capsys.readouterr().out.splitlines() if l.startswith("bot> ")]
+    beam = generated("--strategy", "beam", "--beam-size", "2")
+    assert replies == [f"bot> {beam}"]
+    assert beam != generated("--strategy", "greedy")  # the flags reached the decoder

@@ -22,6 +22,7 @@ from empgen.layers import causal_mask
 from empgen.model import PLANS, prepare_samples
 from empgen.training import TrainConfig
 
+from .helpers import memory_rows_of
 from .oracles import beam_oracle, decoder_log_probs_oracle, greedy_oracle
 
 
@@ -31,7 +32,7 @@ def micro_decoder(seed=0, vocab_size=10, d=4, layers=1, heads=2):
 
 
 def random_memory(rng, rows=3, d=4):
-    return assemble_memory(Tensor(rng.normal(0, 1, (rows, d))))
+    return assemble_memory(Tensor(rng.normal(0, 1, (1, rows, d))))
 
 
 # ----------------------------------------------------------------------
@@ -40,42 +41,42 @@ def random_memory(rng, rows=3, d=4):
 
 def test_memory_lengths_and_histogram(rng):
     mem = assemble_memory(
-        Tensor(rng.normal(0, 1, (4, 8))),
-        Tensor(rng.normal(0, 1, (20, 8))),
-        Tensor(rng.normal(0, 1, (10, 8))),
+        Tensor(rng.normal(0, 1, (1, 4, 8))),
+        Tensor(rng.normal(0, 1, (1, 20, 8))),
+        Tensor(rng.normal(0, 1, (1, 10, 8))),
     )
-    assert mem.values.shape == (34, 8)
+    assert mem.values.shape == (1, 34, 8)
     assert mem.segment_histogram() == {SEGMENT_CONTEXT: 4, SEGMENT_KNOWLEDGE: 20, SEGMENT_ANALYSIS: 10}
 
 
 def test_memory_slices_recover_inputs(rng):
-    ctx = rng.normal(0, 1, (3, 4))
-    kn = rng.normal(0, 1, (5, 4))
-    an = rng.normal(0, 1, (2, 4))
+    ctx = rng.normal(0, 1, (1, 3, 4))
+    kn = rng.normal(0, 1, (1, 5, 4))
+    an = rng.normal(0, 1, (1, 2, 4))
     mem = assemble_memory(Tensor(ctx), Tensor(kn), Tensor(an))
-    np.testing.assert_array_equal(mem.rows_of(SEGMENT_CONTEXT), ctx)
-    np.testing.assert_array_equal(mem.rows_of(SEGMENT_KNOWLEDGE), kn)
-    np.testing.assert_array_equal(mem.rows_of(SEGMENT_ANALYSIS), an)
+    np.testing.assert_array_equal(memory_rows_of(mem, SEGMENT_CONTEXT), ctx)
+    np.testing.assert_array_equal(memory_rows_of(mem, SEGMENT_KNOWLEDGE), kn)
+    np.testing.assert_array_equal(memory_rows_of(mem, SEGMENT_ANALYSIS), an)
 
 
 def test_memory_without_analysis_segment(rng):
-    mem = assemble_memory(Tensor(rng.normal(0, 1, (4, 4))), Tensor(rng.normal(0, 1, (6, 4))), None)
-    assert mem.values.shape[0] == 10
+    mem = assemble_memory(Tensor(rng.normal(0, 1, (1, 4, 4))), Tensor(rng.normal(0, 1, (1, 6, 4))), None)
+    assert mem.values.shape[1] == 10
     assert SEGMENT_ANALYSIS not in mem.segment_histogram()
 
 
 def test_memory_width_mismatch(rng):
     with pytest.raises(ValueError, match="width"):
-        assemble_memory(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 6))))
+        assemble_memory(Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((1, 2, 6))))
 
 
 def test_memory_layout_invariant_under_knowledge_row_permutation(rng):
     # The layout contract: permuting knowledge rows never changes the
     # segment histogram (output values are allowed to change).
-    kn = rng.normal(0, 1, (6, 4))
-    ctx = rng.normal(0, 1, (3, 4))
+    kn = rng.normal(0, 1, (1, 6, 4))
+    ctx = rng.normal(0, 1, (1, 3, 4))
     base = assemble_memory(Tensor(ctx), Tensor(kn))
-    shuffled = assemble_memory(Tensor(ctx), Tensor(kn[rng.permutation(6)]))
+    shuffled = assemble_memory(Tensor(ctx), Tensor(kn[:, rng.permutation(6)]))
     assert base.segment_histogram() == shuffled.segment_histogram()
     np.testing.assert_array_equal(base.segment_ids, shuffled.segment_ids)
 
@@ -90,26 +91,26 @@ def test_uniform_model_nll_is_target_len_times_log_vocab(rng):
     stack.out_proj.weight.data[:] = 0.0
     stack.out_proj.bias.data[:] = 0.0
     mem = random_memory(rng)
-    total, per_token = nll_loss([1, 2, 3, 4], mem, stack)
-    assert abs(float(total.data) - 4 * math.log(10)) < 1e-9
-    np.testing.assert_allclose(per_token, np.full(4, math.log(10)), atol=1e-9)
+    total, per_token = nll_loss([[1, 2, 3, 4]], mem, stack)
+    assert abs(total.data[0] - 4 * math.log(10)) < 1e-9
+    np.testing.assert_allclose(per_token[0], np.full(4, math.log(10)), atol=1e-9)
 
 
 def test_nll_matches_independent_log_softmax_chain(rng):
     stack = micro_decoder(seed=3)
     mem = random_memory(rng)
     target = [2, 5, 1]
-    total, per_token = nll_loss(target, mem, stack)
+    total, per_token = nll_loss([target], mem, stack)
     # independent evaluation: raw logits -> shifted exp -> normalized
-    logits = stack.forward([BOS_ID] + target[:-1], mem).data
+    logits = stack.forward([[BOS_ID] + target[:-1]], mem).data[0]
     expected = []
     for t, tok in enumerate(target):
         row = logits[t]
         z = row - row.max()
         logp = z - math.log(np.exp(z).sum())
         expected.append(-logp[tok])
-    np.testing.assert_allclose(per_token, expected, atol=1e-10)
-    assert abs(float(total.data) - sum(expected)) < 1e-10
+    np.testing.assert_allclose(per_token[0], expected, atol=1e-10)
+    assert abs(total.data[0] - sum(expected)) < 1e-10
 
 
 def test_perfect_model_nll_zero(rng):
@@ -120,25 +121,25 @@ def test_perfect_model_nll_zero(rng):
     stack.out_proj.bias.data[:] = -1e4
     stack.out_proj.bias.data[3] = 1e4
     mem = random_memory(rng)
-    total, _ = nll_loss(target, mem, stack)
-    assert float(total.data) < 1e-9
+    total, _ = nll_loss([target], mem, stack)
+    assert total.data[0] < 1e-9
 
 
 def test_causality_perturbing_later_target_leaves_earlier_logprobs(rng):
     stack = micro_decoder(seed=6, vocab_size=8)
     mem = random_memory(rng)
-    base = stack.forward([BOS_ID, 2, 3, 4], mem).data
+    base = stack.forward([[BOS_ID, 2, 3, 4]], mem).data[0]
     for t in range(1, 4):
         mutated_input = [BOS_ID, 2, 3, 4]
         mutated_input[t] = 7  # change the token fed at position t
-        out = stack.forward(mutated_input, mem).data
+        out = stack.forward([mutated_input], mem).data[0]
         np.testing.assert_allclose(out[:t], base[:t], atol=1e-12)
 
 
 def test_output_distribution_normalized(rng):
     stack = micro_decoder(seed=7)
     mem = random_memory(rng)
-    logits = stack.forward([BOS_ID, 1, 2], mem).data
+    logits = stack.forward([[BOS_ID, 1, 2]], mem).data[0]
     probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
     probs /= probs.sum(axis=-1, keepdims=True)
     np.testing.assert_allclose(probs.sum(axis=-1), np.ones(3), atol=1e-6)
@@ -269,7 +270,7 @@ def test_cached_rows_match_full_prefix_forward(rng):
     stack = micro_decoder(seed=4, vocab_size=12, layers=2)
     mem = random_memory(rng)
     seq = [BOS_ID, 5, 7, 3, 9]
-    full = stack.forward(seq, mem).data
+    full = stack.forward([seq], mem).data[0]
     with no_grad():
         cache = DecoderCache()
         rows = [stack.forward([[tok]], mem, cache=cache).data[0, 0] for tok in seq]
@@ -280,8 +281,8 @@ def test_cached_rows_match_full_prefix_forward(rng):
         stack.forward([seq[:3]], mem, cache=cache)
         cache.reorder([0, 0])
         both = stack.forward([[4], [6]], mem, cache=cache).data[:, 0]
-    np.testing.assert_allclose(both[0], stack.forward(seq[:3] + [4], mem).data[-1], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(both[1], stack.forward(seq[:3] + [6], mem).data[-1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(both[0], stack.forward([seq[:3] + [4]], mem).data[0, -1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(both[1], stack.forward([seq[:3] + [6]], mem).data[0, -1], rtol=0, atol=1e-12)
 
 
 def test_cached_forward_refuses_the_tape(rng):
@@ -289,7 +290,7 @@ def test_cached_forward_refuses_the_tape(rng):
     mem = random_memory(rng)
     with pytest.raises(RuntimeError, match="no_grad"):
         stack.forward([[BOS_ID]], mem, cache=DecoderCache())
-    assert stack.forward([BOS_ID, 5], mem).requires_grad  # no cache: the tape records
+    assert stack.forward([[BOS_ID, 5]], mem).requires_grad  # no cache: the tape records
 
 
 def test_one_row_step_needs_no_causal_mask(rng):
@@ -318,10 +319,10 @@ def test_decoding_matches_full_prefix_oracle_on_fixture_corpus(mini_samples, min
     ended = {"greedy": set(), "beam": set()}
     for prep in prepare_samples(mini_samples, mini_vocab, providers, plan):
         with no_grad():
-            memory, _ = model.encode_sample(prep, plan)
+            memory, _ = model.encode_batch([prep], plan)
 
         def step(prefix):
-            return decoder_log_probs_oracle(model.decoder, prefix, memory.values.data, memory.segment_ids)
+            return decoder_log_probs_oracle(model.decoder, prefix, memory.values.data[0], memory.segment_ids)
 
         for strategy, (ids, log_probs) in (
             ("greedy", greedy_oracle(step, EOS_ID, 16)),
@@ -336,7 +337,7 @@ def test_decoding_matches_full_prefix_oracle_on_fixture_corpus(mini_samples, min
 
 def test_generation_records_no_tape(rng):
     stack = micro_decoder(seed=2, vocab_size=12)
-    mem = assemble_memory(Tensor(rng.normal(0, 1, (3, 4)), requires_grad=True))
+    mem = assemble_memory(Tensor(rng.normal(0, 1, (1, 3, 4)), requires_grad=True))
     calls = []
     forward = stack.forward
     stack.forward = lambda *a, **k: calls.append(forward(*a, **k)) or calls[-1]

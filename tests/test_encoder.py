@@ -9,11 +9,11 @@ from empgen.encoder import (
     analysis_token_ids,
     encode_relations,
     fuse_sensible,
-    relation_cls_positions,
     relation_token_ids,
 )
 from empgen.knowledge import KnowledgeBundle, RELATIONS
 
+from .helpers import encode_one, relation_cls_positions
 from .oracles import encoder_forward_oracle, fusion_oracle
 
 # Values computed before the build with an explicit-loop arithmetic script
@@ -39,9 +39,9 @@ def micro_stack(seed=0, vocab_size=16, d=4, layers=1, heads=2):
 
 def test_encode_shape_and_determinism():
     stack = micro_stack()
-    out1 = stack.encode([1, 2])
-    out2 = stack.encode([1, 2])
-    assert out1.shape == (2, 4)
+    out1 = stack.encode_padded(np.array([[1, 2]]), np.array([2]))
+    out2 = stack.encode_padded(np.array([[1, 2]]), np.array([2]))
+    assert out1.shape == (1, 2, 4)
     np.testing.assert_array_equal(out1.data, out2.data)
     assert np.all(np.isfinite(out1.data))
 
@@ -49,13 +49,13 @@ def test_encode_shape_and_determinism():
 def test_encode_rejects_out_of_range_ids():
     stack = micro_stack(vocab_size=8)
     with pytest.raises(ValueError, match="out of range"):
-        stack.encode([7, 8])
+        encode_one(stack, [7, 8])
 
 
 def test_encoder_forward_matches_independent_oracle():
     stack = micro_stack(seed=5, vocab_size=12, d=4, layers=1, heads=2)
     ids = [3, 1, 7, 2]
-    ours = stack.encode(ids).data
+    ours = encode_one(stack, ids)
     theirs = encoder_forward_oracle(stack, ids)
     np.testing.assert_allclose(ours, theirs, atol=1e-12)
 
@@ -64,7 +64,7 @@ def test_encoder_two_layer_oracle():
     stack = micro_stack(seed=9, vocab_size=10, d=8, layers=2, heads=2)
     ids = [0, 4, 9, 3, 3]
     np.testing.assert_allclose(
-        stack.encode(ids).data, encoder_forward_oracle(stack, ids), atol=1e-12
+        encode_one(stack, ids), encoder_forward_oracle(stack, ids), atol=1e-12
     )
 
 
@@ -83,8 +83,8 @@ def test_encode_cause_same_math_as_context(monkeypatch):
         return ctx
 
     monkeypatch.setattr(empgen.model, "fuse_sensible", capture)
-    model.encode_sample(prep, AblationPlan("fusion", True, False, False))
-    np.testing.assert_array_equal(seen[0], model.context_encoder.encode(ids).data)
+    model.encode_batch([prep], AblationPlan("fusion", True, False, False))
+    np.testing.assert_array_equal(seen[0], encode_one(model.context_encoder, ids)[None])
 
 
 # ----------------------------------------------------------------------
@@ -192,8 +192,8 @@ def test_relations_total_rows():
     bundle = make_bundle()
     token_lists = relation_token_ids(bundle, vocab)
     stack = micro_stack(vocab_size=len(vocab))
-    rep = encode_relations(token_lists, stack)
-    assert rep.shape[0] == 20  # 5 * (3 tokens + summary)
+    rep = encode_relations([token_lists], stack)
+    assert rep.shape[:2] == (1, 20)  # 5 * (3 tokens + summary)
 
 
 def test_relation_row_zero_is_first_relation_summary():
@@ -202,9 +202,9 @@ def test_relation_row_zero_is_first_relation_summary():
     token_lists = relation_token_ids(bundle, vocab)
     assert all(ids[0] == CLS_ID for ids in token_lists)
     stack = micro_stack(vocab_size=len(vocab))
-    rep = encode_relations(token_lists, stack)
-    solo = stack.encode(token_lists[0])
-    np.testing.assert_array_equal(rep.data[0], solo.data[0])
+    rep = encode_relations([token_lists], stack)
+    solo = encode_one(stack, token_lists[0])
+    np.testing.assert_array_equal(rep.data[0, 0], solo[0])
 
 
 def test_relation_cls_positions_are_prefix_sums():
@@ -227,9 +227,9 @@ def test_relation_rows_property_random_bundles(rng):
         ]
         bundle = make_bundle(texts)
         token_lists = relation_token_ids(bundle, vocab)
-        rep = encode_relations(token_lists, stack)
+        rep = encode_relations([token_lists], stack)
         total_tokens = sum(len(vocab.encode_text(t)) for t in texts)
-        assert rep.shape[0] == total_tokens + 5
+        assert rep.shape[:2] == (1, total_tokens + 5)
 
 
 def test_analysis_ids_prefix_and_truncation():
@@ -245,7 +245,7 @@ def test_analysis_ids_prefix_and_truncation():
 def test_encode_analysis_shape():
     vocab = Vocab.from_texts(["alpha beta gamma"])
     stack = micro_stack(vocab_size=len(vocab))
-    rep = stack.encode(analysis_token_ids("alpha beta gamma beta", vocab))
+    rep = encode_one(stack, analysis_token_ids("alpha beta gamma beta", vocab))
     assert rep.shape == (5, 4)
 
 
@@ -256,6 +256,6 @@ def test_shared_relation_encoder_identical_outputs():
                          share_relation_encoder=True, seed=2)
     ids = [5, 7, 9]
     np.testing.assert_array_equal(
-        model.context_encoder.encode(ids).data, model.relation_encoder.encode(ids).data
+        encode_one(model.context_encoder, ids), encode_one(model.relation_encoder, ids)
     )
     assert model.relation_encoder is model.context_encoder

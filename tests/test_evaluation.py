@@ -289,7 +289,7 @@ def test_evaluate_equals_the_per_stage_reference(trained, mini_samples, mini_voc
         fwd = model.forward_sample(prep, plan)
         assert fwd.nll_sum.requires_grad
         per_token.extend(fwd.per_token_nll.tolist())
-        values, segments = fwd.memory.values.data, fwd.memory.segment_ids
+        values, segments = fwd.memory.values.data[0], fwd.memory.segment_ids
         ids, _ = greedy_oracle(
             lambda prefix: decoder_log_probs_oracle(model.decoder, prefix, values, segments),
             EOS_ID,

@@ -3,11 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from empgen.fixtures import (
-    GOLDEN_PROMPT_PATH,
-    case_analysis_fixture_rows,
-    case_sample,
-)
+from empgen.fixtures import GOLDEN_PROMPT_PATH, case_sample
 from empgen.knowledge import (
     RELATIONS,
     AnalysisCache,
@@ -24,6 +20,8 @@ from empgen.knowledge import (
 )
 from empgen.selectors import FixtureMissError
 from empgen.util import write_jsonl
+
+from .helpers import case_analysis_fixture_rows
 
 
 def test_bundle_has_exactly_five_relations():

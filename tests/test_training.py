@@ -420,7 +420,8 @@ def test_padded_batch_equals_each_sample_alone():
             alone = model.forward_sample(prep, plan)
             np.testing.assert_allclose(batch.feature.data[i], alone.feature.data[0], rtol=0, atol=1e-13)
             valid = batch.memory.key_mask is None or batch.memory.key_mask[i] == 0
-            np.testing.assert_allclose(batch.memory.values.data[i][valid], alone.memory.values.data, rtol=0, atol=1e-13)
+            rows = batch.memory.values.data[i][valid]
+            np.testing.assert_allclose(rows, alone.memory.values.data[0], rtol=0, atol=1e-13)
             np.testing.assert_allclose(batch.per_token_nll[i], alone.per_token_nll, rtol=0, atol=1e-13)
             assert abs(batch.nll_sum.data[i] - alone.nll_sum.data) < 1e-12
             assert abs(batch.emo_nll.data[i] - alone.emo_nll.data) < 1e-12
