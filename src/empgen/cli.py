@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ from .autodiff import no_grad
 from .corpus import LabelSet, Vocab, build_vocab, load_dataset, parse_sample, sample_to_record, split_dataset
 from .decoder import generate
 from .emotion import classify_emotion
-from .evaluation import evaluate, format_table, write_report
+from .evaluation import METRIC_COLUMNS, evaluate, format_table, write_report
 from .knowledge import (
     AnalysisCache,
     EchoLlmClient,
@@ -50,37 +49,23 @@ from .util import canonical_json, now_iso, sha256_hex, write_jsonl
 PACKAGE_VERSION = "0.1.0"
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    config_hash: str
-    seed: int
-    code_version: str
-    out_dir: str
-    created_at: str
-
-    def write(self, out_dir: Path) -> Path:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "run_manifest.json"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.__dict__, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
-
-
 def write_manifest(command: str, config: dict, seed: int, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        config_hash=sha256_hex(canonical_json(config)),
-        seed=seed,
-        code_version=PACKAGE_VERSION,
-        out_dir=str(out_dir),
-        created_at=now_iso(),
-    )
-    return manifest.write(out_dir)
+    manifest = {
+        "command": command,
+        "config": config,
+        "config_hash": sha256_hex(canonical_json(config)),
+        "seed": seed,
+        "code_version": PACKAGE_VERSION,
+        "out_dir": str(out_dir),
+        "created_at": now_iso(),
+    }
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "run_manifest.json"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
 
 
 def load_config(args) -> TrainConfig:
@@ -118,7 +103,7 @@ def build_providers(args, config: TrainConfig, train_samples, labels: LabelSet) 
         if backend == "heuristic":
             providers.cause = HeuristicCauseDetector(load_lexicon(labels=labels))
         elif backend in ("oracle", "fixture"):
-            providers.cause = FileCauseDetector(args.cause_fixture, backend)
+            providers.cause = FileCauseDetector(args.cause_fixture)
         else:
             raise ValueError(f"unknown cause backend {backend!r}")
     if plan.use_knowledge:
@@ -235,12 +220,11 @@ def cmd_build_knowledge(args) -> int:
         return 2
     labels = LabelSet.default()
     data_dir = Path(args.data_dir)
-    train_samples = load_dataset(data_dir / "train.jsonl", labels)
-    splits = [load_dataset(data_dir / f"{name}.jsonl", labels) for name in ("train", "val", "test")]
+    splits = [_load_split(data_dir, name, labels) for name in ("train", "val", "test")]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     args.knowledge_dir = args.knowledge_dir or str(out)
-    providers = build_providers(args, config, train_samples, labels)
+    providers = build_providers(args, config, splits[0], labels)
     commonsense_rows = {}
     built = 0
     failures = 0
@@ -330,6 +314,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    wanted = [m.strip() for m in (args.metrics or "").split(",") if m.strip()]
+    unknown = [m for m in wanted if m not in METRIC_COLUMNS]
+    if unknown:
+        raise ValueError(f"unknown metrics {unknown}; choose from {METRIC_COLUMNS}")
     labels = LabelSet.default()
     vocab, loaded, providers = _load_trained(args, labels)
     config = loaded.config
@@ -360,13 +348,7 @@ def cmd_evaluate(args) -> int:
         out,
     )
     if args.metrics:
-        from .evaluation import METRIC_COLUMNS
-
-        wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
         values = dict(zip(METRIC_COLUMNS, report.row_values()))
-        unknown = [m for m in wanted if m not in values]
-        if unknown:
-            raise ValueError(f"unknown metrics {unknown}; choose from {METRIC_COLUMNS}")
         for name in wanted:
             print(f"{name} {values[name]:.2f}")
     else:
@@ -457,6 +439,8 @@ def cmd_ablate(args) -> int:
 def cmd_chat(args) -> int:
     if not args.interactive:
         # Non-interactive default: read one dialogue JSON and answer once.
+        if args.dialogue is None:
+            raise ValueError("chat needs --dialogue, or --interactive to talk")
         return cmd_generate(args)
     labels = LabelSet.default()
     vocab, loaded, providers = _load_trained(args, labels)

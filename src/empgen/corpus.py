@@ -226,20 +226,12 @@ class Vocab:
     def encode_text(self, text: str) -> list[int]:
         return [self.encode_token(t) for t in tokenize(text)]
 
-    def decode(self, ids: list[int], skip_reserved: bool = True) -> str:
-        words = []
-        for i in ids:
-            if skip_reserved and i < len(RESERVED_TOKENS):
-                continue
-            words.append(self.id_to_token[i])
-        return " ".join(words)
+    def tokens_of(self, ids: list[int]) -> list[str]:
+        """The words of the ids, reserved ids skipped."""
+        return [self.id_to_token[i] for i in ids if i >= len(RESERVED_TOKENS)]
 
-    def tokens_of(self, ids: list[int], skip_reserved: bool = True) -> list[str]:
-        return [
-            self.id_to_token[i]
-            for i in ids
-            if not (skip_reserved and i < len(RESERVED_TOKENS))
-        ]
+    def decode(self, ids: list[int]) -> str:
+        return " ".join(self.tokens_of(ids))
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
@@ -281,18 +273,14 @@ def encode_dialogue(
     Truncation keeps the suffix (most recent turns) but the position-0
     summary token is always retained.
     """
-    ids: list[int] = []
-    for i, utt in enumerate(sample.history):
-        if i > 0:
-            ids.append(SEP_ID)
-        ids.extend(vocab.encode_text(utt.text))
+    ids = encode_cause_ids(sample.history, vocab)
     if len(ids) > max_context_len - 1:
         ids = ids[-(max_context_len - 1) :]
     return [CLS_ID] + ids
 
 
 def encode_cause_ids(utterances: list[Utterance], vocab: Vocab) -> list[int]:
-    """Cause utterances joined by <sep>, no summary prefix."""
+    """Utterances joined by <sep>, no summary prefix."""
     ids: list[int] = []
     for i, utt in enumerate(utterances):
         if i > 0:

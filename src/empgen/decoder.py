@@ -110,8 +110,6 @@ class DecoderStack:
     ):
         from .autodiff import parameter
 
-        self.vocab_size = vocab_size
-        self.d = d
         self.dropout = dropout
         self.token_embedding = (
             token_embedding
@@ -198,7 +196,7 @@ class GeneratedResponse:
     log_probs: list[float]
 
 
-def greedy_decode(step_fn, eos_id: int, max_len: int, bos_id: int = BOS_ID):
+def greedy_decode(step_fn, eos_id: int, max_len: int):
     """Argmax decoding; exact ties resolve to the lowest token id.
 
     ``step_fn(prefixes, parents=None)`` returns next-token log-probs, one
@@ -209,7 +207,7 @@ def greedy_decode(step_fn, eos_id: int, max_len: int, bos_id: int = BOS_ID):
     ids: list[int] = []
     log_probs: list[float] = []
     while len(ids) < max_len:
-        lp = step_fn([[bos_id] + ids])[0]
+        lp = step_fn([[BOS_ID] + ids])[0]
         tok = int(np.argmax(lp))
         ids.append(tok)
         log_probs.append(float(lp[tok]))
@@ -218,7 +216,7 @@ def greedy_decode(step_fn, eos_id: int, max_len: int, bos_id: int = BOS_ID):
     return ids, log_probs
 
 
-def beam_decode(step_fn, k: int, eos_id: int, max_len: int, bos_id: int = BOS_ID):
+def beam_decode(step_fn, k: int, eos_id: int, max_len: int):
     """Beam search over summed log-probs, length-normalized at final selection.
 
     Every step advances all live hypotheses in one ``step_fn(prefixes,
@@ -238,7 +236,7 @@ def beam_decode(step_fn, k: int, eos_id: int, max_len: int, bos_id: int = BOS_ID
     for _ in range(max_len):
         if not live:
             break
-        lp = step_fn([[bos_id, *ids] for ids, _, _ in live], parents)
+        lp = step_fn([[BOS_ID, *ids] for ids, _, _ in live], parents)
         scores = np.array([[score] for _, score, _ in live]) + lp
         ranks, toks = np.indices(lp.shape)
         # Best k by score, ties to the lower token id, then the lower rank.

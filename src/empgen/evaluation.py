@@ -48,10 +48,10 @@ def bleu_n(
     hypotheses: list[list[str]],
     references: list[list[str]],
     max_n: int = 4,
-    epsilon: float = BLEU_EPSILON,
 ) -> float:
     """Corpus-level BLEU: clipped n-gram precision with brevity penalty,
-    geometric mean over orders 1..max_n, zero counts smoothed to epsilon."""
+    geometric mean over orders 1..max_n, zero counts smoothed to
+    ``BLEU_EPSILON``."""
     if len(hypotheses) != len(references):
         raise MetricError("hypothesis/reference count mismatch")
     if not 1 <= max_n <= 4:
@@ -69,7 +69,7 @@ def bleu_n(
             rc = _ngrams(ref, n)
             matches += sum(min(c, rc[g]) for g, c in hc.items())
             total += sum(hc.values())
-        p = matches / total if total > 0 and matches > 0 else epsilon
+        p = matches / total if total > 0 and matches > 0 else BLEU_EPSILON
         log_sum += math.log(p)
     bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
     return bp * math.exp(log_sum / max_n)
@@ -93,12 +93,7 @@ def rouge_n(hypothesis: list[str], reference: list[str], n: int) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def rouge_n_corpus(
-    hypotheses: list[list[str]],
-    references: list[list[str]],
-    n: int,
-    recall_only: bool = False,
-) -> tuple[float, int]:
+def rouge_n_corpus(hypotheses: list[list[str]], references: list[list[str]], n: int) -> tuple[float, int]:
     """Mean sentence-level score; empty references score 0 and are counted."""
     if len(hypotheses) != len(references):
         raise MetricError("hypothesis/reference count mismatch")
@@ -109,13 +104,7 @@ def rouge_n_corpus(
             warnings += 1
             scores.append(0.0)
             continue
-        if recall_only:
-            rc = _ngrams(ref, n)
-            hc = _ngrams(hyp, n)
-            overlap = sum(min(c, rc[g]) for g, c in hc.items())
-            scores.append(overlap / sum(rc.values()))
-        else:
-            scores.append(rouge_n(hyp, ref, n))
+        scores.append(rouge_n(hyp, ref, n))
     return float(np.mean(scores)), warnings
 
 
@@ -209,7 +198,6 @@ def evaluate(
     strategy: str = "greedy",
     beam_size: int = 3,
     row_label: str = "",
-    keep_generations: bool = True,
 ) -> MetricReport:
     """Generate, score, and classify the given split.
 
@@ -261,7 +249,7 @@ def evaluate(
         config_fingerprint=config.fingerprint(),
         empty_reference_warnings=warn1 + warn2,
         row_label=row_label,
-        generations=generations if keep_generations else [],
+        generations=generations,
     )
     return report
 

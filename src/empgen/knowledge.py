@@ -46,7 +46,6 @@ class KnowledgeBundle:
     """One text per commonsense relation, generated from one utterance."""
 
     relations: dict[str, str]
-    source_utterance: str
 
     def __post_init__(self):
         if tuple(self.relations.keys()) != RELATIONS:
@@ -88,8 +87,6 @@ def prompt_cache_key(prompt: str) -> str:
 
 
 class CommonsenseProvider:
-    backend = "base"
-
     def __init__(self):
         self.calls = 0
 
@@ -106,21 +103,17 @@ class CommonsenseProvider:
 class TemplateCommonsenseProvider(CommonsenseProvider):
     """Deterministic relation strings built from the utterance's last content word."""
 
-    backend = "template"
-
     def _generate(self, last_utterance: str) -> KnowledgeBundle:
         from .corpus import tokenize
 
         words = [w for w in tokenize(last_utterance) if w not in _STOPWORDS]
         topic = words[-1] if words else "that"
         relations = {r: f"the speaker {_RELATION_PHRASES[r]} {topic}" for r in RELATIONS}
-        return KnowledgeBundle(relations, last_utterance)
+        return KnowledgeBundle(relations)
 
 
 class FixtureCommonsenseProvider(CommonsenseProvider):
     """Relation texts looked up by the utterance's content hash."""
-
-    backend = "fixture"
 
     def __init__(self, path: str | Path):
         super().__init__()
@@ -135,16 +128,11 @@ class FixtureCommonsenseProvider(CommonsenseProvider):
         if key not in self.table:
             raise FixtureMissError(f"no commonsense fixture for utterance hash {key}")
         relations = {r: self.table[key][r] for r in RELATIONS}
-        return KnowledgeBundle(relations, last_utterance)
+        return KnowledgeBundle(relations)
 
 
 # ----------------------------------------------------------------------
 # analysis prompt + LLM clients
-
-
-def load_prompt_template(path: str | Path | None = None) -> str:
-    with open(path or _TEMPLATE_PATH, "r", encoding="utf-8") as fh:
-        return fh.read()
 
 
 def render_dialogue(history) -> str:
@@ -152,31 +140,21 @@ def render_dialogue(history) -> str:
     return "\n".join(lines)
 
 
-def build_analysis_prompt(
-    sample_or_history,
-    label: EmotionLabel,
-    template: str | None = None,
-) -> str:
+def build_analysis_prompt(sample: DialogueSample, label: EmotionLabel) -> str:
     """Render the three-block prompt: persona, full dialogue, sentiment label.
 
     The template is a versioned asset with {{dialogue}} and {{label}}
     placeholders and is rendered bit-exactly.
     """
-    history = (
-        sample_or_history.history
-        if isinstance(sample_or_history, DialogueSample)
-        else sample_or_history
-    )
-    if not history:
+    if not sample.history:
         raise ValueError("cannot build an analysis prompt for an empty dialogue")
-    template = template if template is not None else load_prompt_template()
-    return template.replace("{{dialogue}}", render_dialogue(history)).replace(
+    template = _TEMPLATE_PATH.read_text(encoding="utf-8")
+    return template.replace("{{dialogue}}", render_dialogue(sample.history)).replace(
         "{{label}}", label.name
     )
 
 
 class LlmClient:
-    backend = "base"
     llm_id = "none"
     deterministic = True
 
@@ -196,7 +174,6 @@ class LlmClient:
 class EchoLlmClient(LlmClient):
     """Offline stub: a digest-tagged paraphrase that names the sentiment."""
 
-    backend = "echo"
     llm_id = "echo-stub"
 
     def _complete(self, prompt: str) -> str:
@@ -220,7 +197,6 @@ class FixtureLlmClient(LlmClient):
     Rows may carry either the prompt itself or a precomputed cache_key.
     """
 
-    backend = "fixture"
     llm_id = "fixture"
 
     def __init__(self, path: str | Path):
@@ -257,7 +233,6 @@ class HttpLlmClient(LlmClient):
     ``config.backoff`` seconds.
     """
 
-    backend = "http"
     deterministic = False
 
     def __init__(self, config: HttpLlmConfig, transport=None, sleep=time.sleep):

@@ -216,7 +216,6 @@ class EmpathyModel:
     ):
         rng = rng if rng is not None else np.random.default_rng(seed)
         self.d = d
-        self.max_analysis_len = max_analysis_len
         max_len = max(max_context_len, max_analysis_len, 512)
         self.context_encoder = EncoderStack(
             rng, vocab_size, d, layers, heads, ffn_mult, dropout, max_len
@@ -240,7 +239,6 @@ class EmpathyModel:
             token_embedding=self.context_encoder.token_embedding,
         )
         self.classifier = ClassifierParams.create(rng, d, num_emotions, classifier_bias)
-        self.share_relation_encoder = share_relation_encoder
 
     def named_parameters(self) -> dict[str, Tensor]:
         """Flat name->tensor map; shared tensors appear exactly once."""

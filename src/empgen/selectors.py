@@ -22,10 +22,10 @@ class FixtureMissError(KeyError):
     """A fixture-backed provider had no entry for the requested key."""
 
 
-def load_lexicon(path: str | Path | None = None, labels: LabelSet | None = None) -> dict[str, list[str]]:
+def load_lexicon(labels: LabelSet | None = None) -> dict[str, list[str]]:
     """word -> emotion names; every name must exist in the label set."""
     labels = labels or LabelSet.default()
-    with open(path or _LEXICON_PATH, "r", encoding="utf-8") as fh:
+    with open(_LEXICON_PATH, "r", encoding="utf-8") as fh:
         lexicon = json.load(fh)
     for word, names in lexicon.items():
         for name in names:
@@ -46,8 +46,6 @@ def majority_label(samples: list[DialogueSample], labels: LabelSet) -> EmotionLa
 class SentimentPredictor:
     """Dialogue-level sentiment label provider."""
 
-    backend = "base"
-
     def __init__(self):
         self.calls = 0
 
@@ -62,8 +60,6 @@ class SentimentPredictor:
 
 
 class OracleSentimentPredictor(SentimentPredictor):
-    backend = "oracle"
-
     def _predict(self, sample: DialogueSample) -> EmotionLabel:
         return sample.gold_emotion
 
@@ -74,8 +70,6 @@ class LexiconSentimentPredictor(SentimentPredictor):
     Zero votes fall back to the corpus-majority label supplied at
     construction time.
     """
-
-    backend = "lexicon"
 
     def __init__(self, lexicon: dict[str, list[str]], labels: LabelSet, fallback: EmotionLabel):
         super().__init__()
@@ -96,8 +90,6 @@ class LexiconSentimentPredictor(SentimentPredictor):
 
 
 class FixtureSentimentPredictor(SentimentPredictor):
-    backend = "fixture"
-
     def __init__(self, path: str | Path, labels: LabelSet):
         super().__init__()
         self.labels = labels
@@ -117,8 +109,6 @@ class CauseDetector:
     is returned.
     """
 
-    backend = "base"
-
     def __init__(self):
         self.calls = 0
 
@@ -135,8 +125,6 @@ class CauseDetector:
 
 class HeuristicCauseDetector(CauseDetector):
     """Keeps utterances containing at least one lexicon word of the target."""
-
-    backend = "heuristic"
 
     def __init__(self, lexicon: dict[str, list[str]]):
         super().__init__()
@@ -160,9 +148,8 @@ class FileCauseDetector(CauseDetector):
     alongside the corpus.
     """
 
-    def __init__(self, path: str | Path, backend: str = "fixture"):
+    def __init__(self, path: str | Path):
         super().__init__()
-        self.backend = backend
         self.table = {rec["id"]: rec["cause_turn_indices"] for rec in read_jsonl(path)}
 
     def _detect(self, sample: DialogueSample, target: EmotionLabel) -> list[Utterance]:

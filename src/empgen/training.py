@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .corpus import Vocab
 from .model import PLANS, AblationPlan, EmpathyModel, PreparedSample, Providers, padded_rows, prepare_samples
 from .util import canonical_json, sha256_hex
@@ -423,7 +423,8 @@ def grad_check(
     params = model.named_parameters()
 
     def loss_value() -> float:
-        fwd = model.forward_batch(preps, plan)
+        with no_grad():  # the probes need no tape
+            fwd = model.forward_batch(preps, plan)
         return float(fwd.nll_sum.data.sum() / fwd.token_count + fwd.emo_nll.data.sum())
 
     model.zero_grad()

@@ -283,7 +283,7 @@ def test_criterion_structural_fidelity(tmp_path):
                 " ".join(f"w{int(i)}" for i in rng.integers(0, 8, int(rng.integers(1, 7))))
                 for _ in range(5)
             ]
-            bundle = KnowledgeBundle(dict(zip(RELATIONS, texts)), "src")
+            bundle = KnowledgeBundle(dict(zip(RELATIONS, texts)))
             token_lists = relation_token_ids(bundle, vocab)
             stack = EncoderStack(rng, len(vocab), 4, 1, 2, ffn_mult=2, dropout=0.0)
             total = sum(len(ids) for ids in token_lists)

@@ -385,3 +385,27 @@ def test_interactive_chat_decodes_like_generate(workspace, tmp_path, capsys, mon
     beam = generated("--strategy", "beam", "--beam-size", "2")
     assert replies == [f"bot> {beam}"]
     assert beam != generated("--strategy", "greedy")  # the flags reached the decoder
+
+
+def test_chat_without_dialogue_is_refused_before_loading(workspace, tmp_path, capsys):
+    # The checkpoint does not exist: loading it first would report that instead.
+    args = ["chat", "--checkpoint", str(tmp_path / "missing.npz"), "--data-dir", str(workspace / "data")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "--dialogue" in err and "not found" not in err
+
+
+def test_evaluate_refuses_unknown_metrics_before_running(workspace, tmp_path, capsys):
+    from empgen.corpus import Vocab
+    from empgen.training import TrainConfig, save_checkpoint
+
+    data = workspace / "data"
+    vocab = Vocab.load(data / "vocab.json")
+    config = TrainConfig(seed=3, d=16, layers=1, heads=2, ffn_mult=2)
+    checkpoint = tmp_path / "checkpoint.npz"
+    save_checkpoint(checkpoint, config.build_model(len(vocab)), config, vocab)
+    out = tmp_path / "eval"
+    args = ["evaluate", "--checkpoint", str(checkpoint), "--data-dir", str(data), "--out", str(out)]
+    assert main([*args, "--metrics", "PPL,B-5"]) == 1
+    assert "'B-5'" in capsys.readouterr().err
+    assert not (out / "report.json").exists() and not (out / "run_manifest.json").exists()

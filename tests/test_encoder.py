@@ -184,7 +184,7 @@ def test_fusion_init_range():
 
 def make_bundle(texts=None):
     texts = texts or [f"tok{i} tok{i} tok{i}" for i in range(5)]
-    return KnowledgeBundle(dict(zip(RELATIONS, texts)), "src")
+    return KnowledgeBundle(dict(zip(RELATIONS, texts)))
 
 
 def test_relations_total_rows():

@@ -75,7 +75,7 @@ def test_selector_fixture_file(tmp_path, labels):
 
     sample = parse_sample(records[0], labels)
     predictor = FixtureSentimentPredictor(path, labels)
-    detector = FileCauseDetector(path, backend="oracle")
+    detector = FileCauseDetector(path)
     assert predictor.predict(sample).name == records[0]["emotion"]
     assert detector.detect(sample, sample.gold_emotion)
 

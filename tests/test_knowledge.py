@@ -3,6 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from empgen.corpus import DialogueSample
 from empgen.fixtures import GOLDEN_PROMPT_PATH, case_sample
 from empgen.knowledge import (
     RELATIONS,
@@ -61,7 +62,7 @@ def test_prompt_contains_three_blocks(labels):
 
 def test_prompt_empty_history_errors(labels):
     with pytest.raises(ValueError, match="empty"):
-        build_analysis_prompt([], labels.get("sad"))
+        build_analysis_prompt(DialogueSample("empty", (), labels.get("sad"), ""), labels.get("sad"))
 
 
 def test_prompt_injective_on_label(labels):

@@ -98,7 +98,7 @@ def test_file_cause_detector_exact_spans(tmp_path, labels):
         tmp_path / "c.jsonl",
         [{"id": "s0", "e_ano": "lonely", "cause_turn_indices": [2, 0]}],
     )
-    detector = FileCauseDetector(tmp_path / "c.jsonl", backend="oracle")
+    detector = FileCauseDetector(tmp_path / "c.jsonl")
     sample = sample_from(["one", "two", "three"], labels, sid="s0")
     picked = detector.detect(sample, labels.get("lonely"))
     assert [u.turn_index for u in picked] == [0, 2]  # order preserved
