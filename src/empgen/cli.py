@@ -73,6 +73,8 @@ def load_config(args) -> TrainConfig:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if "min_freq" in data:
+            raise ValueError("min_freq is not a training setting: set it with prepare-data --min-freq")
     # Flags override the file before the config checks its values.
     for name in ("seed", "ablation", "epochs"):
         if getattr(args, name, None) is not None:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import canonical_json
+from .util import canonical_json, read_asset
 
 PAD, BOS, EOS, UNK, SEP, CLS = "<pad>", "<bos>", "<eos>", "<unk>", "<sep>", "<cls>"
 RESERVED_TOKENS = [PAD, BOS, EOS, UNK, SEP, CLS]
@@ -24,8 +24,6 @@ PAD_ID, BOS_ID, EOS_ID, UNK_ID, SEP_ID, CLS_ID = range(6)
 DEFAULT_MAX_CONTEXT_LEN = 256
 
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
-
-_LABELS_PATH = Path(__file__).parent / "assets" / "labels_32.json"
 
 
 class DatasetError(ValueError):
@@ -72,8 +70,7 @@ class LabelSet:
 
     @classmethod
     def default(cls) -> "LabelSet":
-        with open(_LABELS_PATH, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh))
+        return cls(json.loads(read_asset("labels_32.json")))
 
 
 @dataclass(frozen=True)

@@ -238,9 +238,13 @@ def beam_decode(step_fn, k: int, eos_id: int, max_len: int):
             break
         lp = step_fn([[BOS_ID, *ids] for ids, _, _ in live], parents)
         scores = np.array([[score] for _, score, _ in live]) + lp
-        ranks, toks = np.indices(lp.shape)
-        # Best k by score, ties to the lower token id, then the lower rank.
-        order = np.lexsort((ranks.ravel(), toks.ravel(), -scores.ravel()))[:k]
+        # Best k by score, ties to the lower token id, then the lower rank;
+        # only candidates no worse than the k-th best score can be picked.
+        neg = -scores.ravel()
+        last = min(k, neg.size) - 1
+        cand = np.flatnonzero(~(neg > np.partition(neg, last)[last]))  # NaN kept, last, as in a full sort
+        ranks, toks = np.divmod(cand, lp.shape[1])
+        order = cand[np.lexsort((ranks, toks, neg[cand]))][:k]
         previous, parents, live = live, [], []
         for i in order:
             rank, tok = divmod(int(i), lp.shape[1])

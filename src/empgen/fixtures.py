@@ -12,10 +12,8 @@ import numpy as np
 from .corpus import LabelSet, parse_sample
 from .knowledge import EchoLlmClient, TemplateCommonsenseProvider, build_analysis_prompt
 from .selectors import load_lexicon
-from .util import write_jsonl
+from .util import ASSETS_DIR, read_asset, write_jsonl
 
-ASSETS_DIR = Path(__file__).parent / "assets"
-CASE_FIXTURE_PATH = ASSETS_DIR / "case_grateful.json"
 GOLDEN_PROMPT_PATH = ASSETS_DIR / "golden" / "analysis_prompt_case_grateful.txt"
 
 _EVENTS = [
@@ -187,8 +185,7 @@ def write_knowledge_fixtures(
 
 def load_case_fixture() -> dict:
     """The authored grateful-dialogue case with its analysis paragraph."""
-    with open(CASE_FIXTURE_PATH, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return json.loads(read_asset("case_grateful.json"))
 
 
 def case_sample(labels: LabelSet | None = None):

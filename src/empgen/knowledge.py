@@ -8,23 +8,19 @@ from __future__ import annotations
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import DialogueSample, EmotionLabel
 from .selectors import FixtureMissError
-from .util import now_iso, read_jsonl, sha256_hex
+from .util import now_iso, read_asset, read_jsonl, sha256_hex
 
 RELATIONS = ("xIntent", "xEffect", "xWant", "xReact", "xNeed")
 
 # Deterministic backends stamp records with a fixed instant so knowledge
 # caches are byte-identical across machines and reruns.
 FIXED_TIMESTAMP = "1970-01-01T00:00:00+00:00"
-
-_TEMPLATE_PATH = Path(__file__).parent / "assets" / "analysis_prompt_template.txt"
 
 _RELATION_PHRASES = {
     "xIntent": "intends to talk about",
@@ -148,7 +144,7 @@ def build_analysis_prompt(sample: DialogueSample, label: EmotionLabel) -> str:
     """
     if not sample.history:
         raise ValueError("cannot build an analysis prompt for an empty dialogue")
-    template = _TEMPLATE_PATH.read_text(encoding="utf-8")
+    template = read_asset("analysis_prompt_template.txt")
     return template.replace("{{dialogue}}", render_dialogue(sample.history)).replace(
         "{{label}}", label.name
     )
@@ -229,8 +225,9 @@ class HttpLlmClient(LlmClient):
     """Chat-completions style HTTP backend; only ever hit through the cache.
 
     A custom transport callable can be injected for tests; the default
-    posts JSON with urllib. Retries use exponential backoff starting at
-    ``config.backoff`` seconds.
+    posts JSON with urllib, which it imports on its first post, so only
+    a process that posts loads the HTTP stack. Retries use exponential
+    backoff starting at ``config.backoff`` seconds.
     """
 
     deterministic = False
@@ -244,6 +241,7 @@ class HttpLlmClient(LlmClient):
 
     def _http_post(self, payload: dict) -> dict:
         import os
+        import urllib.request
 
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.config.auth_env)
@@ -269,7 +267,7 @@ class HttpLlmClient(LlmClient):
             try:
                 body = self._transport(payload)
                 return body["choices"][0]["message"]["content"]
-            except (urllib.error.URLError, OSError, KeyError, ValueError) as exc:
+            except (OSError, KeyError, ValueError) as exc:
                 last_error = exc
                 if attempt + 1 < self.config.retries:
                     self._sleep(self.config.backoff * (2**attempt))

@@ -136,6 +136,8 @@ def prepare_sample(
     if plan.use_fusion:
         cause_utts = providers.cause.detect(sample, label)
         prep.cause_ids = encode_cause_ids(cause_utts, vocab)
+        if not prep.cause_ids:
+            raise ValueError(f"sample {sample.id!r}: cause holds no word token to encode")
     if plan.use_knowledge:
         bundle = providers.commonsense.generate(sample.last_utterance.text)
         prep.relation_ids = relation_token_ids(bundle, vocab)

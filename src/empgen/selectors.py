@@ -13,9 +13,7 @@ import json
 from pathlib import Path
 
 from .corpus import DialogueSample, EmotionLabel, LabelSet, Utterance, tokenize
-from .util import read_jsonl
-
-_LEXICON_PATH = Path(__file__).parent / "assets" / "emotion_lexicon.json"
+from .util import read_asset, read_jsonl
 
 
 class FixtureMissError(KeyError):
@@ -25,8 +23,7 @@ class FixtureMissError(KeyError):
 def load_lexicon(labels: LabelSet | None = None) -> dict[str, list[str]]:
     """word -> emotion names; every name must exist in the label set."""
     labels = labels or LabelSet.default()
-    with open(_LEXICON_PATH, "r", encoding="utf-8") as fh:
-        lexicon = json.load(fh)
+    lexicon = json.loads(read_asset("emotion_lexicon.json"))
     for word, names in lexicon.items():
         for name in names:
             if name not in labels:

@@ -55,7 +55,6 @@ class TrainConfig:
     max_context_len: int = 256
     max_analysis_len: int = 128
     max_gen_len: int = 32
-    min_freq: int = 1
     num_emotions: int = 32
     share_relation_encoder: bool = False
     classifier_bias: bool = True
@@ -85,6 +84,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
+        data = {k: v for k, v in data.items() if k != "min_freq"}  # in old checkpoints; it never acted
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:

@@ -1,11 +1,14 @@
-"""Shared small helpers: canonical JSON, hashing, JSONL IO."""
+"""Shared small helpers: canonical JSON, hashing, JSONL and asset IO."""
 
 from __future__ import annotations
 
 import datetime
+import functools
 import hashlib
 import json
 from pathlib import Path
+
+ASSETS_DIR = Path(__file__).parent / "assets"
 
 
 def canonical_json(obj) -> str:
@@ -21,6 +24,13 @@ def sha256_hex(data: str | bytes) -> str:
 
 def now_iso() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+
+
+@functools.cache
+def read_asset(name: str) -> str:
+    """The text of a packaged asset, read once per process. Callers parse
+    their own copy, so an edit to one result never reaches the next."""
+    return (ASSETS_DIR / name).read_text(encoding="utf-8")
 
 
 def read_jsonl(path: str | Path) -> list[dict]:

@@ -79,6 +79,15 @@ def test_train_flags_are_checked_like_the_config_file(workspace, tmp_path, capsy
     assert not run.exists()
 
 
+def test_config_file_setting_min_freq_is_refused(workspace, tmp_path, capsys):
+    run = tmp_path / "run"
+    config = fast_config(tmp_path, min_freq=2)
+    assert main(["train", "--data-dir", str(workspace / "data"), "--out", str(run), "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "min_freq" in err and "prepare-data --min-freq" in err
+    assert not run.exists()
+
+
 def test_debug_flag_prints_the_traceback(tmp_path, capsys):
     args = ["prepare-data", "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")]
     assert main(args) == 1

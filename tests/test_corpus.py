@@ -7,6 +7,7 @@ from empgen.corpus import (
     SEP_ID,
     UNK_ID,
     DatasetError,
+    LabelSet,
     Vocab,
     build_vocab,
     encode_dialogue,
@@ -31,6 +32,15 @@ def test_label_set_bijective(labels):
     for i, name in enumerate(labels.names):
         assert labels.get(name).index == i
         assert labels.by_index(i).name == name
+
+
+def test_default_label_sets_are_equal_and_independent():
+    first, second = LabelSet.default(), LabelSet.default()
+    assert first is not second and first.names == second.names
+    first.names.append("edited")
+    first._index["edited"] = 32
+    third = LabelSet.default()
+    assert third.names == second.names and "edited" not in third
 
 
 def test_load_valid_record(tmp_path, labels):

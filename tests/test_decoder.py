@@ -236,6 +236,32 @@ def test_beam_stops_at_eos():
     assert ids == [1, 2]
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_beam_picks_equal_the_full_three_key_sort_under_ties(k):
+    # Whole-number log-probs make many candidates tie at the k-th best
+    # score, across parents too. Eos is out of reach, so every pick is a
+    # prefix of the next step.
+    vocab, rng, rows, calls = 6, np.random.default_rng(k), {}, []
+
+    def step(prefixes, parents):
+        lp = np.stack([rows.setdefault(tuple(p), rng.integers(-3, 0, vocab).astype(float)) for p in prefixes])
+        calls.append((prefixes, parents, lp))
+        return lp
+
+    beam_decode(step, k, eos_id=vocab + 1, max_len=5)
+    scores, tied = np.zeros(1), False
+    for (prefixes, _, lp), (picked, parents, _) in zip(calls, calls[1:]):
+        total = (scores[:, None] + lp).ravel()
+        ranks, toks = np.divmod(np.arange(total.size), vocab)
+        order = np.lexsort((ranks, toks, -total))
+        assert parents == [int(r) for r in ranks[order[:k]]]
+        assert picked == [prefixes[r] + [t] for r, t in zip(ranks[order[:k]], toks[order[:k]])]
+        scores = total[order[:k]]
+        at_kth = ranks[total == scores[-1]]
+        tied |= len(at_kth) > 1 and (len(prefixes) == 1 or len(set(at_kth)) > 1)
+    assert tied  # at the k-th score, and across parents once there are several
+
+
 def test_decode_rejects_nonpositive_max_len():
     step = rigged_step({}, 4)
     with pytest.raises(ValueError, match="max_len"):

@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
+
+import empgen
 
 from empgen.corpus import DialogueSample
 from empgen.fixtures import GOLDEN_PROMPT_PATH, case_sample
@@ -169,6 +176,50 @@ def test_http_client_fails_with_cache_key():
     key = prompt_cache_key("prompt body")
     with pytest.raises(LlmError, match=key):
         client.complete("prompt body")
+
+
+def test_default_transport_posts_the_json_body_with_the_bearer_token(monkeypatch):
+    sent = []
+
+    class Reply:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def read(self):
+            return json.dumps({"choices": [{"message": {"content": "analysis text"}}]}).encode("utf-8")
+
+    def urlopen(request, timeout):
+        sent.append((request, timeout))
+        return Reply()
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    monkeypatch.setenv("EMPGEN_LLM_TOKEN", "secret")
+    client = HttpLlmClient(HttpLlmConfig("http://llm.test/v1/chat", "test-model", timeout=7.0))
+    assert client.complete("Sentiment label: sad") == "analysis text"
+    [(request, timeout)] = sent
+    assert (request.full_url, request.get_method(), timeout) == ("http://llm.test/v1/chat", "POST", 7.0)
+    assert request.get_header("Authorization") == "Bearer secret"
+    assert request.get_header("Content-type") == "application/json"
+    assert json.loads(request.data) == {
+        "model": "test-model",
+        "messages": [{"role": "user", "content": "Sentiment label: sad"}],
+        "temperature": 0.8,
+        "top_p": 0.95,
+    }
+
+
+def test_importing_the_program_loads_no_http_stack():
+    code = (
+        "import sys; before = set(sys.modules); import empgen.cli, empgen.evaluation; "
+        "print(sorted({'urllib.request', 'http.client', 'ssl'} & (set(sys.modules) - before)))"
+    )
+    src = str(Path(empgen.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_bundle_relation_property(rng):

@@ -1,13 +1,17 @@
 """Property tests over random small samples: a padded mix of samples
-computes what each sample computes alone, and its gradients pass the
-central-difference check."""
+computes what each sample computes alone, its gradients pass the
+central-difference check, and any well-formed dialogue either runs
+end to end or is refused by name."""
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from empgen.corpus import CLS_ID
-from empgen.model import PLANS, PreparedSample, padded_rows
+from empgen.corpus import CLS_ID, LabelSet, build_vocab, parse_sample
+from empgen.fixtures import generate_mini_corpus
+from empgen.knowledge import AnalysisCache, EchoLlmClient, TemplateCommonsenseProvider
+from empgen.model import PLANS, PreparedSample, Providers, padded_rows, prepare_sample, prepare_samples
+from empgen.selectors import HeuristicCauseDetector, OracleSentimentPredictor, load_lexicon
 from empgen.training import TrainConfig, grad_check
 
 VOCAB = 24
@@ -68,3 +72,76 @@ def test_any_padded_mix_equals_each_sample_alone(preps, plan):
 def test_grad_check_passes_on_a_drawn_mix(preps):
     report = grad_check(CONFIG, preps=preps)
     assert report.passed, report.summary()
+
+
+# ----------------------------------------------------------------------
+# arbitrary dialogues
+
+LABEL_SET = LabelSet.default()
+LEXICON = load_lexicon(LABEL_SET)
+CORPUS = [parse_sample(r, LABEL_SET) for r in generate_mini_corpus(seed=7, size=32)]
+DIALOGUE_VOCAB = build_vocab(CORPUS)
+DIALOGUE_MODEL = TrainConfig(seed=3, d=16, layers=1, heads=2, ffn_mult=2, dropout=0.0).build_model(len(DIALOGUE_VOCAB))
+
+
+def dialogue_providers():
+    return Providers(
+        sentiment=OracleSentimentPredictor(),
+        cause=HeuristicCauseDetector(LEXICON),
+        commonsense=TemplateCommonsenseProvider(),
+        llm=EchoLlmClient(),
+        analysis_cache=AnalysisCache(),
+    )
+
+
+ORDINARY = {name: prepare_samples(CORPUS[:3], DIALOGUE_VOCAB, dialogue_providers(), plan) for name, plan in PLANS.items()}
+
+# Known words, lexicon words, unknown words and turns of punctuation alone;
+# a long turn passes the 256-token context cap, and one past 512 tokens
+# passes the model's position table.
+WORDS = st.sampled_from([*DIALOGUE_VOCAB.id_to_token[6:40], *sorted(LEXICON)[:20], "zyzzyva", "blorft"])
+PUNCTUATION = st.sampled_from(["¡¿…!", "?!", "...", "—"])
+SHORT = st.lists(st.one_of(WORDS, PUNCTUATION), min_size=1, max_size=8).map(" ".join)
+LONG = st.tuples(WORDS, st.integers(200, 540)).map(lambda wn: " ".join([wn[0]] * wn[1]))
+TURN = st.one_of(SHORT, PUNCTUATION, LONG)
+
+
+@st.composite
+def dialogue_record(draw):
+    count = draw(st.sampled_from([1, 3, 5, 7, 9]))
+    turns = draw(st.lists(TURN, min_size=count, max_size=count))
+    return {
+        "id": "drawn",
+        "history": [{"role": ("speaker", "listener")[i % 2], "text": t} for i, t in enumerate(turns)],
+        "emotion": draw(st.sampled_from(LABEL_SET.names)),
+        "response": draw(TURN),
+    }
+
+
+def one_turn(text):
+    return {"id": "drawn", "history": [{"role": "speaker", "text": text}], "emotion": "lonely", "response": "ok"}
+
+
+@settings(PROPERTY, max_examples=20)
+@given(record=dialogue_record(), mates=st.integers(1, 3), at=st.integers(0, 3))
+@example(record=one_turn("¡¿…!"), mates=1, at=0)  # a cause span with no word token
+@example(record=one_turn(" ".join(["alone"] * 520)), mates=2, at=1)  # a cause past the position table
+def test_any_dialogue_runs_end_to_end_or_is_refused_by_name(record, mates, at):
+    sample = parse_sample(record, LABEL_SET)
+    for plan in PLANS.values():
+        try:
+            prep = prepare_sample(sample, DIALOGUE_VOCAB, dialogue_providers(), plan)
+            mix = ORDINARY[plan.name][:mates]
+            mix.insert(at, prep)
+            batch = DIALOGUE_MODEL.forward_batch(mix, plan)
+            replies = [
+                DIALOGUE_MODEL.generate_response(prep, plan, DIALOGUE_VOCAB, strategy, beam_size=2, max_gen_len=6)
+                for strategy in ("greedy", "beam")
+            ]
+        except ValueError as exc:
+            assert "sample 'drawn'" in str(exc), (plan.name, exc)
+            continue
+        assert np.isfinite(batch.nll_sum.data).all() and np.isfinite(batch.emo_nll.data).all()
+        assert all(np.isfinite(nll).all() for nll in batch.per_token_nll)
+        for reply in replies:
+            assert reply.ids and all(0 <= i < len(DIALOGUE_VOCAB) for i in reply.ids)

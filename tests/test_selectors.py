@@ -1,6 +1,6 @@
 import pytest
 
-from empgen.corpus import parse_sample
+from empgen.corpus import LabelSet, parse_sample
 from empgen.selectors import (
     FileCauseDetector,
     FixtureMissError,
@@ -127,3 +127,20 @@ def test_lexicon_asset_validates(labels):
     lexicon = load_lexicon(labels=labels)
     covered = {name for names in lexicon.values() for name in names}
     assert covered == set(labels.names)
+
+
+def test_lexicons_are_equal_and_independent(labels):
+    first = load_lexicon(labels)
+    assert load_lexicon(labels) == first
+    word = next(iter(first))
+    first[word].append("edited")
+    first["edited"] = ["joyful"]
+    second = load_lexicon(labels)
+    assert "edited" not in second and "edited" not in second[word]
+
+
+def test_lexicon_is_checked_against_the_labels_given_on_every_call(labels):
+    load_lexicon(labels)
+    fewer = LabelSet([name for name in labels.names if name != "lonely"])
+    with pytest.raises(ValueError, match="unknown emotion 'lonely'"):
+        load_lexicon(fewer)

@@ -300,6 +300,19 @@ def test_checkpoint_without_fingerprint_loads_with_a_warning(tmp_path, mini_voca
     assert loaded.vocab_size == len(mini_vocab)
 
 
+def test_checkpoint_whose_config_holds_min_freq_loads(tmp_path, mini_vocab):
+    config = tiny_config()
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, config.build_model(len(mini_vocab)), config, mini_vocab)
+    with np.load(path, allow_pickle=False) as archive:
+        data = dict(archive)
+    meta = json.loads(str(data["meta"]))
+    meta["config"]["min_freq"] = 1  # as every checkpoint saved before the field went
+    data["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **data)
+    assert load_checkpoint(path, mini_vocab).config == config
+
+
 def test_checkpoint_write_is_atomic(tmp_path, mini_vocab, monkeypatch):
     config = tiny_config()
     model = config.build_model(len(mini_vocab))
@@ -624,6 +637,16 @@ def test_overlong_target_fails_the_step_by_sample_id(mini_samples, mini_vocab, l
     samples = mini_samples[:3] + [long_reply]
     with pytest.raises(ValueError, match=rf"sample '{long_reply.id}': target of 601 tokens .* 512 positions"):
         train(tiny_config(epochs=1), samples, mini_vocab, fresh_providers(lexicon))
+
+
+def test_cause_without_word_tokens_fails_before_the_first_step(mini_samples, mini_vocab, lexicon):
+    from dataclasses import replace
+
+    from empgen.corpus import Utterance
+
+    mute = replace(mini_samples[2], id="mute", history=(Utterance("speaker", "¡¿…!", 0),))
+    with pytest.raises(ValueError, match=r"sample 'mute': cause holds no word token"):
+        train(tiny_config(epochs=1), [*mini_samples[:2], mute], mini_vocab, fresh_providers(lexicon))
 
 
 # ----------------------------------------------------------------------
