@@ -17,10 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures
-from .autodiff import no_grad
 from .corpus import LabelSet, Vocab, build_vocab, load_dataset, parse_sample, sample_to_record, split_dataset
-from .decoder import generate
-from .emotion import classify_emotion
 from .evaluation import METRIC_COLUMNS, evaluate, format_table, write_report
 from .knowledge import (
     AnalysisCache,
@@ -359,9 +356,8 @@ def cmd_evaluate(args) -> int:
 
 
 def _reply(record: dict, args, vocab: Vocab, loaded, providers: Providers, labels: LabelSet):
-    """The reply to one dialogue record and its predicted emotion, from one
-    encoding of the sample, decoded with ``args.strategy`` and
-    ``args.beam_size``."""
+    """The reply to one dialogue record and its predicted emotion, decoded
+    with ``args.strategy`` and ``args.beam_size``."""
     config, model = loaded.config, loaded.model
     record = {"id": "adhoc", "emotion": labels.names[0], "response": "placeholder", **record}
     plan = PLANS[config.ablation]
@@ -369,11 +365,8 @@ def _reply(record: dict, args, vocab: Vocab, loaded, providers: Providers, label
     prep = prepare_sample(
         parse_sample(record, labels), vocab, providers, plan, config.max_context_len, config.max_analysis_len
     )
-    with no_grad():
-        memory, feature = model.encode_batch([prep], plan)
-        response = generate(memory, model.decoder, vocab, args.strategy, args.beam_size, config.max_gen_len)
-        probs = classify_emotion(feature, model.classifier)[0]
-    return response, labels.by_index(int(np.argmax(probs))).name
+    [reply] = model.respond([prep], plan, vocab, args.strategy, args.beam_size, config.max_gen_len)
+    return reply.response, labels.by_index(int(np.argmax(reply.emotion_probs))).name
 
 
 def cmd_generate(args) -> int:

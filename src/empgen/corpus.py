@@ -271,9 +271,7 @@ def encode_dialogue(
     summary token is always retained.
     """
     ids = encode_cause_ids(sample.history, vocab)
-    if len(ids) > max_context_len - 1:
-        ids = ids[-(max_context_len - 1) :]
-    return [CLS_ID] + ids
+    return [CLS_ID] + ids[max(len(ids) - (max_context_len - 1), 0) :]
 
 
 def encode_cause_ids(utterances: list[Utterance], vocab: Vocab) -> list[int]:

@@ -3,37 +3,10 @@ fusion, softmax classifier, and cross-entropy loss."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .autodiff import Tensor, concat, linear, log_softmax, parameter, slice_rows, softmax, take_per_row
-from .layers import xavier_uniform
-
-
-@dataclass
-class ClassifierParams:
-    """Linear map from the 3d fused feature to the label logits."""
-
-    weight: Tensor  # (3d, q)
-    bias: Tensor | None
-
-    @classmethod
-    def create(cls, rng: np.random.Generator, d: int, num_labels: int, bias: bool = True) -> "ClassifierParams":
-        return cls(
-            weight=parameter(xavier_uniform(rng, 3 * d, num_labels)),
-            bias=parameter(np.zeros(num_labels)) if bias else None,
-        )
-
-    @property
-    def num_labels(self) -> int:
-        return self.weight.shape[1]
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = {"weight": self.weight}
-        if self.bias is not None:
-            out["bias"] = self.bias
-        return out
+from .autodiff import Tensor, concat, log_softmax, slice_rows, softmax, take_per_row
+from .layers import Linear
 
 
 def pool_knowledge(knowledge_rep: Tensor, lengths: np.ndarray) -> Tensor:
@@ -73,27 +46,28 @@ def fuse_features(
     return concat(parts, axis=1)
 
 
-def emotion_logits(feature: Tensor, params: ClassifierParams) -> Tensor:
+def emotion_logits(feature: Tensor, params: Linear) -> Tensor:
     if feature.shape[1] != params.weight.shape[0]:
         raise ValueError(
             f"feature width {feature.shape[1]} does not match classifier "
             f"input {params.weight.shape[0]}"
         )
-    return linear(feature, params.weight, params.bias)
+    return params(feature)
 
 
-def classify_emotion(feature: Tensor, params: ClassifierParams) -> np.ndarray:
+def classify_emotion(feature: Tensor, params: Linear) -> np.ndarray:
     """Probabilities over the labels, one row per feature row (B, labels);
     the argmax of a row is its prediction."""
     return softmax(emotion_logits(feature, params), axis=-1).data
 
 
-def emotion_nll(feature: Tensor, params: ClassifierParams, target_indices) -> Tensor:
+def emotion_nll(feature: Tensor, params: Linear, target_indices) -> Tensor:
     """Differentiable cross-entropy computed in the log domain: a (B,) node,
     one value per feature row and its label index."""
     targets = np.asarray(target_indices, dtype=np.int64)
+    num_labels = params.weight.shape[1]
     for t in targets:
-        if t < 0 or t >= params.num_labels:
-            raise IndexError(f"label index {t} out of range for {params.num_labels} labels")
+        if t < 0 or t >= num_labels:
+            raise IndexError(f"label index {t} out of range for {num_labels} labels")
     logp = log_softmax(emotion_logits(feature, params), axis=-1)
     return -take_per_row(logp, targets).reshape(len(targets))

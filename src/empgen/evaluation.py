@@ -16,10 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import no_grad
 from .corpus import DialogueSample, Vocab, tokenize
-from .decoder import generate
-from .emotion import classify_emotion
 from .model import PLANS, EmpathyModel, Providers, prepare_samples
 from .training import TrainConfig
 
@@ -208,37 +205,25 @@ def evaluate(
     prepared = prepare_samples(
         samples, vocab, providers, plan, config.max_context_len, config.max_analysis_len
     )
-    per_token: list[float] = []
-    hyps: list[list[str]] = []
-    refs: list[list[str]] = []
-    predicted: list[int] = []
-    gold: list[int] = []
-    generations: list[dict] = []
-    for sample, prep in zip(samples, prepared):
-        with no_grad():  # one encoding serves the NLL, the reply and the emotion
-            fwd = model.forward_sample(prep, plan)
-            response = generate(fwd.memory, model.decoder, vocab, strategy, beam_size, config.max_gen_len)
-            probs = classify_emotion(fwd.feature, model.classifier)[0]
-        per_token.extend(fwd.per_token_nll.tolist())
-        hyp_tokens = vocab.tokens_of(response.ids)
-        ref_tokens = tokenize(sample.gold_response)
-        hyps.append(hyp_tokens)
-        refs.append(ref_tokens)
-        predicted.append(int(np.argmax(probs)))
-        gold.append(prep.emotion_index)
-        generations.append(
-            {
-                "id": sample.id,
-                "response": response.text,
-                "reference": sample.gold_response,
-                "predicted_emotion": int(np.argmax(probs)),
-                "gold_emotion": prep.emotion_index,
-            }
-        )
+    replies = model.respond(prepared, plan, vocab, strategy, beam_size, config.max_gen_len)
+    hyps = [vocab.tokens_of(reply.response.ids) for reply in replies]
+    refs = [tokenize(sample.gold_response) for sample in samples]
+    predicted = [int(np.argmax(reply.emotion_probs)) for reply in replies]
+    gold = [prep.emotion_index for prep in prepared]
+    generations = [
+        {
+            "id": sample.id,
+            "response": reply.response.text,
+            "reference": sample.gold_response,
+            "predicted_emotion": label,
+            "gold_emotion": prep.emotion_index,
+        }
+        for sample, prep, reply, label in zip(samples, prepared, replies, predicted)
+    ]
     rouge1, warn1 = rouge_n_corpus(hyps, refs, 1)
     rouge2, warn2 = rouge_n_corpus(hyps, refs, 2)
-    report = MetricReport(
-        ppl=perplexity(per_token),
+    return MetricReport(
+        ppl=perplexity(nll for reply in replies for nll in reply.per_token_nll),
         bleu=[bleu_n(hyps, refs, n) for n in (1, 2, 3, 4)],
         rouge1=rouge1,
         rouge2=rouge2,
@@ -251,7 +236,6 @@ def evaluate(
         row_label=row_label,
         generations=generations,
     )
-    return report
 
 
 def write_report(report: MetricReport, out_dir: str | Path) -> Path:

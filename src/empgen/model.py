@@ -26,8 +26,8 @@ from .corpus import (
     encode_dialogue,
     encode_response_ids,
 )
-from .decoder import DecoderMemory, DecoderStack, assemble_memory, generate, nll_loss
-from .emotion import ClassifierParams, classify_emotion, emotion_nll, fuse_features, pool_knowledge
+from .decoder import DecoderMemory, DecoderStack, GeneratedResponse, assemble_memory, generate, nll_loss
+from .emotion import classify_emotion, emotion_nll, fuse_features, pool_knowledge
 from .encoder import (
     EncoderStack,
     FusionParams,
@@ -37,7 +37,7 @@ from .encoder import (
     relation_token_ids,
 )
 from .knowledge import AnalysisCache, CommonsenseProvider, LlmClient, build_analysis_prompt, query_analysis
-from .layers import pad_ids, padding_mask
+from .layers import Linear, pad_ids, padding_mask
 from .selectors import CauseDetector, SentimentPredictor
 
 
@@ -196,6 +196,15 @@ class SampleForward:
     feature: Tensor
 
 
+@dataclass
+class Reply:
+    """One sample's answer from ``EmpathyModel.respond``."""
+
+    response: GeneratedResponse
+    emotion_probs: np.ndarray
+    per_token_nll: np.ndarray
+
+
 class EmpathyModel:
     """Encoder streams + tri-stream decoder + emotion head."""
 
@@ -211,8 +220,6 @@ class EmpathyModel:
         dropout: float = 0.1,
         max_context_len: int = 256,
         max_analysis_len: int = 128,
-        share_relation_encoder: bool = False,
-        classifier_bias: bool = True,
         rng: np.random.Generator | None = None,
         seed: int = 0,
     ):
@@ -222,12 +229,7 @@ class EmpathyModel:
         self.context_encoder = EncoderStack(
             rng, vocab_size, d, layers, heads, ffn_mult, dropout, max_len
         )
-        if share_relation_encoder:
-            self.relation_encoder = self.context_encoder
-        else:
-            self.relation_encoder = EncoderStack(
-                rng, vocab_size, d, layers, heads, ffn_mult, dropout, max_len
-            )
+        self.relation_encoder = EncoderStack(rng, vocab_size, d, layers, heads, ffn_mult, dropout, max_len)
         self.fusion = FusionParams.create(rng, d)
         self.decoder = DecoderStack(
             rng,
@@ -240,7 +242,7 @@ class EmpathyModel:
             max_len,
             token_embedding=self.context_encoder.token_embedding,
         )
-        self.classifier = ClassifierParams.create(rng, d, num_emotions, classifier_bias)
+        self.classifier = Linear(rng, 3 * d, num_emotions)
 
     def named_parameters(self) -> dict[str, Tensor]:
         """Flat name->tensor map; shared tensors appear exactly once."""
@@ -331,6 +333,27 @@ class EmpathyModel:
         return replace(
             fwd, nll_sum=fwd.nll_sum.sum(), per_token_nll=fwd.per_token_nll[0], emo_nll=fwd.emo_nll.sum()
         )
+
+    def respond(
+        self,
+        preps: list[PreparedSample],
+        plan: AblationPlan,
+        vocab: Vocab,
+        strategy: str = "greedy",
+        beam_size: int = 3,
+        max_gen_len: int = 32,
+    ) -> list[Reply]:
+        """Each sample's reply, emotion probabilities and per-token NLL, all
+        from one encoding of the sample without the tape. The samples run
+        one at a time, each as a batch of one."""
+        replies = []
+        with no_grad():
+            for prep in preps:
+                fwd = self.forward_sample(prep, plan)
+                response = generate(fwd.memory, self.decoder, vocab, strategy, beam_size, max_gen_len)
+                probs = classify_emotion(fwd.feature, self.classifier)[0]
+                replies.append(Reply(response, probs, fwd.per_token_nll))
+        return replies
 
     def generate_response(
         self,

@@ -26,6 +26,10 @@ CHECKPOINT_VERSION = 1
 # backward pass, so this bounds training's peak memory.
 MICRO_BATCH_ROWS = 768
 
+# Settings that are gone, each with the value the code now always uses. Old
+# checkpoints and config files hold them and load when they hold that value.
+RETIRED_SETTINGS = {"strict_sum": False, "share_relation_encoder": False, "classifier_bias": True}
+
 
 class TrainingDiverged(RuntimeError):
     pass
@@ -51,25 +55,18 @@ class TrainConfig:
     adam_eps: float = 1e-8
     grad_clip: float | None = None
     ablation: str = "full"
-    strict_sum: bool = False
     max_context_len: int = 256
     max_analysis_len: int = 128
     max_gen_len: int = 32
     num_emotions: int = 32
-    share_relation_encoder: bool = False
-    classifier_bias: bool = True
 
     def __post_init__(self):
         positive = (
-            ("d", self.d),
-            ("layers", self.layers),
-            ("heads", self.heads),
-            ("ffn_mult", self.ffn_mult),
-            ("learning_rate", self.learning_rate),
-            ("epochs", self.epochs),
-            ("batch_size", self.batch_size),
+            "d", "layers", "heads", "ffn_mult", "learning_rate", "epochs", "batch_size",
+            "max_context_len", "max_analysis_len", "max_gen_len", "num_emotions",
         )
-        for name, value in positive:
+        for name in positive:
+            value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
         if not 0.0 <= self.dropout < 1.0:
@@ -85,6 +82,9 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
         data = {k: v for k, v in data.items() if k != "min_freq"}  # in old checkpoints; it never acted
+        for name, value in RETIRED_SETTINGS.items():
+            if name in data and data.pop(name) != value:
+                raise ValueError(f"{name} is no longer a setting: the model always runs as {name}={value}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -105,8 +105,6 @@ class TrainConfig:
             dropout=self.dropout,
             max_context_len=self.max_context_len,
             max_analysis_len=self.max_analysis_len,
-            share_relation_encoder=self.share_relation_encoder,
-            classifier_bias=self.classifier_bias,
             rng=rng,
             seed=self.seed,
         )
@@ -215,8 +213,7 @@ def train(
     """Run the joint objective over the samples.
 
     The generation loss enters the reported total as the batch sum divided
-    by the batch token count; ``strict_sum`` switches to the raw per-sample
-    sum instead. Each batch is sorted by its samples' own padded encoder
+    by the batch token count. Each batch is sorted by its samples' own padded encoder
     rows (ties keep the shuffled order) and runs as a few padded
     micro-batches (``micro_batches``), one backward pass each, so samples
     of like length pad together; the gradients add up over the batch
@@ -262,18 +259,13 @@ def train(
                 micros = micro_batches(batch, plan)
                 for micro in micros:
                     fwd = model.forward_batch(micro, plan, drop_rng)
-                    if config.strict_sum:
-                        loss = (fwd.nll_sum.sum() + fwd.emo_nll.sum()) * (1.0 / len(batch))
-                    else:
-                        loss = fwd.nll_sum.sum() * (1.0 / batch_tokens) + fwd.emo_nll.sum() * (
-                            1.0 / len(batch)
-                        )
+                    loss = fwd.nll_sum.sum() * (1.0 / batch_tokens) + fwd.emo_nll.sum() * (1.0 / len(batch))
                     loss.backward()
                     for nll_value, emo_value in zip(fwd.nll_sum.data, fwd.emo_nll.data):
                         nll_sum_total += float(nll_value)
                         emo_total += float(emo_value)
                 emo = emo_total / len(batch)
-                nll = (nll_sum_total / len(batch)) if config.strict_sum else (nll_sum_total / batch_tokens)
+                nll = nll_sum_total / batch_tokens
                 total = nll + emo
                 if not np.isfinite(total):
                     raise TrainingDiverged(

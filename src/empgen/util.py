@@ -34,12 +34,17 @@ def read_asset(name: str) -> str:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
+    """One record per non-blank line; a malformed line is refused by the
+    file's path and its line number."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
                 records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}, line {number}: {exc.msg} at column {exc.colno}") from exc
     return records
 
 

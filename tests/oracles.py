@@ -289,9 +289,7 @@ def sample_losses_oracle(model, prep, plan):
             knowledge.mean(axis=0) if knowledge is not None else np.zeros(d),
         ]
     )
-    logits = feature @ model.classifier.weight.data
-    if model.classifier.bias is not None:
-        logits = logits + model.classifier.bias.data
+    logits = feature @ model.classifier.weight.data + model.classifier.bias.data
     z = logits - logits.max()
     emo = -(z[prep.emotion_index] - math.log(np.exp(z).sum()))
     return per_token, emo

@@ -18,7 +18,7 @@ from empgen.autodiff import Tensor, parameter
 from empgen.cli import main
 from empgen.corpus import LabelSet, build_vocab, parse_sample
 from empgen.decoder import assemble_memory, nll_loss
-from empgen.emotion import ClassifierParams, classify_emotion, fuse_features, pool_knowledge
+from empgen.emotion import classify_emotion, fuse_features, pool_knowledge
 from empgen.encoder import EncoderStack, FusionParams, fuse_sensible, relation_token_ids
 from empgen.evaluation import accuracy, bleu_n, dist_n, perplexity, rouge_n
 from empgen.fixtures import GOLDEN_PROMPT_PATH, case_sample, generate_mini_corpus
@@ -31,6 +31,7 @@ from empgen.knowledge import (
     build_analysis_prompt,
     query_analysis,
 )
+from empgen.layers import Linear
 from empgen.model import PLANS, Providers
 from empgen.selectors import HeuristicCauseDetector, OracleSentimentPredictor, load_lexicon
 from empgen.training import TrainConfig, grad_check, train
@@ -137,7 +138,8 @@ def test_criterion_loss_algebra(corpus_200):
         total, _ = nll_loss([[1, 2, 3, 4]], memory, stack)
         assert abs(total.data[0] - 4 * math.log(vocab_size)) < 1e-9
         # uniform classifier: emo = ln 32
-        params = ClassifierParams(weight=parameter(np.zeros((12, 32))), bias=parameter(np.zeros(32)))
+        params = Linear(rng, 12, 32)
+        params.weight.data[:] = 0.0
         probs = classify_emotion(Tensor(rng.normal(0, 1, (1, 12))), params)[0]
         assert abs(emotion_loss(probs, 7) - math.log(32)) < 1e-9
 

@@ -81,11 +81,18 @@ def test_train_flags_are_checked_like_the_config_file(workspace, tmp_path, capsy
 
 def test_config_file_setting_min_freq_is_refused(workspace, tmp_path, capsys):
     run = tmp_path / "run"
-    config = fast_config(tmp_path, min_freq=2)
-    assert main(["train", "--data-dir", str(workspace / "data"), "--out", str(run), "--config", str(config)]) == 1
-    err = capsys.readouterr().err
-    assert "min_freq" in err and "prepare-data --min-freq" in err
-    assert not run.exists()
+    refusals = [
+        ({"min_freq": 2}, "prepare-data --min-freq"),
+        ({"strict_sum": True}, "strict_sum is no longer a setting"),
+        ({"share_relation_encoder": True}, "share_relation_encoder is no longer a setting"),
+        ({"classifier_bias": False}, "classifier_bias is no longer a setting"),
+    ]
+    for overrides, message in refusals:
+        config = fast_config(tmp_path, **overrides)
+        assert main(["train", "--data-dir", str(workspace / "data"), "--out", str(run), "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert next(iter(overrides)) in err and message in err
+        assert not run.exists()
 
 
 def test_debug_flag_prints_the_traceback(tmp_path, capsys):

@@ -210,6 +210,10 @@ def test_encode_truncation_keeps_suffix_and_cls(labels):
     assert len(ids) == 10
     assert ids[0] == CLS_ID
     assert ids[-1] == vocab.token_to_id["w39"]  # most recent tokens kept
+    full = encode_dialogue(sample, vocab, max_context_len=4096)
+    for cap in (1, 2):
+        ids = encode_dialogue(sample, vocab, max_context_len=cap)
+        assert ids == [CLS_ID] + full[len(full) - (cap - 1) :], cap
 
 
 def test_encode_length_formula_property(mini_samples, mini_vocab):

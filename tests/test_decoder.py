@@ -361,6 +361,22 @@ def test_decoding_matches_full_prefix_oracle_on_fixture_corpus(mini_samples, min
     assert ended == {"greedy": {True, False}, "beam": {True, False}}
 
 
+@pytest.mark.parametrize("plan", ["full", "vanilla"])
+def test_respond_equals_generate_response_classify_and_forward_sample(plan, mini_samples, mini_vocab, providers):
+    model = TrainConfig(seed=3, d=16, layers=2, heads=2, ffn_mult=2).build_model(len(mini_vocab))
+    model.decoder.out_proj.bias.data[EOS_ID] = 1.15  # as above: some replies end early
+    plan = PLANS[plan]
+    preps = prepare_samples(mini_samples[:8], mini_vocab, providers, plan)
+    for strategy in ("greedy", "beam"):
+        replies = model.respond(preps, plan, mini_vocab, strategy, beam_size=3, max_gen_len=16)
+        assert len(replies) == len(preps)
+        for prep, reply in zip(preps, replies):
+            alone = model.generate_response(prep, plan, mini_vocab, strategy, beam_size=3, max_gen_len=16)
+            assert reply.response == alone, (prep.sample_id, strategy)
+            np.testing.assert_array_equal(reply.emotion_probs, model.classify(prep, plan))
+            np.testing.assert_array_equal(reply.per_token_nll, model.forward_sample(prep, plan).per_token_nll)
+
+
 def test_generation_records_no_tape(rng):
     stack = micro_decoder(seed=2, vocab_size=12)
     mem = assemble_memory(Tensor(rng.normal(0, 1, (1, 3, 4)), requires_grad=True))

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from empgen.autodiff import Tensor, parameter
+from empgen.autodiff import Tensor
 from empgen.emotion import (
-    ClassifierParams,
     classify_emotion,
     emotion_logits,
     emotion_nll,
     fuse_features,
     pool_knowledge,
 )
+from empgen.layers import Linear
 
 from .helpers import emotion_loss
 from .oracles import fd_gradient, softmax_oracle
@@ -94,13 +94,14 @@ def test_fuse_width_mismatch(rng):
 
 
 def test_zero_classifier_gives_uniform_over_32(rng):
-    params = ClassifierParams(weight=parameter(np.zeros((12, 32))), bias=parameter(np.zeros(32)))
+    params = Linear(rng, 12, 32)
+    params.weight.data[:] = 0.0
     probs = classify_emotion(Tensor(rng.normal(0, 1, (1, 12))), params)
     np.testing.assert_allclose(probs, np.full((1, 32), 1.0 / 32), atol=1e-12)
 
 
 def test_softmax_shift_invariance(rng):
-    params = ClassifierParams.create(rng, 2, 8)
+    params = Linear(rng, 6, 8)
     feature = Tensor(rng.normal(0, 1, (1, 6)))
     base = classify_emotion(feature, params)
     params.bias.data += 7.3  # constant shift of all logits
@@ -109,7 +110,7 @@ def test_softmax_shift_invariance(rng):
 
 
 def test_classify_matches_exp_normalize_oracle(rng):
-    params = ClassifierParams.create(rng, 3, 6)
+    params = Linear(rng, 9, 6)
     feature = Tensor(rng.normal(0, 1, (1, 9)))
     probs = classify_emotion(feature, params)[0]
     logits = emotion_logits(feature, params).data[0]
@@ -118,10 +119,12 @@ def test_classify_matches_exp_normalize_oracle(rng):
 
 
 def test_argmax_invariant_under_joint_rescaling(rng):
-    params = ClassifierParams(weight=parameter(rng.normal(0, 1, (6, 5))), bias=None)
+    params = Linear(rng, 6, 5, bias=False)
+    params.weight.data = rng.normal(0, 1, (6, 5))
     feature = rng.normal(0, 1, (1, 6))
     base = classify_emotion(Tensor(feature), params)
-    scaled_params = ClassifierParams(weight=parameter(params.weight.data / 3.0), bias=None)
+    scaled_params = Linear(rng, 6, 5, bias=False)
+    scaled_params.weight.data = params.weight.data / 3.0
     scaled = classify_emotion(Tensor(feature * 3.0), scaled_params)
     assert int(np.argmax(base)) == int(np.argmax(scaled))
     np.testing.assert_allclose(base, scaled, atol=1e-9)
@@ -158,7 +161,7 @@ def test_emotion_loss_index_range():
 
 
 def test_emotion_nll_matches_loss_and_gradient(rng):
-    params = ClassifierParams.create(rng, 2, 5)
+    params = Linear(rng, 6, 5)
     feature = Tensor(rng.normal(0, 1, (1, 6)))
     nll = emotion_nll(feature, params, [3])
     assert nll.shape == (1,)

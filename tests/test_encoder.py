@@ -248,14 +248,3 @@ def test_encode_analysis_shape():
     rep = encode_one(stack, analysis_token_ids("alpha beta gamma beta", vocab))
     assert rep.shape == (5, 4)
 
-
-def test_shared_relation_encoder_identical_outputs():
-    from empgen.model import EmpathyModel
-
-    model = EmpathyModel(vocab_size=16, d=8, layers=1, heads=2, dropout=0.0,
-                         share_relation_encoder=True, seed=2)
-    ids = [5, 7, 9]
-    np.testing.assert_array_equal(
-        encode_one(model.context_encoder, ids), encode_one(model.relation_encoder, ids)
-    )
-    assert model.relation_encoder is model.context_encoder

@@ -135,7 +135,7 @@ def test_any_dialogue_runs_end_to_end_or_is_refused_by_name(record, mates, at):
             mix.insert(at, prep)
             batch = DIALOGUE_MODEL.forward_batch(mix, plan)
             replies = [
-                DIALOGUE_MODEL.generate_response(prep, plan, DIALOGUE_VOCAB, strategy, beam_size=2, max_gen_len=6)
+                DIALOGUE_MODEL.respond([prep], plan, DIALOGUE_VOCAB, strategy, beam_size=2, max_gen_len=6)[0]
                 for strategy in ("greedy", "beam")
             ]
         except ValueError as exc:
@@ -144,4 +144,4 @@ def test_any_dialogue_runs_end_to_end_or_is_refused_by_name(record, mates, at):
         assert np.isfinite(batch.nll_sum.data).all() and np.isfinite(batch.emo_nll.data).all()
         assert all(np.isfinite(nll).all() for nll in batch.per_token_nll)
         for reply in replies:
-            assert reply.ids and all(0 <= i < len(DIALOGUE_VOCAB) for i in reply.ids)
+            assert reply.response.ids and all(0 <= i < len(DIALOGUE_VOCAB) for i in reply.response.ids)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from empgen.corpus import LabelSet, parse_sample
@@ -76,6 +78,13 @@ def test_fixture_sentiment_and_missing_id(tmp_path, labels):
     assert predictor.predict(sample_from(["x"], labels, sid="s0")).name == "proud"
     with pytest.raises(FixtureMissError, match="s1"):
         predictor.predict(sample_from(["x"], labels, sid="s1"))
+
+
+def test_malformed_fixture_line_is_refused_by_path_and_line(tmp_path, labels):
+    path = tmp_path / "f.jsonl"
+    path.write_text('{"id": "s0", "e_ano": "proud"}\n\n{"id": "s1", "e_ano": }\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}, line 3: Expecting value at column 23$"):
+        FixtureSentimentPredictor(path, labels)
 
 
 def test_heuristic_selects_matching_utterance(labels):

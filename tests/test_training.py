@@ -43,7 +43,17 @@ def fresh_providers(lexicon):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("dropout", 1.0), ("dropout", -0.5), ("grad_clip", -1.0), ("grad_clip", 0.0), ("ffn_mult", 0)],
+    [
+        ("dropout", 1.0),
+        ("dropout", -0.5),
+        ("grad_clip", -1.0),
+        ("grad_clip", 0.0),
+        ("ffn_mult", 0),
+        ("max_context_len", 0),
+        ("max_analysis_len", 0),
+        ("max_gen_len", 0),
+        ("num_emotions", 0),
+    ],
 )
 def test_bad_config_values_are_refused_by_name(field, value, tmp_path, capsys):
     from empgen.cli import main
@@ -158,14 +168,6 @@ def test_overfit_eight_samples_two_hundred_steps(mini_samples, mini_vocab, lexic
     result = train(config, mini_samples[:8], mini_vocab, fresh_providers(lexicon))
     first, last = result.history[0].total, result.history[-1].total
     assert last < 0.1 * first
-
-
-def test_strict_sum_mode_total(mini_samples, mini_vocab, lexicon):
-    config = tiny_config(strict_sum=True, epochs=1)
-    result = train(config, mini_samples[:8], mini_vocab, fresh_providers(lexicon))
-    h = result.history[0]
-    assert h.total == h.nll + h.emo
-    assert h.nll == h.nll_sum / 8  # per-sample mean of the raw sums
 
 
 # ----------------------------------------------------------------------
@@ -307,10 +309,21 @@ def test_checkpoint_whose_config_holds_min_freq_loads(tmp_path, mini_vocab):
     with np.load(path, allow_pickle=False) as archive:
         data = dict(archive)
     meta = json.loads(str(data["meta"]))
-    meta["config"]["min_freq"] = 1  # as every checkpoint saved before the field went
-    data["meta"] = np.array(json.dumps(meta))
-    np.savez(path, **data)
-    assert load_checkpoint(path, mini_vocab).config == config
+
+    def load_with(**fields):
+        data["meta"] = np.array(json.dumps({**meta, "config": {**meta["config"], **fields}}))
+        np.savez(path, **data)
+        return load_checkpoint(path, mini_vocab)
+
+    # As every checkpoint saved before these fields went: each at its default.
+    old_defaults = dict(min_freq=1, strict_sum=False, share_relation_encoder=False, classifier_bias=True)
+    loaded = load_with(**old_defaults)
+    assert loaded.config == config
+    for name, p in config.build_model(len(mini_vocab)).named_parameters().items():
+        np.testing.assert_array_equal(loaded.model.named_parameters()[name].data, p.data)
+    for name, value in (("strict_sum", True), ("share_relation_encoder", True), ("classifier_bias", False)):
+        with pytest.raises(ValueError, match=rf"^{name} is no longer a setting"):
+            load_with(**{**old_defaults, name: value})
 
 
 def test_checkpoint_write_is_atomic(tmp_path, mini_vocab, monkeypatch):
@@ -341,22 +354,6 @@ def test_checkpoint_write_is_atomic(tmp_path, mini_vocab, monkeypatch):
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(CheckpointError, match="not found"):
         load_checkpoint(tmp_path / "absent.npz")
-
-
-def test_shared_relation_encoder_trains(mini_samples, mini_vocab, lexicon):
-    config = tiny_config(epochs=1, share_relation_encoder=True)
-    result = train(config, mini_samples[:8], mini_vocab, fresh_providers(lexicon))
-    assert result.model.relation_encoder is result.model.context_encoder
-    # no relation_encoder group: its tensors dedupe into the context encoder
-    assert not any(n.startswith("relation_encoder") for n in result.model.named_parameters())
-    assert all(np.isfinite(h.total) for h in result.history)
-
-
-def test_bias_free_classifier_trains(mini_samples, mini_vocab, lexicon):
-    config = tiny_config(epochs=1, classifier_bias=False)
-    result = train(config, mini_samples[:8], mini_vocab, fresh_providers(lexicon))
-    assert result.model.classifier.bias is None
-    assert "classifier.bias" not in result.model.named_parameters()
 
 
 def test_checkpoint_restores_optimizer_state(tmp_path, mini_samples, mini_vocab, lexicon):
@@ -472,19 +469,14 @@ def reference_train(config, prepared, vocab_size):
     return model, history, grads
 
 
-@pytest.mark.parametrize(
-    "ablation,share",
-    [("vanilla", False), ("self_pres", False), ("analysis", False), ("full", False), ("full", True)],
-)
-def test_batched_steps_match_per_sample_loop_and_oracle(
-    ablation, share, mini_samples, mini_vocab, lexicon, monkeypatch
-):
+@pytest.mark.parametrize("ablation", ["vanilla", "self_pres", "analysis", "full"])
+def test_batched_steps_match_per_sample_loop_and_oracle(ablation, mini_samples, mini_vocab, lexicon, monkeypatch):
     from empgen.model import prepare_samples
     from empgen.training import micro_batches
 
     from .oracles import sample_losses_oracle
 
-    config = tiny_config(ablation=ablation, share_relation_encoder=share, dropout=0.0, batch_size=7, epochs=2)
+    config = tiny_config(ablation=ablation, dropout=0.0, batch_size=7, epochs=2)
     plan = PLANS[ablation]
     samples = mini_samples[:14]
     prepared = prepare_samples(samples, mini_vocab, fresh_providers(lexicon), plan)
