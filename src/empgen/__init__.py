@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .corpus import DialogueSample, EmotionLabel, LabelSet, Utterance, Vocab
 from .model import ABLATION_ORDER, PLANS, EmpathyModel, Providers
-from .training import TrainConfig, grad_check, load_checkpoint, save_checkpoint, train
+from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 __all__ = [
     "DialogueSample",
@@ -24,7 +24,6 @@ __all__ = [
     "ABLATION_ORDER",
     "TrainConfig",
     "train",
-    "grad_check",
     "save_checkpoint",
     "load_checkpoint",
     "__version__",

@@ -293,15 +293,7 @@ def cmd_train(args) -> int:
         log_path=out / "train_log.jsonl",
         timing_path=out / "train_timing.jsonl",
     )
-    save_checkpoint(
-        out / "checkpoint.npz",
-        result.model,
-        config,
-        vocab,
-        optimizer=result.optimizer,
-        epoch=config.epochs,
-        rng=result.rng,
-    )
+    save_checkpoint(out / "checkpoint.npz", result.model, config, vocab)
     write_manifest("train", config.to_dict(), config.seed, out)
     first, last = result.history[0], result.history[-1]
     print(
@@ -357,7 +349,8 @@ def cmd_evaluate(args) -> int:
 
 def _reply(record: dict, args, vocab: Vocab, loaded, providers: Providers, labels: LabelSet):
     """The reply to one dialogue record and its predicted emotion, decoded
-    with ``args.strategy`` and ``args.beam_size``."""
+    with ``args.strategy`` and ``args.beam_size``. The record's
+    ``response``, if any, is not used: the sample goes with no target."""
     config, model = loaded.config, loaded.model
     record = {"id": "adhoc", "emotion": labels.names[0], "response": "placeholder", **record}
     plan = PLANS[config.ablation]
@@ -365,6 +358,7 @@ def _reply(record: dict, args, vocab: Vocab, loaded, providers: Providers, label
     prep = prepare_sample(
         parse_sample(record, labels), vocab, providers, plan, config.max_context_len, config.max_analysis_len
     )
+    prep.target_ids = []
     [reply] = model.respond([prep], plan, vocab, args.strategy, args.beam_size, config.max_gen_len)
     return reply.response, labels.by_index(int(np.argmax(reply.emotion_probs))).name
 

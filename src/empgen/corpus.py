@@ -240,8 +240,16 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
+        """The vocabulary saved at ``path``: a JSON object of token to
+        integer id. Any other content is refused by the file's path."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh))
+            try:
+                data = json.load(fh)
+                if not isinstance(data, dict) or not all(type(i) is int for i in data.values()):
+                    raise DatasetError("not a JSON object of token to integer id")
+                return cls(data)
+            except ValueError as exc:  # bad UTF-8, bad JSON or a DatasetError of the content
+                raise DatasetError(f"vocabulary {path}: {exc}") from exc
 
     def fingerprint(self) -> str:
         from .util import sha256_hex

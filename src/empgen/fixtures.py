@@ -4,7 +4,6 @@ so the whole pipeline runs offline."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +11,7 @@ import numpy as np
 from .corpus import LabelSet, parse_sample
 from .knowledge import EchoLlmClient, TemplateCommonsenseProvider, build_analysis_prompt
 from .selectors import load_lexicon
-from .util import ASSETS_DIR, read_asset, write_jsonl
-
-GOLDEN_PROMPT_PATH = ASSETS_DIR / "golden" / "analysis_prompt_case_grateful.txt"
+from .util import write_jsonl
 
 _EVENTS = [
     "my exam",
@@ -181,13 +178,3 @@ def write_knowledge_fixtures(
     write_jsonl(commonsense_path, comet_rows)
     write_jsonl(analysis_path, analysis_rows)
     return commonsense_path, analysis_path
-
-
-def load_case_fixture() -> dict:
-    """The authored grateful-dialogue case with its analysis paragraph."""
-    return json.loads(read_asset("case_grateful.json"))
-
-
-def case_sample(labels: LabelSet | None = None):
-    labels = labels or LabelSet.default()
-    return parse_sample(load_case_fixture(), labels)

@@ -344,15 +344,19 @@ class EmpathyModel:
         max_gen_len: int = 32,
     ) -> list[Reply]:
         """Each sample's reply, emotion probabilities and per-token NLL, all
-        from one encoding of the sample without the tape. The samples run
-        one at a time, each as a batch of one."""
+        from one encoding of the sample without the tape. A sample with no
+        target gets an empty NLL and no teacher-forced pass. The samples
+        run one at a time, each as a batch of one."""
         replies = []
         with no_grad():
             for prep in preps:
-                fwd = self.forward_sample(prep, plan)
-                response = generate(fwd.memory, self.decoder, vocab, strategy, beam_size, max_gen_len)
-                probs = classify_emotion(fwd.feature, self.classifier)[0]
-                replies.append(Reply(response, probs, fwd.per_token_nll))
+                memory, feature = self.encode_batch([prep], plan)
+                per_token = np.empty(0)
+                if prep.target_ids:
+                    per_token = nll_loss([prep.target_ids], memory, self.decoder)[1][0]
+                response = generate(memory, self.decoder, vocab, strategy, beam_size, max_gen_len)
+                probs = classify_emotion(feature, self.classifier)[0]
+                replies.append(Reply(response, probs, per_token))
         return replies
 
     def generate_response(

@@ -1,20 +1,18 @@
 """Joint optimization of the generation and emotion losses, with
-deterministic batching, gradient checking, and checkpointing."""
+deterministic batching and checkpointing."""
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import time
 import warnings
-import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor
 from .corpus import Vocab
 from .model import PLANS, AblationPlan, EmpathyModel, PreparedSample, Providers, padded_rows, prepare_samples
 from .util import canonical_json, sha256_hex
@@ -186,8 +184,6 @@ class TrainResult:
     history: list[LossBreakdown]
     prepared: list[PreparedSample]
     provider_calls: dict[str, int]
-    rng: np.random.Generator = field(repr=False, default=None)
-    optimizer: "Adam | None" = field(repr=False, default=None)
 
 
 def micro_batches(batch: list[PreparedSample], plan: AblationPlan) -> list[list[PreparedSample]]:
@@ -294,185 +290,25 @@ def train(
         for fh in (log_fh, timing_fh):
             if fh:
                 fh.close()
-    return TrainResult(model, history, prepared, providers.call_counts(), rng, opt)
-
-
-# ----------------------------------------------------------------------
-# gradient checking
-
-
-@dataclass
-class GradCheckEntry:
-    name: str
-    group: str
-    max_rel_error: float
-    checked: int
-
-
-@dataclass
-class GradCheckReport:
-    entries: list[GradCheckEntry]
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return all(e.max_rel_error < self.tolerance for e in self.entries)
-
-    def group_errors(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for e in self.entries:
-            out[e.group] = max(out.get(e.group, 0.0), e.max_rel_error)
-        return out
-
-    def summary(self) -> str:
-        lines = [f"gradient check (tolerance {self.tolerance:g})"]
-        for group, err in sorted(self.group_errors().items()):
-            status = "ok" if err < self.tolerance else "FAIL"
-            lines.append(f"  {group:<18} max rel err {err:.3e}  {status}")
-        if not self.entries:
-            lines.append("  (no parameters)")
-        return "\n".join(lines)
-
-
-def _entry_indices(size: int, limit: int) -> np.ndarray:
-    if size <= limit:
-        return np.arange(size)
-    stride = size // limit
-    return np.arange(0, size, stride)[:limit]
-
-
-def check_gradients(
-    loss_fn,
-    params: dict[str, Tensor],
-    analytic: dict[str, np.ndarray],
-    h: float = 1e-5,
-    tolerance: float = 1e-4,
-    max_entries_per_param: int = 12,
-    group_fn=None,
-) -> GradCheckReport:
-    """Compare supplied analytic gradients against central finite differences.
-
-    Large tensors are probed on a deterministic stride of entries. The
-    relative error denominator is floored at 1e-5 (so the criterion is
-    |a-f| < tol * max(|a|, |f|, 1e-5), tighter than the usual rtol/atol
-    gradcheck defaults), and pairs where both sides sit below 1e-8, under
-    the cancellation noise of the central difference itself, count as
-    equal.
-    """
-    group_fn = group_fn or (lambda name: name.split(".")[0])
-    entries = []
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        grad = analytic[name].reshape(-1)
-        idx = _entry_indices(flat.size, max_entries_per_param)
-        worst = 0.0
-        for i in idx:
-            keep = flat[i]
-            flat[i] = keep + h
-            up = loss_fn()
-            flat[i] = keep - h
-            down = loss_fn()
-            flat[i] = keep
-            fd = (up - down) / (2.0 * h)
-            if max(abs(fd), abs(grad[i])) < 1e-8:
-                continue
-            denom = max(abs(fd), abs(grad[i]), 1e-5)
-            worst = max(worst, abs(fd - grad[i]) / denom)
-        entries.append(GradCheckEntry(name, group_fn(name), worst, len(idx)))
-    return GradCheckReport(entries, tolerance)
-
-
-def micro_prepared_sample(vocab_size: int = 24) -> PreparedSample:
-    """Hand-built tiny sample exercising every stream."""
-    return PreparedSample(
-        sample_id="micro",
-        context_ids=[5, 7, 8, 4, 9, 10],
-        target_ids=[7, 11, 2],
-        emotion_index=1,
-        cause_ids=[9, 10],
-        relation_ids=[[5, 7], [5, 8], [5, 9], [5, 10], [5, 11]],
-        analysis_ids=[5, 8, 11],
-    )
-
-
-def grad_check(
-    config: TrainConfig | None = None,
-    tolerance: float = 1e-4,
-    h: float = 1e-5,
-    max_entries_per_param: int = 12,
-    preps: list[PreparedSample] | None = None,
-) -> GradCheckReport:
-    """Analytic vs central-difference gradients on a micro model (d=8, one
-    layer, tiny vocab) through the full joint loss of ``preps`` as one
-    padded batch (default: the one micro sample)."""
-    config = config or TrainConfig(
-        seed=3, d=8, layers=1, heads=2, ffn_mult=2, dropout=0.0, num_emotions=5, ablation="full"
-    )
-    vocab_size = 24
-    plan = PLANS[config.ablation]
-    preps = preps or [micro_prepared_sample(vocab_size)]
-    model = config.build_model(vocab_size)
-    params = model.named_parameters()
-
-    def loss_value() -> float:
-        with no_grad():  # the probes need no tape
-            fwd = model.forward_batch(preps, plan)
-        return float(fwd.nll_sum.data.sum() / fwd.token_count + fwd.emo_nll.data.sum())
-
-    model.zero_grad()
-    fwd = model.forward_batch(preps, plan)
-    loss = fwd.nll_sum.sum() * (1.0 / fwd.token_count) + fwd.emo_nll.sum()
-    loss.backward()
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
-
-    def group_fn(name: str) -> str:
-        prefix = name.split(".")[0]
-        return {
-            "context_encoder": "encoder",
-            "relation_encoder": "encoder",
-            "fusion": "fusion",
-            "decoder": "decoder",
-            "classifier": "emotion",
-        }.get(prefix, prefix)
-
-    return check_gradients(
-        loss_value, params, analytic, h, tolerance, max_entries_per_param, group_fn
-    )
+    return TrainResult(model, history, prepared, providers.call_counts())
 
 
 # ----------------------------------------------------------------------
 # checkpoints
 
 
-def save_checkpoint(
-    path: str | Path,
-    model: EmpathyModel,
-    config: TrainConfig,
-    vocab: Vocab,
-    optimizer: Adam | None = None,
-    epoch: int = 0,
-    rng: np.random.Generator | None = None,
-) -> None:
+def save_checkpoint(path: str | Path, model: EmpathyModel, config: TrainConfig, vocab: Vocab) -> None:
+    """Write the model's parameters (``param/<name>``) and a ``meta`` entry
+    with what rebuilds the model: the config and the vocabulary's size and
+    fingerprint."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    arrays: dict[str, np.ndarray] = {}
-    for name, p in model.named_parameters().items():
-        arrays[f"param/{name}"] = p.data
-    if optimizer is not None:
-        for name in optimizer.params:
-            arrays[f"adam_m/{name}"] = optimizer.m[name]
-            arrays[f"adam_v/{name}"] = optimizer.v[name]
+    arrays = {f"param/{name}": p.data for name, p in model.named_parameters().items()}
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
         "vocab_size": len(vocab),
         "vocab_fingerprint": vocab.fingerprint(),
-        "epoch": epoch,
-        "adam_t": optimizer.t if optimizer is not None else 0,
-        "rng_state": json.dumps(rng.bit_generator.state) if rng is not None else None,
     }
     arrays["meta"] = np.array(json.dumps(meta))
     # Written beside the final path and renamed onto it, so an interrupted
@@ -496,15 +332,12 @@ class LoadedCheckpoint:
     model: EmpathyModel
     config: TrainConfig
     vocab_size: int
-    epoch: int
-    optimizer: Adam | None
-    rng_state: dict | None
 
 
 def _check_vocab(meta: dict, vocab: Vocab) -> None:
     """Refuse a vocabulary other than the one the checkpoint was trained on.
     A checkpoint that records no fingerprint is checked by size alone."""
-    if len(vocab) != int(meta["vocab_size"]):
+    if len(vocab) != meta["vocab_size"]:
         raise CheckpointError(f"vocabulary of {len(vocab)} tokens; the checkpoint's has {meta['vocab_size']}")
     stored, ours = meta.get("vocab_fingerprint"), vocab.fingerprint()
     if stored is None:
@@ -513,49 +346,70 @@ def _check_vocab(meta: dict, vocab: Vocab) -> None:
         raise CheckpointError(f"vocabulary fingerprint {ours} does not match the checkpoint's {stored}")
 
 
+def _read_archive(path: Path) -> dict[str, np.ndarray]:
+    """The ``meta`` and ``param/*`` members of the archive, each read in
+    full, so that a damaged file fails here and not later."""
+    # Not np.load(path): that leaves the file open when the archive is corrupt.
+    # A damaged archive fails in zipfile or numpy's reader with any of
+    # BadZipFile, EOFError, ValueError, NotImplementedError or RuntimeError
+    # (a flipped "encrypted" flag bit), among others, hence the broad catch.
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                return {k: archive[k] for k in archive.files if k == "meta" or k.startswith("param/")}
+        except Exception as exc:
+            raise CheckpointError(f"corrupt checkpoint ({path.stat().st_size} bytes on disk): {exc}") from exc
+
+
+def _read_meta(arrays: dict[str, np.ndarray]) -> dict:
+    """The metadata entry, refused unless it is a JSON object of this
+    version with a config object, a positive integer vocabulary size and,
+    if any, a string vocabulary fingerprint."""
+    if "meta" not in arrays:
+        raise CheckpointError("corrupt checkpoint: missing metadata entry")
+    try:
+        meta = json.loads(str(arrays["meta"]))
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"corrupt checkpoint: metadata is not JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError("corrupt checkpoint: metadata is not a JSON object")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint version {meta.get('version')} does not match supported version {CHECKPOINT_VERSION}"
+        )
+    size, fingerprint = meta.get("vocab_size"), meta.get("vocab_fingerprint")
+    if not isinstance(meta.get("config"), dict):
+        raise CheckpointError("corrupt checkpoint: metadata holds no config object")
+    if type(size) is not int or size < 1:
+        raise CheckpointError(f"corrupt checkpoint: vocab_size {size!r} is not a positive integer")
+    if fingerprint is not None and not isinstance(fingerprint, str):
+        raise CheckpointError(f"corrupt checkpoint: vocab_fingerprint {fingerprint!r} is not a string")
+    return meta
+
+
 def load_checkpoint(path: str | Path, vocab: Vocab | None = None) -> LoadedCheckpoint:
     """Read a checkpoint; with ``vocab``, first check that it is the
-    vocabulary the checkpoint was trained on."""
+    vocabulary the checkpoint was trained on. Other members than ``meta``
+    and ``param/*``, such as the optimizer and RNG state that older
+    checkpoints hold, are not read."""
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
-    # Not np.load(path): that leaves the file open when the archive is corrupt.
-    with open(path, "rb") as fh:
-        try:
-            archive = np.load(fh, allow_pickle=False)
-        except (zipfile.BadZipFile, ValueError, OSError, io.UnsupportedOperation) as exc:
-            size = path.stat().st_size
-            raise CheckpointError(f"corrupt checkpoint ({size} bytes on disk): {exc}") from exc
-        if "meta" not in archive.files:
-            raise CheckpointError("corrupt checkpoint: missing metadata entry")
-        meta = json.loads(str(archive["meta"]))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint version {meta.get('version')} does not match "
-                f"supported version {CHECKPOINT_VERSION}"
-            )
-        if vocab is not None:
-            _check_vocab(meta, vocab)
-        config = TrainConfig.from_dict(meta["config"])
-        vocab_size = int(meta["vocab_size"])
-        model = config.build_model(vocab_size)
-        params = model.named_parameters()
-        for name, p in params.items():
-            key = f"param/{name}"
-            if key not in archive.files:
-                raise CheckpointError(f"corrupt checkpoint: missing array {key}")
-            stored = archive[key]
-            if stored.shape != p.data.shape:
-                raise CheckpointError(
-                    f"shape mismatch for {name}: {stored.shape} vs {p.data.shape}"
-                )
-            p.data = stored.astype(np.float64)
-        optimizer = None
-        if any(f.startswith("adam_m/") for f in archive.files):
-            optimizer = Adam(params, config.adam_beta1, config.adam_beta2, config.adam_eps)
-            optimizer.t = int(meta.get("adam_t", 0))
-            for name in params:
-                optimizer.m[name] = archive[f"adam_m/{name}"].astype(np.float64)
-                optimizer.v[name] = archive[f"adam_v/{name}"].astype(np.float64)
-        rng_state = json.loads(meta["rng_state"]) if meta.get("rng_state") else None
-    return LoadedCheckpoint(model, config, vocab_size, int(meta.get("epoch", 0)), optimizer, rng_state)
+    arrays = _read_archive(path)
+    meta = _read_meta(arrays)
+    if vocab is not None:
+        _check_vocab(meta, vocab)
+    config = TrainConfig.from_dict(meta["config"])
+    model = config.build_model(meta["vocab_size"])
+    for name, p in model.named_parameters().items():
+        stored = arrays.get(f"param/{name}")
+        if stored is None:
+            raise CheckpointError(f"corrupt checkpoint: missing array param/{name}")
+        if stored.shape != p.data.shape:
+            raise CheckpointError(f"shape mismatch for {name}: {stored.shape} vs {p.data.shape}")
+        if stored.dtype != np.float64:
+            raise CheckpointError(f"corrupt checkpoint: parameter {name} holds {stored.dtype}, not float64")
+        if not np.isfinite(stored).all():
+            raise CheckpointError(f"corrupt checkpoint: parameter {name} holds NaN or infinite values")
+        p.data = stored
+    return LoadedCheckpoint(model, config, meta["vocab_size"])

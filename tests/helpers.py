@@ -1,10 +1,26 @@
 """Helpers that only the tests use: summaries of training results,
-views of model outputs and fixture rows."""
+views of model outputs, the authored case and fixture rows."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 
-from empgen.fixtures import case_sample, load_case_fixture
+from empgen.corpus import LabelSet, parse_sample
 from empgen.knowledge import build_analysis_prompt
+
+DATA_DIR = Path(__file__).parent / "data"
+GOLDEN_PROMPT_PATH = DATA_DIR / "analysis_prompt_case_grateful.txt"
+
+
+def load_case_fixture() -> dict:
+    """The authored grateful-dialogue case with its analysis paragraph."""
+    return json.loads((DATA_DIR / "case_grateful.json").read_text(encoding="utf-8"))
+
+
+def case_sample(labels: LabelSet | None = None):
+    labels = labels or LabelSet.default()
+    return parse_sample(load_case_fixture(), labels)
 
 
 def epoch_mean_total(history, epoch: int) -> float:

@@ -21,7 +21,7 @@ from empgen.decoder import assemble_memory, nll_loss
 from empgen.emotion import classify_emotion, fuse_features, pool_knowledge
 from empgen.encoder import EncoderStack, FusionParams, fuse_sensible, relation_token_ids
 from empgen.evaluation import accuracy, bleu_n, dist_n, perplexity, rouge_n
-from empgen.fixtures import GOLDEN_PROMPT_PATH, case_sample, generate_mini_corpus
+from empgen.fixtures import generate_mini_corpus
 from empgen.knowledge import (
     AnalysisCache,
     EchoLlmClient,
@@ -34,10 +34,10 @@ from empgen.knowledge import (
 from empgen.layers import Linear
 from empgen.model import PLANS, Providers
 from empgen.selectors import HeuristicCauseDetector, OracleSentimentPredictor, load_lexicon
-from empgen.training import TrainConfig, grad_check, train
+from empgen.training import TrainConfig, train
 
-from .helpers import emotion_loss, epoch_mean_total
-from .oracles import accuracy_oracle, bleu_oracle, dist_oracle, ppl_oracle, rouge_f1_oracle
+from .helpers import GOLDEN_PROMPT_PATH, case_sample, emotion_loss, epoch_mean_total
+from .oracles import accuracy_oracle, bleu_oracle, dist_oracle, grad_check, ppl_oracle, rouge_f1_oracle
 
 
 @contextlib.contextmanager

@@ -403,6 +403,75 @@ def test_interactive_chat_decodes_like_generate(workspace, tmp_path, capsys, mon
     assert beam != generated("--strategy", "greedy")  # the flags reached the decoder
 
 
+def untrained_checkpoint(data, tmp_path):
+    """An untrained d=16 checkpoint over the data dir's vocabulary."""
+    from empgen.corpus import Vocab
+    from empgen.training import TrainConfig, save_checkpoint
+
+    vocab = Vocab.load(data / "vocab.json")
+    config = TrainConfig(seed=4, d=16, layers=1, heads=2, ffn_mult=2)
+    model = config.build_model(len(vocab))
+    save_checkpoint(tmp_path / "checkpoint.npz", model, config, vocab)
+    return tmp_path / "checkpoint.npz", model, config, vocab
+
+
+THANKFUL = {"history": [{"role": "speaker", "text": "i felt so thankful about the trip"}]}
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "beam"])
+def test_generate_runs_the_search_and_no_teacher_forced_pass(workspace, tmp_path, capsys, monkeypatch, strategy):
+    from empgen.cli import _load_split, build_parser, build_providers
+    from empgen.corpus import LabelSet, parse_sample
+    from empgen.decoder import DecoderStack, generate
+    from empgen.model import PLANS, prepare_sample
+
+    data = workspace / "data"
+    checkpoint, model, config, vocab = untrained_checkpoint(data, tmp_path)
+    record = {**THANKFUL, "response": "thank you for telling me"}
+    dialogue = tmp_path / "dialogue.json"
+    dialogue.write_text(json.dumps(record), encoding="utf-8")
+    calls = []
+    forward = DecoderStack.forward
+
+    def counted_forward(stack, input_ids, memory, rng=None, cache=None):
+        calls.append(len(input_ids))
+        return forward(stack, input_ids, memory, rng, cache)
+
+    monkeypatch.setattr(DecoderStack, "forward", counted_forward)
+    args = ["generate", "--checkpoint", str(checkpoint), "--data-dir", str(data), "--dialogue", str(dialogue)]
+    args += ["--strategy", strategy]
+    capsys.readouterr()
+    assert main(args) == 0
+    printed = capsys.readouterr().out.splitlines()
+    in_command = list(calls)
+
+    # The search alone over the same memory makes the same calls.
+    labels = LabelSet.default()
+    sample = parse_sample({**record, "id": "adhoc", "emotion": labels.names[0]}, labels)
+    providers = build_providers(build_parser().parse_args(args), config, _load_split(data, "train", labels), labels)
+    plan = PLANS[config.ablation]
+    memory, _ = model.encode_batch([prepare_sample(sample, vocab, providers, plan)], plan)
+    calls.clear()
+    reply = generate(memory, model.decoder, vocab, strategy, 3, config.max_gen_len)
+    assert in_command == calls
+    assert printed[0] == reply.text
+    if strategy == "greedy":
+        assert len(calls) == len(reply.ids)
+
+
+def test_generate_answers_whatever_the_ignored_response_holds(workspace, tmp_path, capsys):
+    data = workspace / "data"
+    checkpoint, *_ = untrained_checkpoint(data, tmp_path)
+    outputs = []
+    for response in ({}, {"response": " ".join(["thanks"] * 601)}):  # past the 512 positions
+        dialogue = tmp_path / "dialogue.json"
+        dialogue.write_text(json.dumps({**THANKFUL, **response}), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["generate", "--checkpoint", str(checkpoint), "--data-dir", str(data), "--dialogue", str(dialogue)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and "predicted emotion: " in outputs[1]
+
+
 def test_chat_without_dialogue_is_refused_before_loading(workspace, tmp_path, capsys):
     # The checkpoint does not exist: loading it first would report that instead.
     args = ["chat", "--checkpoint", str(tmp_path / "missing.npz"), "--data-dir", str(workspace / "data")]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -156,6 +157,18 @@ def test_vocab_serialization_byte_identical(tmp_path, mini_samples):
     assert p1.read_bytes() == p2.read_bytes()
     loaded = Vocab.load(p1)
     assert loaded.token_to_id == v1.token_to_id
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"[1, 2]", b"7", b'{"<pad>": 0, "x": "1"}', b'{"<pad>": 0}', b"{not json", b"\xff\xfe"],
+    ids=["list", "number", "string id", "reserved ids missing", "not JSON", "not UTF-8"],
+)
+def test_vocab_load_refuses_a_bad_file_by_its_path(tmp_path, content):
+    path = tmp_path / "vocab.json"
+    path.write_bytes(content)
+    with pytest.raises(DatasetError, match=re.escape(f"vocabulary {path}: ")):
+        Vocab.load(path)
 
 
 def test_tokenize_lowercases_and_splits_punctuation():

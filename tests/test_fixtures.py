@@ -4,14 +4,14 @@ import pytest
 
 from empgen.corpus import parse_sample
 from empgen.fixtures import (
-    case_sample,
     cause_turn_indices,
     generate_mini_corpus,
-    load_case_fixture,
     write_knowledge_fixtures,
     write_selector_fixtures,
 )
 from empgen.util import write_jsonl
+
+from .helpers import case_sample, load_case_fixture
 
 
 def test_size_below_label_count_rejected():

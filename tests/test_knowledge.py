@@ -11,7 +11,6 @@ import pytest
 import empgen
 
 from empgen.corpus import DialogueSample
-from empgen.fixtures import GOLDEN_PROMPT_PATH, case_sample
 from empgen.knowledge import (
     RELATIONS,
     AnalysisCache,
@@ -29,7 +28,7 @@ from empgen.knowledge import (
 from empgen.selectors import FixtureMissError
 from empgen.util import write_jsonl
 
-from .helpers import case_analysis_fixture_rows
+from .helpers import GOLDEN_PROMPT_PATH, case_analysis_fixture_rows, case_sample
 
 
 def test_bundle_has_exactly_five_relations():

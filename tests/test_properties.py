@@ -12,7 +12,9 @@ from empgen.fixtures import generate_mini_corpus
 from empgen.knowledge import AnalysisCache, EchoLlmClient, TemplateCommonsenseProvider
 from empgen.model import PLANS, PreparedSample, Providers, padded_rows, prepare_sample, prepare_samples
 from empgen.selectors import HeuristicCauseDetector, OracleSentimentPredictor, load_lexicon
-from empgen.training import TrainConfig, grad_check
+from empgen.training import TrainConfig
+
+from .oracles import grad_check
 
 VOCAB = 24
 LABELS = 5

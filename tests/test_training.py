@@ -9,17 +9,9 @@ from empgen.corpus import Vocab
 from empgen.knowledge import AnalysisCache, EchoLlmClient, TemplateCommonsenseProvider
 from empgen.model import PLANS, Providers
 from empgen.selectors import HeuristicCauseDetector, OracleSentimentPredictor
-from empgen.training import (
-    Adam,
-    CheckpointError,
-    TrainConfig,
-    check_gradients,
-    grad_check,
-    load_checkpoint,
-    micro_prepared_sample,
-    save_checkpoint,
-    train,
-)
+from empgen.training import Adam, CheckpointError, TrainConfig, load_checkpoint, save_checkpoint, train
+
+from .oracles import check_gradients, grad_check, micro_prepared_sample
 
 
 def tiny_config(**overrides):
@@ -183,8 +175,6 @@ def test_grad_check_passes_micro_model():
 
 
 def test_grad_check_detects_corruption():
-    from empgen.training import micro_prepared_sample
-
     config = TrainConfig(seed=3, d=8, layers=1, heads=2, ffn_mult=2, dropout=0.0,
                          num_emotions=5, ablation="full")
     prep = micro_prepared_sample()
@@ -223,7 +213,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, mini_samples, mini_vocab, lex
     plan = PLANS[config.ablation]
     before = result.model.forward_sample(result.prepared[0], plan)
     path = tmp_path / "ck.npz"
-    save_checkpoint(path, result.model, config, mini_vocab, rng=result.rng)
+    save_checkpoint(path, result.model, config, mini_vocab)
     loaded = load_checkpoint(path)
     after = loaded.model.forward_sample(result.prepared[0], plan)
     assert float(before.nll_sum.data) == float(after.nll_sum.data)
@@ -356,17 +346,100 @@ def test_checkpoint_missing_file(tmp_path):
         load_checkpoint(tmp_path / "absent.npz")
 
 
-def test_checkpoint_restores_optimizer_state(tmp_path, mini_samples, mini_vocab, lexicon):
-    config = tiny_config(epochs=1)
-    result = train(config, mini_samples[:8], mini_vocab, fresh_providers(lexicon))
+def test_checkpoint_holds_only_the_parameters_and_meta(tmp_path, mini_vocab):
+    config = tiny_config()
+    model = config.build_model(len(mini_vocab))
+    save_checkpoint(tmp_path / "ck.npz", model, config, mini_vocab)
+    with np.load(tmp_path / "ck.npz", allow_pickle=False) as archive:
+        names = set(archive.files)
+        meta = json.loads(str(archive["meta"]))
+    assert names == {"meta"} | {f"param/{name}" for name in model.named_parameters()}
+    assert set(meta) == {"version", "config", "vocab_size", "vocab_fingerprint"}
+
+
+def test_checkpoint_with_optimizer_and_rng_state_loads_them_ignored(tmp_path, mini_vocab):
+    """An archive laid out as checkpoints were before they held only the
+    model: Adam's moments as arrays, and the step count, epoch and RNG
+    state in the metadata."""
+    config = tiny_config()
+    model = config.build_model(len(mini_vocab))
+    params = model.named_parameters()
+    arrays = {f"param/{name}": p.data for name, p in params.items()}
+    for name, p in params.items():
+        arrays[f"adam_m/{name}"] = np.full_like(p.data, 0.5)
+        arrays[f"adam_v/{name}"] = np.full_like(p.data, 0.25)
+    meta = {
+        "version": 1,
+        "config": config.to_dict(),
+        "vocab_size": len(mini_vocab),
+        "vocab_fingerprint": mini_vocab.fingerprint(),
+        "epoch": 2,
+        "adam_t": 7,
+        "rng_state": json.dumps(np.random.default_rng(1).bit_generator.state),
+    }
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(tmp_path / "old.npz", **arrays)
+    loaded = load_checkpoint(tmp_path / "old.npz", mini_vocab)
+    assert loaded.config == config and loaded.vocab_size == len(mini_vocab)
+    for name, p in loaded.model.named_parameters().items():
+        assert p.data.dtype == np.float64
+        assert p.data.tobytes() == params[name].data.tobytes()
+
+
+def rewritten(path, edit):
+    """Rewrite the checkpoint at ``path`` with ``edit`` applied to its
+    arrays by name, the metadata parsed."""
+    with np.load(path, allow_pickle=False) as archive:
+        data = dict(archive)
+    data["meta"] = json.loads(str(data["meta"]))
+    edit(data)
+    if isinstance(data["meta"], dict):
+        data["meta"] = np.array(json.dumps(data["meta"]))
+    np.savez(path, **data)
+
+
+def flip_array_byte(path):
+    """Flip one byte inside the stored data of a parameter array."""
+    with np.load(path, allow_pickle=False) as archive:
+        needle = archive["param/classifier.weight"].tobytes()[:64]
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(needle) + 8] ^= 0x40
+    path.write_bytes(bytes(raw))
+
+
+def set_item(name, index, value):
+    return lambda data: data[name].__setitem__(index, value)
+
+
+DAMAGE = {
+    "flipped array byte": (None, "corrupt checkpoint .*CRC"),
+    "meta not JSON": (lambda d: d.update(meta=np.array("{not json")), "metadata is not JSON"),
+    "meta a list": (lambda d: d.update(meta=np.array("[1, 2]")), "not a JSON object"),
+    "meta without config": (lambda d: d["meta"].pop("config"), "no config object"),
+    "vocab_size a string": (set_item("meta", "vocab_size", "37"), "vocab_size '37' is not"),
+    "fingerprint a number": (set_item("meta", "vocab_fingerprint", 7), "vocab_fingerprint 7 is not"),
+    "parameter missing": (lambda d: d.pop("param/decoder.out_proj.bias"), "missing array param/decoder.out_proj"),
+    "parameter NaN": (lambda d: d["param/fusion.w_q"].fill(np.nan), "fusion.w_q holds NaN or infinite"),
+    "parameter inf": (set_item("param/classifier.bias", 0, np.inf), "classifier.bias holds NaN or infinite"),
+    "parameter strings": (
+        lambda d: d.update({"param/classifier.bias": d["param/classifier.bias"].astype(str)}),
+        "classifier.bias holds <U32, not float64",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_damaged_checkpoint_is_refused_by_name(tmp_path, mini_vocab, damage):
+    config = tiny_config()
     path = tmp_path / "ck.npz"
-    save_checkpoint(path, result.model, config, mini_vocab, optimizer=result.optimizer)
-    loaded = load_checkpoint(path)
-    assert loaded.optimizer is not None
-    assert loaded.optimizer.t == result.optimizer.t
-    for name in result.optimizer.params:
-        np.testing.assert_array_equal(loaded.optimizer.m[name], result.optimizer.m[name])
-        np.testing.assert_array_equal(loaded.optimizer.v[name], result.optimizer.v[name])
+    save_checkpoint(path, config.build_model(len(mini_vocab)), config, mini_vocab)
+    edit, message = DAMAGE[damage]
+    if edit is None:
+        flip_array_byte(path)
+    else:
+        rewritten(path, edit)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path, mini_vocab)
 
 
 def test_adam_moves_toward_minimum():
