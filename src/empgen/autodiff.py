@@ -8,10 +8,12 @@ throughout so central finite differences remain a meaningful oracle for
 the analytic gradients. Inside ``no_grad()`` nothing is recorded, for
 inference.
 
-``linear``, ``layer_norm`` and ``attention`` are fused nodes with
+``linear``, ``add_norm`` and ``attention`` are fused nodes with
 closed-form backward passes: one node each where the composed ops would
-record 2, 12 and 6 (14 with attention's head split and merge). Their
-forward passes do the composed ops' float operations in the same order.
+record 2 (3 with ``linear``'s ReLU), 14 (dropout, residual add and 12 for
+LayerNorm) and 6 (14 with attention's head split and merge). Their
+forward passes do the composed ops' float operations in the same order;
+they keep a dropout mask as booleans and no ReLU pre-activation.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "add_norm",
     "attention",
     "grad_enabled",
-    "layer_norm",
     "linear",
     "no_grad",
     "parameter",
@@ -191,12 +193,6 @@ class Tensor:
 
         return Tensor._node(-a.data, (a,), backward)
 
-    def __sub__(self, other):
-        return self + (-as_tensor(other))
-
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other):
         other = as_tensor(other)
         a, b = self, other
@@ -211,26 +207,9 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise TypeError("divide by a python scalar; use pow() for tensors")
-        return self * (1.0 / scalar)
-
-    def __matmul__(self, other):
-        other = as_tensor(other)
-        if other.ndim == 2:
-            return linear(self, other)
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                ga = g @ np.swapaxes(b.data, -1, -2)
-                a._accumulate(_unbroadcast(ga, a.data.shape))
-            if b.requires_grad:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-                b._accumulate(_unbroadcast(gb, b.data.shape))
-
-        return Tensor._node(a.data @ b.data, (a, b), backward)
+    def __matmul__(self, weight):
+        """``linear`` by a 2-D weight."""
+        return linear(self, as_tensor(weight))
 
     # ------------------------------------------------------------------
     # shape ops
@@ -253,7 +232,7 @@ class Tensor:
         return Tensor._node(np.swapaxes(a.data, axis1, axis2), (a,), backward)
 
     # ------------------------------------------------------------------
-    # reductions and nonlinearities
+    # reductions
 
     def sum(self, axis=None, keepdims: bool = False):
         a = self
@@ -265,32 +244,6 @@ class Tensor:
             a._accumulate(np.broadcast_to(gg, a.data.shape).astype(np.float64))
 
         return Tensor._node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            n = self.data.size
-        elif isinstance(axis, tuple):
-            n = int(np.prod([self.data.shape[i] for i in axis]))
-        else:
-            n = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    def pow(self, exponent: float):
-        a = self
-
-        def backward(g):
-            a._accumulate(g * exponent * a.data ** (exponent - 1.0))
-
-        return Tensor._node(a.data**exponent, (a,), backward)
-
-    def relu(self):
-        a = self
-        mask = a.data > 0
-
-        def backward(g):
-            a._accumulate(g * mask)
-
-        return Tensor._node(a.data * mask, (a,), backward)
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
@@ -368,17 +321,23 @@ def take_per_row(t: Tensor, indices) -> Tensor:
     return Tensor._node(np.take_along_axis(t.data, idx, axis=-1), (t,), backward)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, relu: bool = False) -> Tensor:
     """``x @ weight + bias`` for ``x`` (..., k) and a (k, m) weight, run as
-    one 2-D GEMM over all rows, forward and backward."""
+    one 2-D GEMM over all rows, forward and backward. With ``relu`` the node
+    rectifies its output and keeps no pre-activation: the output is
+    positive exactly where the pre-activation was."""
     k, m = weight.shape
     rows = x.data.reshape(-1, k)
     y = rows @ weight.data
     if bias is not None:
         y += bias.data
+    if relu:
+        y *= y > 0
 
     def backward(g):
         g = g.reshape(-1, m)
+        if relu:
+            g = g * (y > 0)
         if x.requires_grad:
             x._accumulate((g @ weight.data.T).reshape(x.data.shape), owned=True)
         if weight.requires_grad:
@@ -390,11 +349,23 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return Tensor._node(y.reshape(*x.data.shape[:-1], m), parents, backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then scale
-    by ``gain`` and shift by ``bias``."""
-    n = x.data.shape[-1]
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+def add_norm(
+    x: Tensor, h: Tensor, gain: Tensor, bias: Tensor, eps: float, rate: float, rng: np.random.Generator | None
+) -> Tensor:
+    """``LN(x + dropout(h))``, a post-norm sublayer's output from its input
+    ``x`` and its result ``h``, both (..., n). Inverted dropout zeroes each
+    entry of ``h`` with probability ``rate`` and scales the rest by
+    1 / (1 - rate); it is the identity when ``rng`` is None (eval mode) or
+    ``rate`` is 0. The sum is then normalized over the last axis to zero
+    mean and unit variance, scaled by ``gain`` and shifted by ``bias``."""
+    s = h.data
+    keep = None
+    if rng is not None and rate > 0.0:
+        keep = rng.random(h.shape) >= rate
+        s = s * (keep / (1.0 - rate))
+    s = x.data + s
+    n = s.shape[-1]
+    centered = s - s.sum(axis=-1, keepdims=True) * (1.0 / n)
     var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
     inv = (var + eps) ** -0.5
     normed = centered * inv
@@ -404,13 +375,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
             gain._accumulate((g * normed).reshape(-1, n).sum(axis=0), owned=True)
         if bias.requires_grad:
             bias._accumulate(g.reshape(-1, n).sum(axis=0), owned=True)
+        gn = g * gain.data
+        mean_gn = gn.sum(axis=-1, keepdims=True) * (1.0 / n)
+        mean_gn_normed = (gn * normed).sum(axis=-1, keepdims=True) * (1.0 / n)
+        gs = inv * (gn - mean_gn - normed * mean_gn_normed)
+        if h.requires_grad:  # before x owns gs
+            h._accumulate(gs if keep is None else gs * (keep / (1.0 - rate)), owned=keep is not None)
         if x.requires_grad:
-            gn = g * gain.data
-            mean_gn = gn.sum(axis=-1, keepdims=True) * (1.0 / n)
-            mean_gn_normed = (gn * normed).sum(axis=-1, keepdims=True) * (1.0 / n)
-            x._accumulate(inv * (gn - mean_gn - normed * mean_gn_normed), owned=True)
+            x._accumulate(gs, owned=True)
 
-    return Tensor._node(normed * gain.data + bias.data, (x, gain, bias), backward)
+    return Tensor._node(normed * gain.data + bias.data, (x, h, gain, bias), backward)
 
 
 def attention(

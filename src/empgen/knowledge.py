@@ -9,7 +9,7 @@ import json
 import threading
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .corpus import DialogueSample, EmotionLabel
@@ -72,6 +72,9 @@ class AnalysisRecord:
             "response": self.response,
             "created_at": self.created_at,
         }
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(AnalysisRecord))
 
 
 def prompt_cache_key(prompt: str) -> str:
@@ -299,7 +302,9 @@ class AnalysisCache:
         """Read the file. An unparseable last line is an append cut short
         by a crash: it is dropped, with a warning, and cut from the file so
         that the next append starts on a clean line. An unparseable line
-        before it is damage this cache cannot explain, and raises."""
+        before it is damage this cache cannot explain, and raises, as does
+        any line that is not a JSON object with a string for each field
+        of an ``AnalysisRecord``."""
         data = self.path.read_bytes()
         if data and not data.endswith(b"\n"):  # the last append was cut short
             with open(self.path, "ab") as fh:
@@ -316,15 +321,15 @@ class AnalysisCache:
                     fh.truncate(offset)
                 return
             offset += len(line)
-            if rec is not None:
-                record = AnalysisRecord(
-                    prompt=rec["prompt"],
-                    response=rec["response"],
-                    cache_key=rec["cache_key"],
-                    llm_id=rec["llm_id"],
-                    created_at=rec["created_at"],
+            if rec is None:
+                continue
+            if not isinstance(rec, dict) or not all(isinstance(rec.get(name), str) for name in RECORD_FIELDS):
+                raise ValueError(
+                    f"{self.path}:{number}: malformed analysis cache line: "
+                    f"not a JSON object with string fields {', '.join(RECORD_FIELDS)}"
                 )
-                self._records[record.cache_key] = record
+            record = AnalysisRecord(**{name: rec[name] for name in RECORD_FIELDS})
+            self._records[record.cache_key] = record
 
     def __len__(self) -> int:
         return len(self._records)

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Tensor, attention, layer_norm, linear, parameter
+from .autodiff import Tensor, add_norm, attention, linear, parameter
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -58,14 +58,6 @@ def prefixed(parts: dict) -> dict[str, Tensor]:
     return {f"{name}.{k}": v for name, part in parts.items() for k, v in part.parameters().items()}
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when rng is None (eval mode) or rate is 0."""
-    if rng is None or rate <= 0.0:
-        return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(mask)
-
-
 class Linear:
     def __init__(self, rng: np.random.Generator, fan_in: int, fan_out: int, bias: bool = True):
         self.weight = parameter(xavier_uniform(rng, fan_in, fan_out))
@@ -88,8 +80,10 @@ class LayerNorm:
         self.gain = parameter(np.ones(d))
         self.bias = parameter(np.zeros(d))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias, self.EPS)
+    def __call__(self, x: Tensor, h: Tensor, drop: float, rng: np.random.Generator | None) -> Tensor:
+        """``LN(x + dropout(h))`` of a post-norm sublayer with input ``x``
+        and result ``h``, as one ``add_norm`` node."""
+        return add_norm(x, h, self.gain, self.bias, self.EPS, drop, rng)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"gain": self.gain, "bias": self.bias}
@@ -138,7 +132,7 @@ class FeedForward:
         self.lin2 = Linear(rng, hidden, d)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(self.lin1(x).relu())
+        return self.lin2(linear(x, self.lin1.weight, self.lin1.bias, relu=True))
 
     def parameters(self) -> dict[str, Tensor]:
         return prefixed({"lin1": self.lin1, "lin2": self.lin2})
@@ -156,8 +150,8 @@ class EncoderLayer:
     def __call__(
         self, x: Tensor, drop: float, rng: np.random.Generator | None, mask: np.ndarray | None = None
     ) -> Tensor:
-        x = self.ln1(x + dropout(self.attn(x, x, mask), drop, rng))
-        return self.ln2(x + dropout(self.ffn(x), drop, rng))
+        x = self.ln1(x, self.attn(x, x, mask), drop, rng)
+        return self.ln2(x, self.ffn(x), drop, rng)
 
     def parameters(self) -> dict[str, Tensor]:
         return prefixed({"attn": self.attn, "ln1": self.ln1, "ffn": self.ffn, "ln2": self.ln2})
@@ -196,9 +190,9 @@ class DecoderLayer:
         if past is not None:
             k = Tensor(np.concatenate([past[0], k.data], axis=-2))
             v = Tensor(np.concatenate([past[1], v.data], axis=-2))
-        x = self.ln1(x + dropout(self.self_attn(x, KeyValues(k, v), mask), drop, rng))
-        x = self.ln2(x + dropout(self.cross_attn(x, memory, memory_mask), drop, rng))
-        return self.ln3(x + dropout(self.ffn(x), drop, rng)), (k.data, v.data)
+        x = self.ln1(x, self.self_attn(x, KeyValues(k, v), mask), drop, rng)
+        x = self.ln2(x, self.cross_attn(x, memory, memory_mask), drop, rng)
+        return self.ln3(x, self.ffn(x), drop, rng), (k.data, v.data)
 
     def parameters(self) -> dict[str, Tensor]:
         names = ("self_attn", "ln1", "cross_attn", "ln2", "ffn", "ln3")

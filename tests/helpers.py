@@ -1,5 +1,6 @@
 """Helpers that only the tests use: summaries of training results,
-views of model outputs, the authored case and fixture rows."""
+views of model outputs, the training tape, the authored case and fixture
+rows."""
 
 import json
 from pathlib import Path
@@ -46,6 +47,30 @@ def gradient_footprint(model) -> frozenset:
         else:
             names.add(name)
     return frozenset(names)
+
+
+def tape_of(loss) -> tuple[list, list[np.ndarray]]:
+    """The tape behind ``loss`` before its backward pass: its recorded
+    nodes, and every array they hold (outputs, constant inputs and what
+    the backward closures read), each buffer once. Parameters and
+    read-only tables shared by every model, such as the position table,
+    are not the tape's own."""
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._parents:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    held = [n.data for n in nodes] + [p.data for n in nodes for p in n._parents if not p.requires_grad]
+    held += [c.cell_contents for n in nodes for c in n._backward.__closure__ or ()]
+    buffers = {}
+    for a in held:
+        if isinstance(a, np.ndarray) and a.flags.writeable:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            buffers[id(a)] = a
+    return nodes, list(buffers.values())
 
 
 def encode_one(stack, ids) -> np.ndarray:

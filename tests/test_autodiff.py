@@ -3,8 +3,11 @@ import pytest
 
 from empgen.autodiff import (
     Tensor,
+    add_norm,
+    attention,
     concat,
     embedding,
+    linear,
     log_softmax,
     no_grad,
     parameter,
@@ -45,19 +48,6 @@ def test_add_mul_broadcast_grads():
     assert rel_err(b.grad, fd_b) < 1e-6
 
 
-def test_matmul_grads_2d_and_3d():
-    rng = np.random.default_rng(2)
-    a = parameter(rng.normal(0, 1, (2, 3, 4)))
-    b = parameter(rng.normal(0, 1, (2, 4, 5)))
-
-    def loss():
-        return (a @ b).sum()
-
-    loss().backward()
-    assert rel_err(a.grad, fd_gradient(lambda: float(loss().data), a.data, 1e-6)) < 1e-6
-    assert rel_err(b.grad, fd_gradient(lambda: float(loss().data), b.data, 1e-6)) < 1e-6
-
-
 def test_matmul_broadcast_grad():
     rng = np.random.default_rng(3)
     a = parameter(rng.normal(0, 1, (2, 3, 4)))
@@ -89,11 +79,30 @@ def test_log_softmax_grad():
     check_unary(lambda x: (log_softmax(x, axis=-1) * 0.3).sum(), (4, 6), tol=1e-5)
 
 
-def test_reductions_and_pow():
+def test_sum_grads():
     check_unary(lambda x: x.sum(axis=0).sum(), (3, 4))
-    check_unary(lambda x: x.mean(axis=-1, keepdims=True).sum(), (3, 4))
-    check_unary(lambda x: ((x * x) + 1.0).pow(0.5).sum(), (3, 3))
-    check_unary(lambda x: x.relu().sum(), (5, 5))
+    check_unary(lambda x: (x.sum(axis=-1, keepdims=True) * x).sum(), (3, 4))
+    check_unary(lambda x: (x.sum(axis=(0, 2)) * Tensor([1.0, -2.0, 0.5])).sum(), (2, 3, 4))
+
+
+def test_relu_linear_gradients_away_from_the_kink():
+    rng = np.random.default_rng(15)
+    x = parameter(rng.normal(0, 1, (2, 3, 4)))
+    w = parameter(rng.normal(0, 1, (4, 6)))
+    b = parameter(rng.normal(0, 1, (6,)))
+    pre = x.data @ w.data + b.data
+    # Every pre-activation is far from 0 next to the difference step.
+    assert np.abs(pre).min() > 1e-2 and (pre > 0).any() and (pre < 0).any()
+    probe = rng.normal(0, 1, (2, 3, 6))
+
+    def loss():
+        return (linear(x, w, b, relu=True) * Tensor(probe)).sum()
+
+    np.testing.assert_array_equal(linear(x, w, b, relu=True).data, np.maximum(pre, 0.0))
+    loss().backward()
+    for name, t in zip("xwb", (x, w, b)):
+        fd = fd_gradient(lambda: float(loss().data), t.data, h=1e-6)
+        assert rel_err(t.grad, fd) < 1e-6, name
 
 
 def test_reshape_swapaxes_concat_slice():
@@ -164,7 +173,7 @@ def test_no_grad_records_no_parents_and_keeps_leaves_trainable():
     x = parameter(np.ones((2, 3)))
     w = parameter(np.full((3, 2), 0.5))
     with no_grad():
-        out = softmax((x @ w).relu() + x.sum(axis=1, keepdims=True), axis=-1)
+        out = softmax(linear(x, w, relu=True) + x.sum(axis=1, keepdims=True), axis=-1)
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
     assert x.requires_grad and w.requires_grad
@@ -207,57 +216,81 @@ def test_no_grad_holds_only_in_its_own_thread():
 
 
 def test_fused_nodes_match_composed_ops_and_differences():
-    from empgen.autodiff import attention, layer_norm, linear
-
     rng = np.random.default_rng(8)
     x = parameter(rng.normal(0, 1, (2, 3, 4)))
     w = parameter(rng.normal(0, 1, (4, 5)))
     b = parameter(rng.normal(0, 1, (5,)))
+    r = parameter(rng.normal(0, 1, (2, 3, 5)))  # the sublayer's input
     gain = parameter(rng.normal(1, 0.3, (5,)))
     shift = parameter(rng.normal(0, 1, (5,)))
     k = parameter(rng.normal(0, 1, (2, 6, 5)))
     v = parameter(rng.normal(0, 1, (2, 6, 5)))
     mask = np.where(np.arange(6) < np.array([[4], [6]]), 0.0, -1e9)[:, None, :]
     probe = rng.normal(0, 1, (2, 3, 5))
+    leaves = dict(zip("xwbrgskv", (x, w, b, r, gain, shift, k, v)))
 
     def fused():
-        h = layer_norm(linear(x, w, b), gain, shift, 1e-5)
+        h = add_norm(r, linear(x, w, b), gain, shift, 1e-5, 0.3, np.random.default_rng(5))
         return (attention(h, k, v, 0.7, mask) * Tensor(probe)).sum()
 
-    def composed():
-        h = x @ w + b
-        centered = h - h.mean(axis=-1, keepdims=True)
-        inv = ((centered * centered).mean(axis=-1, keepdims=True) + 1e-5).pow(-0.5)
-        h = centered * inv * gain + shift
-        weights = softmax((h @ k.swapaxes(-1, -2)) * 0.7 + Tensor(mask), axis=-1)
-        return ((weights @ v) * Tensor(probe)).sum()
+    def composed():  # the same float operations, in numpy
+        h = (x.data.reshape(-1, 4) @ w.data + b.data).reshape(2, 3, 5)
+        s = r.data + h * ((np.random.default_rng(5).random(h.shape) >= 0.3) / (1.0 - 0.3))
+        centered = s - s.sum(axis=-1, keepdims=True) * (1.0 / 5)
+        var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / 5)
+        h = centered * (var + 1e-5) ** -0.5 * gain.data + shift.data
+        scores = h @ k.data.swapaxes(-1, -2) * 0.7 + mask
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights /= weights.sum(axis=-1, keepdims=True)
+        return ((weights @ v.data) * probe).sum()
 
-    assert float(fused().data) == float(composed().data)
+    assert float(fused().data) == float(composed())
     fused().backward()
-    ours = {name: t.grad.copy() for name, t in zip("xwbgskv", (x, w, b, gain, shift, k, v))}
-    for name, t in zip("xwbgskv", (x, w, b, gain, shift, k, v)):
-        t.zero_grad()
-    composed().backward()
-    for name, t in zip("xwbgskv", (x, w, b, gain, shift, k, v)):
-        np.testing.assert_allclose(ours[name], t.grad, rtol=1e-12, atol=1e-13, err_msg=name)
+    for name, t in leaves.items():
         fd = fd_gradient(lambda: float(fused().data), t.data, h=1e-5)
-        assert rel_err(ours[name], fd) < 1e-5, name
+        assert rel_err(t.grad, fd) < 1e-5, name
     # Padded keys get no gradient at all.
-    assert not ours["k"][0, 4:].any() and not ours["v"][0, 4:].any()
+    assert not k.grad[0, 4:].any() and not v.grad[0, 4:].any()
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.4])
+def test_add_norm_gradients_with_dropout_on_and_off(rate):
+    rng = np.random.default_rng(16)
+    x = parameter(rng.normal(0, 1, (2, 3, 6)))
+    h = parameter(rng.normal(0, 1, (2, 3, 6)))
+    gain = parameter(rng.normal(1, 0.3, (6,)))
+    shift = parameter(rng.normal(0, 1, (6,)))
+    probe = rng.normal(0, 1, (2, 3, 6))
+
+    def drops():  # a fixed mask draw; None turns dropout off
+        return np.random.default_rng(17) if rate else None
+
+    def loss():
+        return (add_norm(x, h, gain, shift, 1e-5, rate, drops()) * Tensor(probe)).sum()
+
+    # The mask is one rng.random(h.shape) draw, as inverted dropout makes it.
+    keep = np.random.default_rng(17).random(h.shape) >= rate
+    s = x.data + h.data * (keep / (1.0 - rate))
+    normed = (s - s.mean(axis=-1, keepdims=True)) / np.sqrt(s.var(axis=-1, keepdims=True) + 1e-5)
+    out = add_norm(x, h, gain, shift, 1e-5, rate, drops()).data
+    np.testing.assert_allclose(out, normed * gain.data + shift.data, rtol=1e-12, atol=1e-14)
+    loss().backward()
+    for name, t in zip(("x", "h", "gain", "shift"), (x, h, gain, shift)):
+        fd = fd_gradient(lambda: float(loss().data), t.data, h=1e-6)
+        assert rel_err(t.grad, fd) < 1e-6, name
+    assert rate == 0.0 or (not h.grad[~keep].any() and keep.any() and not keep.all())
 
 
 def test_backward_releases_intermediates_and_keeps_leaf_grads():
     import gc
     import weakref
 
-    from empgen.autodiff import layer_norm, linear
-
     rng = np.random.default_rng(9)
     x = parameter(rng.normal(0, 1, (3, 4)))
     w = parameter(rng.normal(0, 1, (4, 4)))
     gain, shift = parameter(np.ones(4)), parameter(np.zeros(4))
-    hidden = linear(x, w)
-    out = layer_norm(hidden.relu(), gain, shift, 1e-5)
+    hidden = linear(x, w, relu=True)
+    out = add_norm(x, hidden, gain, shift, 1e-5, 0.5, np.random.default_rng(0))
     loss = (out * out).sum()
     refs = [weakref.ref(t) for t in (hidden, out)]
     del hidden, out
@@ -280,8 +313,6 @@ def test_accumulate_copies_the_first_gradient():
 
 
 def test_shared_gradient_stays_distinct_over_two_passes():
-    from empgen.autodiff import linear
-
     rng = np.random.default_rng(12)
     a, b = parameter(rng.normal(0, 1, (2, 3))), parameter(rng.normal(0, 1, (2, 3)))
     w = parameter(rng.normal(0, 1, (3, 4)))
@@ -305,8 +336,6 @@ def split_heads(t, heads):
 
 
 def test_multi_head_attention_matches_split_attend_merge():
-    from empgen.autodiff import attention
-
     rng = np.random.default_rng(13)
     q = parameter(rng.normal(0, 1, (2, 3, 8)))
     k = parameter(rng.normal(0, 1, (2, 5, 8)))
@@ -336,8 +365,6 @@ def test_multi_head_attention_matches_split_attend_merge():
 
 
 def test_multi_head_attention_gradients_over_hypotheses_and_padding():
-    from empgen.autodiff import attention
-
     rng = np.random.default_rng(14)
     q = parameter(rng.normal(0, 1, (3, 2, 8)))  # three hypotheses
     k = parameter(rng.normal(0, 1, (6, 8)))  # one unbatched memory

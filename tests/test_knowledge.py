@@ -262,6 +262,30 @@ def test_cache_malformed_line_before_the_tail_raises(tmp_path):
         AnalysisCache(path)
 
 
+RECORD = {"prompt": "p", "response": "r", "cache_key": "k", "llm_id": "echo", "created_at": "t"}
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        {k: v for k, v in RECORD.items() if k != "response"},
+        [RECORD],
+        7,
+        "a string",
+        {**RECORD, "cache_key": ["k"]},
+        {**RECORD, "created_at": None},
+    ],
+    ids=["no response", "a list", "a number", "a string", "list cache_key", "null created_at"],
+)
+def test_cache_line_of_the_wrong_shape_is_refused_by_line(tmp_path, line):
+    path = tmp_path / "analysis_cache.jsonl"
+    query_analysis("Sentiment label: proud", EchoLlmClient(), AnalysisCache(path))
+    # Whole JSON, so not a torn append, even as the last line.
+    path.write_text(path.read_text(encoding="utf-8") + json.dumps(line) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"analysis_cache\.jsonl:2: malformed analysis cache line: not a JSON object"):
+        AnalysisCache(path)
+
+
 def test_empty_path_backed_cache_fills_through_prepare_samples(tmp_path, mini_samples, mini_vocab, providers):
     from empgen.model import PLANS, prepare_samples
 

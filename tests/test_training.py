@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import warnings
 
 import numpy as np
@@ -58,6 +59,33 @@ def test_bad_config_values_are_refused_by_name(field, value, tmp_path, capsys):
     args = ["train", "--data-dir", str(tmp_path / "data"), "--out", str(out), "--config", str(bad)]
     assert main(args) == 1
     assert f"error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"d": "8"}, "d must be an integer, got '8'"),
+        ({"d": 8.5}, "d must be an integer, got 8.5"),
+        ({"epochs": True}, "epochs must be an integer, got True"),
+        ({"learning_rate": "1e-3"}, "learning_rate must be a number, got '1e-3'"),
+        ({"grad_clip": [1.0]}, "grad_clip must be a number or None, got [1.0]"),
+        ({"ablation": 1}, "ablation must be a string, got 1"),
+        ({"d": 10, "heads": 4}, "d must be divisible by heads, got d=10 and heads=4"),
+    ],
+    ids=["d a string", "d a float", "epochs a bool", "lr a string", "grad_clip a list", "ablation a number", "d over heads"],
+)
+def test_wrong_typed_config_fields_are_refused_by_name(fields, message, tmp_path, capsys):
+    from empgen.cli import main
+
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        tiny_config(**fields)
+    bad = tmp_path / "config.json"
+    bad.write_text(json.dumps(fields), encoding="utf-8")
+    out = tmp_path / "run"
+    args = ["train", "--data-dir", str(tmp_path / "data"), "--out", str(out), "--config", str(bad)]
+    assert main(args) == 1
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -312,7 +340,7 @@ def test_checkpoint_whose_config_holds_min_freq_loads(tmp_path, mini_vocab):
     for name, p in config.build_model(len(mini_vocab)).named_parameters().items():
         np.testing.assert_array_equal(loaded.model.named_parameters()[name].data, p.data)
     for name, value in (("strict_sum", True), ("share_relation_encoder", True), ("classifier_bias", False)):
-        with pytest.raises(ValueError, match=rf"^{name} is no longer a setting"):
+        with pytest.raises(CheckpointError, match=rf"config that is refused: {name} is no longer a setting"):
             load_with(**{**old_defaults, name: value})
 
 
@@ -418,6 +446,10 @@ DAMAGE = {
     "meta without config": (lambda d: d["meta"].pop("config"), "no config object"),
     "vocab_size a string": (set_item("meta", "vocab_size", "37"), "vocab_size '37' is not"),
     "fingerprint a number": (set_item("meta", "vocab_fingerprint", 7), "vocab_fingerprint 7 is not"),
+    "config d a string": (
+        lambda d: d["meta"]["config"].update(d="16"),
+        r"ck\.npz holds a config that is refused: d must be an integer, got '16'",
+    ),
     "parameter missing": (lambda d: d.pop("param/decoder.out_proj.bias"), "missing array param/decoder.out_proj"),
     "parameter NaN": (lambda d: d["param/fusion.w_q"].fill(np.nan), "fusion.w_q holds NaN or infinite"),
     "parameter inf": (set_item("param/classifier.bias", 0, np.inf), "classifier.bias holds NaN or infinite"),
@@ -675,6 +707,30 @@ def test_backward_releases_the_tape_on_a_real_step(mini_samples, mini_vocab, lex
     gc.collect()
     assert memory() is None
     assert all(p.grad is not None for p in model.named_parameters().values())
+
+
+def test_training_tape_keeps_no_dropout_mask_or_relu_input_and_stays_in_budget(
+    mini_samples, mini_vocab, lexicon
+):
+    from empgen.model import padded_rows, prepare_samples
+
+    from .helpers import tape_of
+
+    plan = PLANS["full"]
+    # An FFN width (5 * 16) that no other array on the tape has as its last axis.
+    config = tiny_config(layers=2, ffn_mult=5, dropout=0.25)
+    prepared = prepare_samples(mini_samples[:4], mini_vocab, fresh_providers(lexicon), plan)
+    assert padded_rows(prepared, plan) == 636
+    model = config.build_model(len(mini_vocab))
+    fwd = model.forward_batch(prepared, plan, np.random.default_rng(0))
+    nodes, arrays = tape_of(fwd.nll_sum.sum() * 0.01 + fwd.emo_nll.sum() * 0.25)
+    masks = [a for a in arrays if a.dtype == np.float64 and np.isin(a, (0.0, 1 / 0.75)).all()]
+    assert not masks, "a float64 dropout mask is on the tape"
+    hidden = [a for a in arrays if a.ndim and a.shape[-1] == 5 * config.d and (a < 0).any()]
+    assert not hidden, "a ReLU pre-activation is on the tape"
+    # 4.94 MB in 148 nodes with dropout, residual add and LayerNorm in one
+    # node per sublayer and ReLU in its linear; 7.02 MB in 202 nodes apart.
+    assert sum(a.nbytes for a in arrays) < 5.5e6
 
 
 # ----------------------------------------------------------------------
