@@ -8,12 +8,15 @@ throughout so central finite differences remain a meaningful oracle for
 the analytic gradients. Inside ``no_grad()`` nothing is recorded, for
 inference.
 
-``linear``, ``add_norm`` and ``attention`` are fused nodes with
-closed-form backward passes: one node each where the composed ops would
-record 2 (3 with ``linear``'s ReLU), 14 (dropout, residual add and 12 for
-LayerNorm) and 6 (14 with attention's head split and merge). Their
-forward passes do the composed ops' float operations in the same order;
-they keep a dropout mask as booleans and no ReLU pre-activation.
+``linear``, ``add_norm``, ``attention`` and ``cross_entropy`` are fused
+nodes with closed-form backward passes: one node each where the composed
+ops would record 2 (3 with ``linear``'s ReLU), 14 (dropout, residual add
+and 12 for LayerNorm), 6 (14 with attention's head split and merge) and
+3 (log-softmax, pick and negation; 4 with a padding mask). Their forward
+and backward passes do the composed ops' float operations in the same
+order; they keep a dropout mask as booleans, no ReLU pre-activation and
+no log-probabilities. ``softmax`` and ``log_softmax`` work on plain
+arrays, for the fused nodes and for inference.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "Tensor",
     "add_norm",
     "attention",
+    "cross_entropy",
     "grad_enabled",
     "linear",
     "no_grad",
@@ -36,7 +40,6 @@ __all__ = [
     "softmax",
     "log_softmax",
     "slice_rows",
-    "take_per_row",
 ]
 
 
@@ -87,6 +90,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax over ``axis`` of a plain array, computed in place in ``x``
+    and returned: pass a fresh array that nothing else reads (attention's
+    scores can be megabytes)."""
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
+
+
+def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Log-softmax over ``axis`` of a plain array, as a new array."""
+    z = x - x.max(axis=axis, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
 
 class Tensor:
@@ -185,14 +204,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        a = self
-
-        def backward(g):
-            a._accumulate(-g)
-
-        return Tensor._node(-a.data, (a,), backward)
-
     def __mul__(self, other):
         other = as_tensor(other)
         a, b = self, other
@@ -246,30 +257,6 @@ class Tensor:
         return Tensor._node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    # In place on one fresh array: attention scores can be megabytes.
-    y = t.data - t.data.max(axis=axis, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        t._accumulate(y * (g - dot))
-
-    return Tensor._node(y, (t,), backward)
-
-
-def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
-    z = t.data - t.data.max(axis=axis, keepdims=True)
-    out = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    sm = np.exp(out)
-
-    def backward(g):
-        t._accumulate(g - sm * g.sum(axis=axis, keepdims=True))
-
-    return Tensor._node(out, (t,), backward)
-
-
 def embedding(table: Tensor, ids) -> Tensor:
     """Row gather; the backward pass scatter-adds into the table."""
     idx = np.asarray(ids, dtype=np.int64)
@@ -306,19 +293,6 @@ def slice_rows(t: Tensor, start: int, stop: int) -> Tensor:
         t._accumulate(full)
 
     return Tensor._node(t.data[..., start:stop, :], (t,), backward)
-
-
-def take_per_row(t: Tensor, indices) -> Tensor:
-    """Pick one entry of the last axis per row: ``t`` (..., n) and
-    ``indices`` (...) give shape (..., 1)."""
-    idx = np.asarray(indices, dtype=np.int64)[..., None]
-
-    def backward(g):
-        full = np.zeros_like(t.data)
-        np.put_along_axis(full, idx, g, axis=-1)
-        t._accumulate(full)
-
-    return Tensor._node(np.take_along_axis(t.data, idx, axis=-1), (t,), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, relu: bool = False) -> Tensor:
@@ -415,9 +389,7 @@ def attention(
     p *= scale
     if mask is not None:
         p += mask[..., None, :, :] if heads > 1 and mask.ndim > 1 else mask
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    softmax(p)
 
     def backward(g):
         g = split(g)
@@ -434,3 +406,25 @@ def attention(
 
     out = Tensor._node(merge(p @ vs), (q, k, v), backward)
     return (out, Tensor(p)) if return_weights else out
+
+
+def cross_entropy(logits: Tensor, targets, valid: np.ndarray | None = None) -> Tensor:
+    """``-log softmax(logits)[target]`` for each row of ``logits`` (..., n)
+    and its index in ``targets`` (...), as shape (...). Where the boolean
+    ``valid`` (...) is False the entry counts 0 and passes no gradient.
+    The node keeps the probabilities and the indices for its backward
+    pass, not the log-probabilities."""
+    idx = np.asarray(targets, dtype=np.int64)[..., None]
+    logp = log_softmax(logits.data)
+    out = -np.take_along_axis(logp, idx, axis=-1)[..., 0]
+    sm = np.exp(logp)
+    if valid is not None:
+        out = out * valid
+
+    def backward(g):
+        g = -g if valid is None else -g * valid
+        full = np.zeros_like(sm)
+        np.put_along_axis(full, idx, g[..., None], axis=-1)
+        logits._accumulate(full - sm * full.sum(axis=-1, keepdims=True), owned=True)
+
+    return Tensor._node(out, (logits,), backward)

@@ -426,11 +426,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_chat(args) -> int:
-    if not args.interactive:
-        # Non-interactive default: read one dialogue JSON and answer once.
-        if args.dialogue is None:
-            raise ValueError("chat needs --dialogue, or --interactive to talk")
-        return cmd_generate(args)
     labels = LabelSet.default()
     vocab, loaded, providers = _load_trained(args, labels)
     history = []
@@ -515,11 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_provider_flags(p)
     p.set_defaults(fn=cmd_ablate)
 
-    p = sub.add_parser("chat", help="answer a dialogue file, or talk interactively")
+    p = sub.add_parser("chat", help="talk with a trained model, one speaker turn per line")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data-dir", required=True)
-    p.add_argument("--dialogue", default=None)
-    p.add_argument("--interactive", action="store_true")
     p.add_argument("--strategy", default="greedy", choices=["greedy", "beam"])
     p.add_argument("--beam-size", type=int, default=3)
     _add_provider_flags(p)

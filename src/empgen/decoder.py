@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, embedding, grad_enabled, log_softmax, no_grad, take_per_row
+from .autodiff import Tensor, concat, cross_entropy, embedding, grad_enabled, log_softmax, no_grad
 from .corpus import BOS_ID, EOS_ID, Vocab
 from .layers import DecoderLayer, KeyValues, Linear, causal_mask, pad_ids, prefixed, sinusoidal_positions
 
@@ -180,13 +180,9 @@ def nll_loss(
         raise ValueError("empty target")
     targets, lengths = pad_ids(target_ids)
     input_ids = np.concatenate([np.full((len(targets), 1), BOS_ID), targets[:, :-1]], axis=1)
-    logits = stack.forward(input_ids, memory, rng)
-    picked = take_per_row(log_softmax(logits, axis=-1), targets)
-    per_token = -picked.data[..., 0]
     valid = np.arange(targets.shape[1]) < lengths[:, None]
-    if not valid.all():
-        picked = picked * Tensor(valid[..., None])
-    return -picked.sum(axis=(1, 2)), [row[:n].copy() for row, n in zip(per_token, lengths)]
+    nll = cross_entropy(stack.forward(input_ids, memory, rng), targets, valid)
+    return nll.sum(axis=1), [row[:n].copy() for row, n in zip(nll.data, lengths)]
 
 
 @dataclass
@@ -276,9 +272,7 @@ def generate(
         if parents is not None:
             cache.reorder(parents)
         new = [prefix[cache.length :] for prefix in prefixes]
-        logits = stack.forward(new, memory, cache=cache).data[:, -1]
-        z = logits - logits.max(axis=-1, keepdims=True)
-        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        return log_softmax(stack.forward(new, memory, cache=cache).data[:, -1])
 
     with no_grad():
         if strategy == "greedy":

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, concat, log_softmax, slice_rows, softmax, take_per_row
+from .autodiff import Tensor, concat, cross_entropy, slice_rows, softmax
 from .layers import Linear
 
 
@@ -58,7 +58,7 @@ def emotion_logits(feature: Tensor, params: Linear) -> Tensor:
 def classify_emotion(feature: Tensor, params: Linear) -> np.ndarray:
     """Probabilities over the labels, one row per feature row (B, labels);
     the argmax of a row is its prediction."""
-    return softmax(emotion_logits(feature, params), axis=-1).data
+    return softmax(emotion_logits(feature, params).data)
 
 
 def emotion_nll(feature: Tensor, params: Linear, target_indices) -> Tensor:
@@ -69,5 +69,4 @@ def emotion_nll(feature: Tensor, params: Linear, target_indices) -> Tensor:
     for t in targets:
         if t < 0 or t >= num_labels:
             raise IndexError(f"label index {t} out of range for {num_labels} labels")
-    logp = log_softmax(emotion_logits(feature, params), axis=-1)
-    return -take_per_row(logp, targets).reshape(len(targets))
+    return cross_entropy(emotion_logits(feature, params), targets)

@@ -9,8 +9,14 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import LabelSet, parse_sample
-from .knowledge import EchoLlmClient, TemplateCommonsenseProvider, build_analysis_prompt
-from .selectors import load_lexicon
+from .knowledge import (
+    EchoLlmClient,
+    FixtureCommonsenseProvider,
+    TemplateCommonsenseProvider,
+    build_analysis_prompt,
+    prompt_cache_key,
+)
+from .selectors import HeuristicCauseDetector, load_lexicon
 from .util import write_jsonl
 
 _EVENTS = [
@@ -110,33 +116,20 @@ def generate_mini_corpus(seed: int, size: int = 200, labels: LabelSet | None = N
     return records
 
 
-def cause_turn_indices(record: dict, lexicon: dict[str, list[str]]) -> list[int]:
-    """Turns whose text carries a lexicon word of the record's label."""
-    from .corpus import tokenize
-
-    label = record["emotion"]
-    picked = []
-    for i, turn in enumerate(record["history"]):
-        if any(label in lexicon.get(tok, ()) for tok in tokenize(turn["text"])):
-            picked.append(i)
-    return picked or [len(record["history"]) - 1]
-
-
 def write_selector_fixtures(records: list[dict], out_dir: str | Path) -> Path:
-    """Authored sentiment labels and cause spans, one row per sample.
+    """Authored sentiment labels and cause spans, one row per sample: the
+    gold label, and the turns that ``HeuristicCauseDetector`` picks for it.
 
     A single file serves both the fixture sentiment backend (reads e_ano)
     and the oracle/fixture cause backends (read cause_turn_indices).
     """
-    lexicon = load_lexicon()
-    rows = [
-        {
-            "id": r["id"],
-            "e_ano": r["emotion"],
-            "cause_turn_indices": cause_turn_indices(r, lexicon),
-        }
-        for r in records
-    ]
+    labels = LabelSet.default()
+    detector = HeuristicCauseDetector(load_lexicon(labels=labels))
+    rows = []
+    for r in records:
+        sample = parse_sample(r, labels)
+        turns = [u.turn_index for u in detector.detect(sample, sample.gold_emotion)]
+        rows.append({"id": r["id"], "e_ano": r["emotion"], "cause_turn_indices": turns})
     path = Path(out_dir) / "selector_fixture.jsonl"
     write_jsonl(path, rows)
     return path
@@ -155,8 +148,6 @@ def write_knowledge_fixtures(
     out_dir = Path(out_dir)
     template_provider = TemplateCommonsenseProvider()
     echo = EchoLlmClient()
-    from .knowledge import FixtureCommonsenseProvider
-    from .util import sha256_hex
 
     comet_rows = []
     seen_hashes = set()
@@ -171,7 +162,7 @@ def write_knowledge_fixtures(
             comet_rows.append({"hash": h, "utterance": last, "relations": bundle.relations})
         prompt = build_analysis_prompt(sample, sample.gold_emotion)
         analysis_rows.append(
-            {"cache_key": sha256_hex(prompt), "prompt": prompt, "response": echo.complete(prompt)}
+            {"cache_key": prompt_cache_key(prompt), "prompt": prompt, "response": echo.complete(prompt)}
         )
     commonsense_path = out_dir / "commonsense_fixture.jsonl"
     analysis_path = out_dir / "analysis_fixture.jsonl"

@@ -217,7 +217,6 @@ def train(
     vocab: Vocab,
     providers: Providers | None = None,
     log_path: str | Path | None = None,
-    initial_model: EmpathyModel | None = None,
     timing_path: str | Path | None = None,
 ) -> TrainResult:
     """Run the joint objective over the samples.
@@ -229,9 +228,7 @@ def train(
     of like length pad together; the gradients add up over the batch
     before the optimizer step. Both runs of the same config
     and seed produce identical histories: batch order, dropout, and
-    initialization all draw from one seeded generator. Pass
-    ``initial_model`` to continue from a loaded checkpoint instead of a
-    fresh initialization.
+    initialization all draw from one seeded generator.
 
     ``log_path`` receives one JSON line per step (the ``LossBreakdown``),
     the same bytes on every run; ``timing_path`` receives each step's wall
@@ -244,7 +241,7 @@ def train(
         samples, vocab, providers, plan, config.max_context_len, config.max_analysis_len
     )
     rng = np.random.default_rng(config.seed)
-    model = config.build_model(len(vocab), rng) if initial_model is None else initial_model
+    model = config.build_model(len(vocab), rng)
     params = model.named_parameters()
     own_rows = [padded_rows([p], plan) for p in prepared]
     opt = Adam(params, config.adam_beta1, config.adam_beta2, config.adam_eps)

@@ -6,6 +6,7 @@ from empgen.autodiff import (
     add_norm,
     attention,
     concat,
+    cross_entropy,
     embedding,
     linear,
     log_softmax,
@@ -13,7 +14,6 @@ from empgen.autodiff import (
     parameter,
     slice_rows,
     softmax,
-    take_per_row,
 )
 
 from .oracles import fd_gradient, softmax_oracle
@@ -60,23 +60,40 @@ def test_matmul_broadcast_grad():
     assert rel_err(b.grad, fd_gradient(lambda: float(loss().data), b.data, 1e-6)) < 1e-6
 
 
-def test_softmax_matches_oracle_and_grad():
+def test_softmax_and_log_softmax_match_oracle():
     rng = np.random.default_rng(4)
-    x = parameter(rng.normal(0, 2, (5, 7)))
-    y = softmax(x, axis=-1)
-    for i in range(5):
-        np.testing.assert_allclose(y.data[i], softmax_oracle(list(x.data[i])), atol=1e-12)
+    x = rng.normal(0, 2, (2, 5, 7))
+    logp = log_softmax(x)
+    probs = softmax(x.copy())
+    for row, lp, p in zip(x.reshape(-1, 7), logp.reshape(-1, 7), probs.reshape(-1, 7)):
+        expected = softmax_oracle(list(row))
+        np.testing.assert_allclose(p, expected, atol=1e-12)
+        np.testing.assert_allclose(lp, np.log(expected), atol=1e-12)
+    scores = x.copy()
+    assert softmax(scores, axis=1) is scores  # in place
+    np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-12)
 
-    def loss():
-        out = softmax(x, axis=-1)
-        return (out * out).sum()
 
-    loss().backward()
-    assert rel_err(x.grad, fd_gradient(lambda: float(loss().data), x.data, 1e-6)) < 1e-5
+def test_cross_entropy_matches_log_softmax_and_differences():
+    rng = np.random.default_rng(7)
+    # Leading axes (2, 3) with padded entries, and a (B,) label vector.
+    for shape, targets, valid in (
+        ((2, 3, 5), [[1, 0, 4], [2, 2, 3]], np.array([[True, True, False], [True, False, False]])),
+        ((4, 5), [1, 0, 4, 2], None),
+    ):
+        x = parameter(rng.normal(0, 1, shape))
+        weights = Tensor(rng.normal(0, 1, shape[:-1]))
 
+        def loss():
+            return (cross_entropy(x, targets, valid) * weights).sum()
 
-def test_log_softmax_grad():
-    check_unary(lambda x: (log_softmax(x, axis=-1) * 0.3).sum(), (4, 6), tol=1e-5)
+        picked = -np.take_along_axis(log_softmax(x.data), np.array(targets)[..., None], axis=-1)[..., 0]
+        expected = picked if valid is None else np.where(valid, picked, 0.0)
+        np.testing.assert_allclose(cross_entropy(x, targets, valid).data, expected, atol=1e-12)
+        loss().backward()
+        assert rel_err(x.grad, fd_gradient(lambda: float(loss().data), x.data, 1e-6)) < 1e-6
+        if valid is not None:
+            assert not x.grad[~valid].any()
 
 
 def test_sum_grads():
@@ -133,19 +150,6 @@ def test_embedding_scatter_grad():
     assert rel_err(table.grad, fd) < 1e-6
 
 
-def test_take_per_row_grad():
-    rng = np.random.default_rng(7)
-    x = parameter(rng.normal(0, 1, (4, 5)))
-    idx = [1, 0, 4, 2]
-
-    def loss():
-        return take_per_row(x, idx).sum()
-
-    loss().backward()
-    fd = fd_gradient(lambda: float(loss().data), x.data, 1e-6)
-    assert rel_err(x.grad, fd) < 1e-6
-
-
 def test_grad_accumulates_across_backward_calls():
     x = parameter(np.ones((2, 2)))
     (x * 3.0).sum().backward()
@@ -173,7 +177,7 @@ def test_no_grad_records_no_parents_and_keeps_leaves_trainable():
     x = parameter(np.ones((2, 3)))
     w = parameter(np.full((3, 2), 0.5))
     with no_grad():
-        out = softmax(linear(x, w, relu=True) + x.sum(axis=1, keepdims=True), axis=-1)
+        out = cross_entropy(linear(x, w, relu=True) + x.sum(axis=1, keepdims=True), [0, 1])
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
     assert x.requires_grad and w.requires_grad

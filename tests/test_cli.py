@@ -230,21 +230,6 @@ def test_train_evaluate_generate_chat(workspace, tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[-1].startswith("predicted emotion: ")
 
-    # chat without --interactive behaves like generate
-    assert (
-        main(
-            [
-                "chat",
-                "--checkpoint", str(run / "checkpoint.npz"),
-                "--data-dir", data,
-                "--dialogue", str(dialogue),
-            ]
-        )
-        == 0
-    )
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[-1].startswith("predicted emotion: ")
-
 
 def test_train_reproducible_checkpoints(workspace, tmp_path):
     data = str(workspace / "data")
@@ -342,7 +327,7 @@ def test_commands_refuse_a_reordered_vocabulary(workspace, tmp_path, capsys):
     for args in (
         ["evaluate", *common, "--out", str(tmp_path / "eval")],
         ["generate", *common, "--dialogue", str(dialogue)],
-        ["chat", *common, "--dialogue", str(dialogue)],
+        ["chat", *common],  # loads the checkpoint before it reads a line
     ):
         capsys.readouterr()
         assert main(args) == 1
@@ -396,7 +381,7 @@ def test_interactive_chat_decodes_like_generate(workspace, tmp_path, capsys, mon
 
     monkeypatch.setattr("builtins.input", one_line_then_eof)
     capsys.readouterr()
-    assert main(["chat", *common, "--interactive", "--strategy", "beam", "--beam-size", "2"]) == 0
+    assert main(["chat", *common, "--strategy", "beam", "--beam-size", "2"]) == 0
     replies = [l for l in capsys.readouterr().out.splitlines() if l.startswith("bot> ")]
     beam = generated("--strategy", "beam", "--beam-size", "2")
     assert replies == [f"bot> {beam}"]
@@ -470,14 +455,6 @@ def test_generate_answers_whatever_the_ignored_response_holds(workspace, tmp_pat
         assert main(["generate", "--checkpoint", str(checkpoint), "--data-dir", str(data), "--dialogue", str(dialogue)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] and "predicted emotion: " in outputs[1]
-
-
-def test_chat_without_dialogue_is_refused_before_loading(workspace, tmp_path, capsys):
-    # The checkpoint does not exist: loading it first would report that instead.
-    args = ["chat", "--checkpoint", str(tmp_path / "missing.npz"), "--data-dir", str(workspace / "data")]
-    assert main(args) == 1
-    err = capsys.readouterr().err
-    assert "--dialogue" in err and "not found" not in err
 
 
 def test_evaluate_refuses_unknown_metrics_before_running(workspace, tmp_path, capsys):

@@ -4,7 +4,6 @@ import pytest
 
 from empgen.corpus import parse_sample
 from empgen.fixtures import (
-    cause_turn_indices,
     generate_mini_corpus,
     write_knowledge_fixtures,
     write_selector_fixtures,
@@ -55,11 +54,16 @@ def test_dialogues_carry_label_signal(labels, lexicon):
         assert any(label in lexicon.get(w, ()) for w in words), record["id"]
 
 
-def test_cause_indices_point_at_label_words(labels, lexicon):
+def test_cause_indices_point_at_label_words(tmp_path, lexicon):
+    from empgen.corpus import tokenize
+
     records = generate_mini_corpus(seed=5, size=64)
-    for record in records[:20]:
-        for i in cause_turn_indices(record, lexicon):
-            assert 0 <= i < len(record["history"])
+    rows = [json.loads(l) for l in write_selector_fixtures(records, tmp_path).read_text().splitlines()]
+    for record, row in zip(records, rows):
+        turns = [tokenize(turn["text"]) for turn in record["history"]]
+        label = record["emotion"]
+        label_turns = [i for i, words in enumerate(turns) if any(label in lexicon.get(w, ()) for w in words)]
+        assert row["cause_turn_indices"] == (label_turns or [len(turns) - 1]), record["id"]
 
 
 def test_selector_fixture_file(tmp_path, labels):

@@ -162,14 +162,19 @@ def test_ablation_gradient_footprints_distinct(mini_samples, mini_vocab, lexicon
     assert "decoder.segment_embedding[2]" not in footprints["self_pres"]
 
 
-def test_nan_loss_aborts_with_batch_id(mini_samples, mini_vocab, lexicon):
+def test_nan_loss_aborts_with_batch_id(monkeypatch, mini_samples, mini_vocab, lexicon):
     from empgen.training import TrainingDiverged
 
-    config = tiny_config(epochs=1, dropout=0.0)
-    poisoned = config.build_model(len(mini_vocab))
-    poisoned.classifier.weight.data[0, 0] = np.nan
+    build = TrainConfig.build_model
+
+    def poisoned(self, vocab_size, rng=None):
+        model = build(self, vocab_size, rng)
+        model.classifier.weight.data[0, 0] = np.nan
+        return model
+
+    monkeypatch.setattr(TrainConfig, "build_model", poisoned)
     with pytest.raises(TrainingDiverged, match="step 1"):
-        train(config, mini_samples[:16], mini_vocab, fresh_providers(lexicon), initial_model=poisoned)
+        train(tiny_config(epochs=1, dropout=0.0), mini_samples[:16], mini_vocab, fresh_providers(lexicon))
 
 
 def test_grad_clip_bounds_update(mini_samples, mini_vocab, lexicon):
@@ -728,8 +733,11 @@ def test_training_tape_keeps_no_dropout_mask_or_relu_input_and_stays_in_budget(
     assert not masks, "a float64 dropout mask is on the tape"
     hidden = [a for a in arrays if a.ndim and a.shape[-1] == 5 * config.d and (a < 0).any()]
     assert not hidden, "a ReLU pre-activation is on the tape"
-    # 4.94 MB in 148 nodes with dropout, residual add and LayerNorm in one
-    # node per sublayer and ReLU in its linear; 7.02 MB in 202 nodes apart.
+    # The logits and the cross-entropy's probabilities; no log-probabilities.
+    assert len([a for a in arrays if a.ndim and a.shape[-1] == len(mini_vocab)]) <= 2
+    # 4.84 MB in 142 nodes with dropout, residual add and LayerNorm in one
+    # node per sublayer, ReLU in its linear and each loss's log-softmax and
+    # pick in one cross-entropy node; 7.02 MB in 202 nodes apart.
     assert sum(a.nbytes for a in arrays) < 5.5e6
 
 
