@@ -422,9 +422,9 @@ def cross_entropy(logits: Tensor, targets, valid: np.ndarray | None = None) -> T
         out = out * valid
 
     def backward(g):
-        g = -g if valid is None else -g * valid
-        full = np.zeros_like(sm)
-        np.put_along_axis(full, idx, g[..., None], axis=-1)
-        logits._accumulate(full - sm * full.sum(axis=-1, keepdims=True), owned=True)
+        g = (g if valid is None else g * valid)[..., None]
+        grad = sm * g
+        np.put_along_axis(grad, idx, np.take_along_axis(grad, idx, axis=-1) - g, axis=-1)
+        logits._accumulate(grad, owned=True)
 
     return Tensor._node(out, (logits,), backward)

@@ -12,11 +12,12 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import fixtures
+from . import __version__, fixtures
 from .corpus import LabelSet, Vocab, build_vocab, load_dataset, parse_sample, sample_to_record, split_dataset
 from .evaluation import METRIC_COLUMNS, evaluate, format_table, write_report
 from .knowledge import (
@@ -30,7 +31,7 @@ from .knowledge import (
     build_analysis_prompt,
     query_analysis,
 )
-from .model import ABLATION_ORDER, ABLATION_ROW_LABELS, PLANS, Providers, prepare_sample
+from .model import ABLATION_ORDER, ABLATION_ROW_LABELS, PLANS, Providers, plan_providers, prepare_sample
 from .selectors import (
     FileCauseDetector,
     FixtureSentimentPredictor,
@@ -43,9 +44,6 @@ from .selectors import (
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 from .util import canonical_json, now_iso, sha256_hex, write_jsonl
 
-PACKAGE_VERSION = "0.1.0"
-
-
 def write_manifest(command: str, config: dict, seed: int, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     manifest = {
@@ -53,7 +51,7 @@ def write_manifest(command: str, config: dict, seed: int, out_dir: str | Path) -
         "config": config,
         "config_hash": sha256_hex(canonical_json(config)),
         "seed": seed,
-        "code_version": PACKAGE_VERSION,
+        "code_version": __version__,
         "out_dir": str(out_dir),
         "created_at": now_iso(),
     }
@@ -79,88 +77,85 @@ def load_config(args) -> TrainConfig:
     return TrainConfig.from_dict(data)
 
 
+# The file in --knowledge-dir that each of these fixture backends reads
+# when it is given no file of its own.
+KNOWLEDGE_DIR_FILES = {"commonsense": "commonsense_fixture.jsonl", "llm": "analysis_fixture.jsonl"}
+
+
+def _fixture_path(args, provider: str) -> str | Path:
+    """The file a fixture backend reads: ``--<provider>-fixture``, else, for
+    commonsense and llm, the file in ``--knowledge-dir``."""
+    path = getattr(args, f"{provider}_fixture")
+    if path is None and provider in KNOWLEDGE_DIR_FILES and args.knowledge_dir:
+        path = Path(args.knowledge_dir) / KNOWLEDGE_DIR_FILES[provider]
+    if path is None:
+        hint = " or --knowledge-dir" if provider in KNOWLEDGE_DIR_FILES else ""
+        raise ValueError(f"--{provider}-backend fixture needs --{provider}-fixture{hint}")
+    return path
+
+
+def _http_llm(args, *_) -> HttpLlmClient:
+    if not args.llm_url or not args.llm_model:
+        raise ValueError("http llm backend needs --llm-url and --llm-model")
+    return HttpLlmClient(HttpLlmConfig(args.llm_url, args.llm_model))
+
+
+# Each provider's backends by name, the default first. Each builds its
+# provider from the parsed flags, the labels and the training samples.
+BACKENDS = {
+    "sentiment": {
+        "lexicon": lambda args, labels, samples: LexiconSentimentPredictor(
+            load_lexicon(labels=labels), labels, majority_label(samples, labels)
+        ),
+        "oracle": lambda *_: OracleSentimentPredictor(),
+        "fixture": lambda args, labels, _: FixtureSentimentPredictor(_fixture_path(args, "sentiment"), labels),
+    },
+    "cause": {
+        "heuristic": lambda args, labels, _: HeuristicCauseDetector(load_lexicon(labels=labels)),
+        "fixture": lambda args, *_: FileCauseDetector(_fixture_path(args, "cause")),
+    },
+    "commonsense": {
+        "template": lambda *_: TemplateCommonsenseProvider(),
+        "fixture": lambda args, *_: FixtureCommonsenseProvider(_fixture_path(args, "commonsense")),
+    },
+    "llm": {
+        "echo": lambda *_: EchoLlmClient(),
+        "fixture": lambda args, *_: FixtureLlmClient(_fixture_path(args, "llm")),
+        "http": _http_llm,
+    },
+}
+
+
 def build_providers(args, config: TrainConfig, train_samples, labels: LabelSet) -> Providers:
     """Instantiate the provider stack the active ablation plan needs."""
     plan = PLANS[config.ablation]
     providers = Providers()
-    knowledge_dir = Path(args.knowledge_dir) if getattr(args, "knowledge_dir", None) else None
-    if plan.use_fusion or plan.use_analysis:
-        backend = args.sentiment_backend
-        if backend == "oracle":
-            providers.sentiment = OracleSentimentPredictor()
-        elif backend == "lexicon":
-            lexicon = load_lexicon(labels=labels)
-            providers.sentiment = LexiconSentimentPredictor(
-                lexicon, labels, majority_label(train_samples, labels)
-            )
-        elif backend == "fixture":
-            providers.sentiment = FixtureSentimentPredictor(args.sentiment_fixture, labels)
-        else:
-            raise ValueError(f"unknown sentiment backend {backend!r}")
-    if plan.use_fusion:
-        backend = args.cause_backend
-        if backend == "heuristic":
-            providers.cause = HeuristicCauseDetector(load_lexicon(labels=labels))
-        elif backend in ("oracle", "fixture"):
-            providers.cause = FileCauseDetector(args.cause_fixture)
-        else:
-            raise ValueError(f"unknown cause backend {backend!r}")
-    if plan.use_knowledge:
-        backend = args.commonsense_backend
-        if backend == "template":
-            providers.commonsense = TemplateCommonsenseProvider()
-        elif backend == "fixture":
-            path = args.commonsense_fixture or (
-                knowledge_dir / "commonsense_fixture.jsonl" if knowledge_dir else None
-            )
-            if path is None:
-                raise ValueError("fixture commonsense backend needs --commonsense-fixture")
-            providers.commonsense = FixtureCommonsenseProvider(path)
-        else:
-            raise ValueError(f"unknown commonsense backend {backend!r}")
+    for name in plan_providers(plan):
+        backend = BACKENDS[name][getattr(args, f"{name}_backend")]
+        setattr(providers, name, backend(args, labels, train_samples))
     if plan.use_analysis:
-        backend = args.llm_backend
-        if backend == "echo":
-            providers.llm = EchoLlmClient()
-        elif backend == "fixture":
-            path = args.llm_fixture or (
-                knowledge_dir / "analysis_fixture.jsonl" if knowledge_dir else None
-            )
-            if path is None:
-                raise ValueError("fixture llm backend needs --llm-fixture")
-            providers.llm = FixtureLlmClient(path)
-        elif backend == "http":
-            if not args.llm_url or not args.llm_model:
-                raise ValueError("http llm backend needs --llm-url and --llm-model")
-            providers.llm = HttpLlmClient(HttpLlmConfig(args.llm_url, args.llm_model))
-        else:
-            raise ValueError(f"unknown llm backend {backend!r}")
-        cache_path = (
-            knowledge_dir / "analysis_cache.jsonl" if knowledge_dir else None
-        )
-        providers.analysis_cache = AnalysisCache(cache_path)
+        cache_dir = args.knowledge_dir
+        providers.analysis_cache = AnalysisCache(Path(cache_dir) / "analysis_cache.jsonl" if cache_dir else None)
     return providers
 
 
 def _add_provider_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sentiment-backend", default="lexicon", choices=["oracle", "lexicon", "fixture"])
-    p.add_argument("--cause-backend", default="heuristic", choices=["oracle", "heuristic", "fixture"])
-    p.add_argument("--commonsense-backend", default="template", choices=["template", "fixture"])
-    p.add_argument("--llm-backend", default="echo", choices=["echo", "fixture", "http"])
-    p.add_argument("--sentiment-fixture", default=None)
-    p.add_argument("--cause-fixture", default=None)
-    p.add_argument("--commonsense-fixture", default=None)
-    p.add_argument("--llm-fixture", default=None)
+    for name, backends in BACKENDS.items():
+        p.add_argument(f"--{name}-backend", default=next(iter(backends)), choices=list(backends))
+    for name in BACKENDS:
+        p.add_argument(f"--{name}-fixture", default=None)
     p.add_argument("--llm-url", default=None)
     p.add_argument("--llm-model", default=None)
     p.add_argument("--knowledge-dir", default=None)
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, ablation: bool = True, epochs: bool = True) -> None:
     p.add_argument("--config", default=None, help="JSON file of training settings")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ablation", default=None, choices=ABLATION_ORDER)
-    p.add_argument("--epochs", type=int, default=None)
+    if ablation:
+        p.add_argument("--ablation", default=None, choices=ABLATION_ORDER)
+    if epochs:
+        p.add_argument("--epochs", type=int, default=None)
 
 
 # ----------------------------------------------------------------------
@@ -221,9 +216,9 @@ def cmd_build_knowledge(args) -> int:
     data_dir = Path(args.data_dir)
     splits = [_load_split(data_dir, name, labels) for name in ("train", "val", "test")]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     args.knowledge_dir = args.knowledge_dir or str(out)
     providers = build_providers(args, config, splits[0], labels)
+    out.mkdir(parents=True, exist_ok=True)
     commonsense_rows = {}
     built = 0
     failures = 0
@@ -386,8 +381,7 @@ def cmd_ablate(args) -> int:
     reports = []
     counter_log = {}
     for ablation in ABLATION_ORDER:
-        config = TrainConfig.from_dict(base_config.to_dict())
-        config.ablation = ablation
+        config = replace(base_config, ablation=ablation)
         providers = build_providers(args, config, train_samples, labels)
         result = train(config, train_samples, vocab, providers, log_path=out / f"train_{ablation}.jsonl")
         save_checkpoint(out / f"checkpoint_{ablation}.npz", result.model, config, vocab)
@@ -468,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--continue-on-error", action="store_true")
-    _add_config_flags(p)
+    _add_config_flags(p, epochs=False)
     _add_provider_flags(p)
     p.set_defaults(fn=cmd_build_knowledge)
 
@@ -506,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
-    _add_config_flags(p)
+    _add_config_flags(p, ablation=False)
     _add_provider_flags(p)
     p.set_defaults(fn=cmd_ablate)
 

@@ -15,6 +15,7 @@ ablation axes strictly control the fusion stream and the analysis stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,6 +40,9 @@ from .encoder import (
 from .knowledge import AnalysisCache, CommonsenseProvider, LlmClient, build_analysis_prompt, query_analysis
 from .layers import Linear, pad_ids, padding_mask
 from .selectors import CauseDetector, SentimentPredictor
+
+if TYPE_CHECKING:
+    from .training import TrainConfig
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,18 @@ class ProviderError(RuntimeError):
     """A provider required by the active ablation plan is missing."""
 
 
+def plan_providers(plan: AblationPlan) -> list[str]:
+    """The providers the plan calls, in pipeline order: the sentiment label
+    feeds both the cause detector and the analysis prompt."""
+    needed = {
+        "sentiment": plan.use_fusion or plan.use_analysis,
+        "cause": plan.use_fusion,
+        "commonsense": plan.use_knowledge,
+        "llm": plan.use_analysis,
+    }
+    return [name for name, used in needed.items() if used]
+
+
 @dataclass
 class Providers:
     sentiment: SentimentPredictor | None = None
@@ -77,23 +93,11 @@ class Providers:
     analysis_cache: AnalysisCache | None = None
 
     def call_counts(self) -> dict[str, int]:
-        return {
-            "sentiment": self.sentiment.calls if self.sentiment else 0,
-            "cause": self.cause.calls if self.cause else 0,
-            "commonsense": self.commonsense.calls if self.commonsense else 0,
-            "llm": self.llm.calls if self.llm else 0,
-        }
+        providers = {name: getattr(self, name) for name in plan_providers(PLANS["full"])}
+        return {name: p.calls if p else 0 for name, p in providers.items()}
 
     def require(self, plan: AblationPlan) -> None:
-        missing = []
-        if (plan.use_fusion or plan.use_analysis) and self.sentiment is None:
-            missing.append("sentiment")
-        if plan.use_fusion and self.cause is None:
-            missing.append("cause")
-        if plan.use_knowledge and self.commonsense is None:
-            missing.append("commonsense")
-        if plan.use_analysis and self.llm is None:
-            missing.append("llm")
+        missing = [name for name in plan_providers(plan) if getattr(self, name) is None]
         if missing:
             raise ProviderError(
                 f"ablation {plan.name!r} needs providers {missing} that are not configured"
@@ -130,9 +134,7 @@ def prepare_sample(
         target_ids=encode_response_ids(sample.gold_response, vocab),
         emotion_index=sample.gold_emotion.index,
     )
-    label = None
-    if plan.use_fusion or plan.use_analysis:
-        label = providers.sentiment.predict(sample)
+    label = providers.sentiment.predict(sample) if "sentiment" in plan_providers(plan) else None
     if plan.use_fusion:
         cause_utts = providers.cause.detect(sample, label)
         prep.cause_ids = encode_cause_ids(cause_utts, vocab)
@@ -208,41 +210,18 @@ class Reply:
 class EmpathyModel:
     """Encoder streams + tri-stream decoder + emotion head."""
 
-    def __init__(
-        self,
-        *,
-        vocab_size: int,
-        num_emotions: int = 32,
-        d: int = 64,
-        layers: int = 2,
-        heads: int = 4,
-        ffn_mult: int = 4,
-        dropout: float = 0.1,
-        max_context_len: int = 256,
-        max_analysis_len: int = 128,
-        rng: np.random.Generator | None = None,
-        seed: int = 0,
-    ):
-        rng = rng if rng is not None else np.random.default_rng(seed)
-        self.d = d
-        max_len = max(max_context_len, max_analysis_len, 512)
-        self.context_encoder = EncoderStack(
-            rng, vocab_size, d, layers, heads, ffn_mult, dropout, max_len
-        )
-        self.relation_encoder = EncoderStack(rng, vocab_size, d, layers, heads, ffn_mult, dropout, max_len)
+    def __init__(self, config: TrainConfig, vocab_size: int, rng: np.random.Generator | None = None):
+        rng = rng if rng is not None else np.random.default_rng(config.seed)
+        self.d = d = config.d
+        stack_args = (d, config.layers, config.heads, config.ffn_mult, config.dropout)
+        max_len = max(config.max_context_len, config.max_analysis_len, 512)
+        self.context_encoder = EncoderStack(rng, vocab_size, *stack_args, max_len)
+        self.relation_encoder = EncoderStack(rng, vocab_size, *stack_args, max_len)
         self.fusion = FusionParams.create(rng, d)
         self.decoder = DecoderStack(
-            rng,
-            vocab_size,
-            d,
-            layers,
-            heads,
-            ffn_mult,
-            dropout,
-            max_len,
-            token_embedding=self.context_encoder.token_embedding,
+            rng, vocab_size, *stack_args, max_len, token_embedding=self.context_encoder.token_embedding
         )
-        self.classifier = Linear(rng, 3 * d, num_emotions)
+        self.classifier = Linear(rng, 3 * d, config.num_emotions)
 
     def named_parameters(self) -> dict[str, Tensor]:
         """Flat name->tensor map; shared tensors appear exactly once."""

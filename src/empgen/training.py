@@ -107,19 +107,7 @@ class TrainConfig:
         return sha256_hex(canonical_json(self.to_dict()))
 
     def build_model(self, vocab_size: int, rng: np.random.Generator | None = None) -> EmpathyModel:
-        return EmpathyModel(
-            vocab_size=vocab_size,
-            num_emotions=self.num_emotions,
-            d=self.d,
-            layers=self.layers,
-            heads=self.heads,
-            ffn_mult=self.ffn_mult,
-            dropout=self.dropout,
-            max_context_len=self.max_context_len,
-            max_analysis_len=self.max_analysis_len,
-            rng=rng,
-            seed=self.seed,
-        )
+        return EmpathyModel(self, vocab_size, rng)
 
 
 @dataclass

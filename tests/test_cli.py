@@ -241,11 +241,13 @@ def test_train_reproducible_checkpoints(workspace, tmp_path):
 
 
 def test_manifest_contents(workspace):
+    import empgen
+
     manifest = json.loads((workspace / "data" / "run_manifest.json").read_text())
     assert manifest["command"] == "prepare-data"
     assert manifest["seed"] == 0
     assert len(manifest["config_hash"]) == 64
-    assert manifest["code_version"]
+    assert manifest["code_version"] == empgen.__version__
 
 
 def test_fixture_manifest_records_checksums(workspace):
@@ -338,17 +340,69 @@ def test_commands_refuse_a_reordered_vocabulary(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command,flag",
-    [("generate", "--seed"), ("generate", "--ablation"), ("chat", "--epochs"), ("evaluate", "--config")],
+    [
+        ("generate", "--seed"),
+        ("generate", "--ablation"),
+        ("chat", "--epochs"),
+        ("evaluate", "--config"),
+        ("ablate", "--ablation"),
+        ("build-knowledge", "--epochs"),
+    ],
 )
 def test_inference_commands_refuse_training_flags(workspace, tmp_path, capsys, command, flag):
-    # The checkpoint's config decides; a flag that would be ignored is refused.
+    # A flag the command would ignore is refused: the checkpoint's config
+    # decides for evaluate, generate and chat, ablate runs each of the four
+    # ablations, and build-knowledge trains nothing.
     value = {"--seed": "3", "--ablation": "full", "--epochs": "2", "--config": str(tmp_path / "c.json")}[flag]
-    args = [command, "--checkpoint", str(tmp_path / "checkpoint.npz"), "--data-dir", str(workspace / "data")]
-    args += {"generate": ["--dialogue", "d.json"], "chat": [], "evaluate": ["--out", str(tmp_path / "e")]}[command]
+    checkpoint = ["--checkpoint", str(tmp_path / "checkpoint.npz")]
+    out = ["--out", str(tmp_path / "e")]
+    args = [command, "--data-dir", str(workspace / "data")]
+    args += {
+        "generate": [*checkpoint, "--dialogue", "d.json"],
+        "chat": checkpoint,
+        "evaluate": [*checkpoint, *out],
+        "ablate": out,
+        "build-knowledge": out,
+    }[command]
     with pytest.raises(SystemExit) as exit_info:
         main([*args, flag, value])
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("provider", ["sentiment", "cause", "commonsense", "llm"])
+def test_fixture_backend_without_a_file_is_refused_by_flag(workspace, tmp_path, capsys, provider):
+    out = tmp_path / "out"
+    common = ["--data-dir", str(workspace / "data"), "--out", str(out), f"--{provider}-backend", "fixture"]
+    assert main(["train", *common, "--config", str(fast_config(tmp_path))]) == 1
+    assert f"--{provider}-fixture" in capsys.readouterr().err
+    assert not out.exists()
+    # build-knowledge looks for the commonsense and llm files in its own
+    # output dir, which it has not made yet.
+    assert main(["build-knowledge", *common]) == 1
+    assert not out.exists()
+
+
+def test_fixture_backends_train_like_the_backends_that_wrote_them(workspace, tmp_path):
+    # make-fixtures writes the gold emotion, the heuristic's cause turns, and
+    # the template and echo backends' outputs, so reading them back trains
+    # the same model.
+    fixtures_dir = workspace / "fixtures"
+    common = ["train", "--data-dir", str(workspace / "data"), "--config", str(fast_config(tmp_path))]
+    built = [
+        "--sentiment-backend", "oracle", "--cause-backend", "heuristic",
+        "--commonsense-backend", "template", "--llm-backend", "echo",
+    ]
+    read = []
+    for provider, name in (
+        ("sentiment", "selector"), ("cause", "selector"), ("commonsense", "commonsense"), ("llm", "analysis")
+    ):
+        read += [f"--{provider}-backend", "fixture", f"--{provider}-fixture", str(fixtures_dir / f"{name}_fixture.jsonl")]
+    runs = [tmp_path / "built", tmp_path / "read"]
+    for run, flags in zip(runs, (built, read)):
+        assert main([*common, "--out", str(run), *flags]) == 0
+    for name in ("checkpoint.npz", "train_log.jsonl"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 def test_interactive_chat_decodes_like_generate(workspace, tmp_path, capsys, monkeypatch):

@@ -71,9 +71,10 @@ def test_encoder_two_layer_oracle():
 def test_encode_cause_same_math_as_context(monkeypatch):
     # The model encodes the cause span with the context's encoder stack.
     import empgen.model
-    from empgen.model import AblationPlan, EmpathyModel, PreparedSample
+    from empgen.model import AblationPlan, PreparedSample
+    from empgen.training import TrainConfig
 
-    model = EmpathyModel(vocab_size=16, d=4, layers=1, heads=2, ffn_mult=2, dropout=0.0, seed=0)
+    model = TrainConfig(seed=0, d=4, layers=1, heads=2, ffn_mult=2, dropout=0.0).build_model(16)
     ids = [2, 4, 5]
     prep = PreparedSample("s", context_ids=[1, 3], target_ids=[3], emotion_index=0, cause_ids=ids)
     seen = []
