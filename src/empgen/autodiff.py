@@ -1,9 +1,12 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-Every operation records a node in a dynamic graph. Calling ``backward()``
-on a scalar walks the graph in reverse topological order and accumulates
-gradients into ``Tensor.grad`` of the leaves; every other node lets go of
-its gradient, closure and parents once it has run. Arithmetic is float64
+A ``Tensor`` is a value, ``data``, and a ``Node`` of the dynamic graph:
+the gradient, the parents' nodes and a backward closure that keeps only
+the arrays its formula reads, so a value that no backward pass reads is
+freed as soon as the forward code drops it. ``backward()`` on a scalar
+walks the graph in reverse topological order and accumulates gradients
+into ``Tensor.grad`` of the leaves; every other node lets go of its
+gradient, closure and parents once it has run. Arithmetic is float64
 throughout so central finite differences remain a meaningful oracle for
 the analytic gradients. Inside ``no_grad()`` nothing is recorded, for
 inference.
@@ -14,9 +17,10 @@ ops would record 2 (3 with ``linear``'s ReLU), 14 (dropout, residual add
 and 12 for LayerNorm), 6 (14 with attention's head split and merge) and
 3 (log-softmax, pick and negation; 4 with a padding mask). Their forward
 and backward passes do the composed ops' float operations in the same
-order; they keep a dropout mask as booleans, no ReLU pre-activation and
-no log-probabilities. ``softmax`` and ``log_softmax`` work on plain
-arrays, for the fused nodes and for inference.
+order; they keep a dropout mask as booleans, no ReLU pre-activation, no
+sublayer result and no logits or log-probabilities. ``softmax`` and
+``log_softmax`` work on plain arrays, for the fused nodes and for
+inference.
 """
 
 from __future__ import annotations
@@ -41,12 +45,6 @@ __all__ = [
     "log_softmax",
     "slice_rows",
 ]
-
-
-def as_tensor(value) -> "Tensor":
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value)
 
 
 class _GradMode(threading.local):
@@ -108,23 +106,52 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
 
+class Node:
+    """A vertex of the tape: the gradient that reaches one value, the nodes
+    of the values it was computed from and the closure that passes the
+    gradient on to them. The value itself stays with its ``Tensor``."""
+
+    __slots__ = ("grad", "requires_grad", "parents", "backward")
+
+    def __init__(self, requires_grad: bool = False, parents: tuple[Node, ...] = (), backward=None):
+        self.grad: np.ndarray | None = None
+        self.requires_grad, self.parents, self.backward = requires_grad, parents, backward
+
+    def accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        # Keep a first gradient the caller owned (made and holds no other
+        # reference to); copy any other, which the caller may share.
+        if self.grad is None:
+            self.grad = grad if owned else np.array(grad, dtype=np.float64)
+        else:
+            self.grad += grad
+
+
+# The node of every value that needs no gradient, shared so that inference
+# makes no nodes; a Tensor takes one of its own before a gradient is set.
+_CONSTANT = Node()
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
+    """A float64 array ``data`` and its tape ``node``."""
+
+    __slots__ = ("data", "node", "__weakref__")
+
+    requires_grad = property(lambda t: t.node.requires_grad, lambda t, on: setattr(t._own(), "requires_grad", on))
+    grad = property(lambda t: t.node.grad, lambda t, grad: setattr(t._own(), "grad", grad))
+    _parents = property(lambda t: t.node.parents)
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self.node = Node(True) if requires_grad else _CONSTANT
+
+    def _own(self) -> Node:
+        if self.node is _CONSTANT:
+            self.node = Node()
+        return self.node
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -133,24 +160,14 @@ class Tensor:
     # graph plumbing
 
     @staticmethod
-    def _node(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
+    def _node(data: np.ndarray, parents: tuple[Node, ...], backward) -> "Tensor":
         out = Tensor(data)
         if _mode.recording and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._backward = backward
+            out.node = Node(True, parents, backward)
         return out
 
-    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
-        # Keep a first gradient the caller owned (made and holds no other
-        # reference to); copy any other, which the caller may share.
-        if self.grad is None:
-            self.grad = grad if owned else np.array(grad, dtype=np.float64)
-        else:
-            self.grad += grad
-
     def zero_grad(self) -> None:
-        self.grad = None
+        self.node.grad = None
 
     def backward(self) -> None:
         """Backpropagate from a scalar; gradients accumulate into leaves.
@@ -162,137 +179,134 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError("backward() expects a scalar")
         # Iterative DFS postorder (graphs can be deeper than the recursion limit).
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        topo: list[Node] = []
+        seen: set[Node] = set()
+        stack: list[tuple[Node, bool]] = [(self.node, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
-                    stack.append((parent, False))
-        self._accumulate(np.ones_like(self.data))
+            elif node not in seen:
+                seen.add(node)
+                stack.append((node, True))
+                stack.extend((p, False) for p in node.parents if p.requires_grad and p not in seen)
+        self._own().accumulate(np.ones_like(self.data))
         while topo:
             node = topo.pop()
-            if node._backward is None:
+            if node.backward is None:
                 continue  # a leaf keeps its gradient
             if node.grad is not None:
-                node._backward(node.grad)
-            node.grad = node._backward = None
-            node._parents = ()
+                node.backward(node.grad)
+            node.grad = node.backward = None
+            node.parents = ()
 
     # ------------------------------------------------------------------
     # elementwise arithmetic (numpy broadcasting rules)
 
     def __add__(self, other):
-        other = as_tensor(other)
-        a, b = self, other
+        other = other if isinstance(other, Tensor) else Tensor(other)
+        a, b = self.node, other.node
+        a_shape, b_shape = self.data.shape, other.data.shape
 
         def backward(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.data.shape))
+                a.accumulate(_unbroadcast(g, a_shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.data.shape))
+                b.accumulate(_unbroadcast(g, b_shape))
 
-        return Tensor._node(a.data + b.data, (a, b), backward)
+        return Tensor._node(self.data + other.data, (a, b), backward)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = as_tensor(other)
-        a, b = self, other
+        other = other if isinstance(other, Tensor) else Tensor(other)
+        a, b = self.node, other.node
+        a_shape, b_shape = self.data.shape, other.data.shape
+        # Each side's gradient reads the other side's value: keep only those.
+        a_data = self.data if b.requires_grad else None
+        b_data = other.data if a.requires_grad else None
 
         def backward(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+                a.accumulate(_unbroadcast(g * b_data, a_shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+                b.accumulate(_unbroadcast(g * a_data, b_shape))
 
-        return Tensor._node(a.data * b.data, (a, b), backward)
+        return Tensor._node(self.data * other.data, (a, b), backward)
 
     __rmul__ = __mul__
 
     def __matmul__(self, weight):
         """``linear`` by a 2-D weight."""
-        return linear(self, as_tensor(weight))
+        return linear(self, weight)
 
     # ------------------------------------------------------------------
     # shape ops
 
     def reshape(self, *shape):
-        a = self
-        orig = a.data.shape
+        a, orig = self.node, self.data.shape
 
         def backward(g):
-            a._accumulate(g.reshape(orig))
+            a.accumulate(g.reshape(orig))
 
-        return Tensor._node(a.data.reshape(shape), (a,), backward)
+        return Tensor._node(self.data.reshape(shape), (a,), backward)
 
     def swapaxes(self, axis1: int, axis2: int):
-        a = self
+        a = self.node
 
         def backward(g):
-            a._accumulate(np.swapaxes(g, axis1, axis2))
+            a.accumulate(np.swapaxes(g, axis1, axis2))
 
-        return Tensor._node(np.swapaxes(a.data, axis1, axis2), (a,), backward)
+        return Tensor._node(np.swapaxes(self.data, axis1, axis2), (a,), backward)
 
     # ------------------------------------------------------------------
     # reductions
 
     def sum(self, axis=None, keepdims: bool = False):
-        a = self
+        a, orig = self.node, self.data.shape
 
         def backward(g):
-            gg = g
-            if axis is not None and not keepdims:
-                gg = np.expand_dims(gg, axis)
-            a._accumulate(np.broadcast_to(gg, a.data.shape).astype(np.float64))
+            g = g if axis is None or keepdims else np.expand_dims(g, axis)
+            a.accumulate(np.broadcast_to(g, orig).astype(np.float64))
 
-        return Tensor._node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+        return Tensor._node(self.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
     """Row gather; the backward pass scatter-adds into the table."""
     idx = np.asarray(ids, dtype=np.int64)
+    node, shape = table.node, table.data.shape
 
     def backward(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
+        if node.grad is None:
+            node.grad = np.zeros(shape)
+        np.add.at(node.grad, idx, g)
 
-    return Tensor._node(table.data[idx], (table,), backward)
+    return Tensor._node(table.data[idx], (node,), backward)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    datas = [t.data for t in tensors]
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    nodes = tuple(t.node for t in tensors)
+    offsets = np.concatenate([[0], np.cumsum([t.data.shape[axis] for t in tensors])])
 
     def backward(g):
-        for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(int(a), int(b))
-                t._accumulate(g[tuple(index)])
+        for node, a, b in zip(nodes, offsets[:-1], offsets[1:]):
+            if node.requires_grad:
+                node.accumulate(g[(slice(None),) * (axis % g.ndim) + (slice(int(a), int(b)),)])
 
-    return Tensor._node(np.concatenate(datas, axis=axis), tuple(tensors), backward)
+    return Tensor._node(np.concatenate([t.data for t in tensors], axis=axis), nodes, backward)
 
 
 def slice_rows(t: Tensor, start: int, stop: int) -> Tensor:
     """Rows ``start:stop`` of the second-to-last axis."""
+    node, shape = t.node, t.data.shape
 
     def backward(g):
-        full = np.zeros_like(t.data)
+        full = np.zeros(shape)
         full[..., start:stop, :] = g
-        t._accumulate(full)
+        node.accumulate(full)
 
-    return Tensor._node(t.data[..., start:stop, :], (t,), backward)
+    return Tensor._node(t.data[..., start:stop, :], (node,), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, relu: bool = False) -> Tensor:
@@ -301,26 +315,28 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, relu: bool = F
     rectifies its output and keeps no pre-activation: the output is
     positive exactly where the pre-activation was."""
     k, m = weight.shape
-    rows = x.data.reshape(-1, k)
-    y = rows @ weight.data
+    rows, w, x_shape = x.data.reshape(-1, k), weight.data, x.data.shape
+    y = rows @ w
     if bias is not None:
         y += bias.data
     if relu:
         y *= y > 0
+    rectified = y if relu else None  # the output is kept only to rectify g
+    x_node, w_node, b_node = x.node, weight.node, None if bias is None else bias.node
 
     def backward(g):
         g = g.reshape(-1, m)
-        if relu:
-            g = g * (y > 0)
-        if x.requires_grad:
-            x._accumulate((g @ weight.data.T).reshape(x.data.shape), owned=True)
-        if weight.requires_grad:
-            weight._accumulate(rows.T @ g, owned=True)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=0), owned=True)
+        if rectified is not None:
+            g = g * (rectified > 0)
+        if x_node.requires_grad:
+            x_node.accumulate((g @ w.T).reshape(x_shape), owned=True)
+        if w_node.requires_grad:
+            w_node.accumulate(rows.T @ g, owned=True)
+        if b_node is not None and b_node.requires_grad:
+            b_node.accumulate(g.sum(axis=0), owned=True)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._node(y.reshape(*x.data.shape[:-1], m), parents, backward)
+    parents = (x_node, w_node) if b_node is None else (x_node, w_node, b_node)
+    return Tensor._node(y.reshape(*x_shape[:-1], m), parents, backward)
 
 
 def add_norm(
@@ -343,22 +359,24 @@ def add_norm(
     var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
     inv = (var + eps) ** -0.5
     normed = centered * inv
+    parents = x_node, h_node, gain_node, bias_node = x.node, h.node, gain.node, bias.node
+    g_weight = gain.data
 
     def backward(g):
-        if gain.requires_grad:
-            gain._accumulate((g * normed).reshape(-1, n).sum(axis=0), owned=True)
-        if bias.requires_grad:
-            bias._accumulate(g.reshape(-1, n).sum(axis=0), owned=True)
-        gn = g * gain.data
+        if gain_node.requires_grad:
+            gain_node.accumulate((g * normed).reshape(-1, n).sum(axis=0), owned=True)
+        if bias_node.requires_grad:
+            bias_node.accumulate(g.reshape(-1, n).sum(axis=0), owned=True)
+        gn = g * g_weight
         mean_gn = gn.sum(axis=-1, keepdims=True) * (1.0 / n)
         mean_gn_normed = (gn * normed).sum(axis=-1, keepdims=True) * (1.0 / n)
         gs = inv * (gn - mean_gn - normed * mean_gn_normed)
-        if h.requires_grad:  # before x owns gs
-            h._accumulate(gs if keep is None else gs * (keep / (1.0 - rate)), owned=keep is not None)
-        if x.requires_grad:
-            x._accumulate(gs, owned=True)
+        if h_node.requires_grad:  # before x owns gs
+            h_node.accumulate(gs if keep is None else gs * (keep / (1.0 - rate)), owned=keep is not None)
+        if x_node.requires_grad:
+            x_node.accumulate(gs, owned=True)
 
-    return Tensor._node(normed * gain.data + bias.data, (x, h, gain, bias), backward)
+    return Tensor._node(normed * g_weight + bias.data, parents, backward)
 
 
 def attention(
@@ -390,21 +408,22 @@ def attention(
     if mask is not None:
         p += mask[..., None, :, :] if heads > 1 and mask.ndim > 1 else mask
     softmax(p)
+    parents = q_node, k_node, v_node = q.node, k.node, v.node
 
     def backward(g):
         g = split(g)
-        if v.requires_grad:
-            v._accumulate(merge(_unbroadcast(p.swapaxes(-1, -2) @ g, vs.shape)), owned=True)
+        if v_node.requires_grad:
+            v_node.accumulate(merge(_unbroadcast(p.swapaxes(-1, -2) @ g, vs.shape)), owned=True)
         ds = g @ vs.swapaxes(-1, -2)
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
-        if q.requires_grad:
-            q._accumulate(merge(_unbroadcast(ds @ ks, qs.shape)), owned=True)
-        if k.requires_grad:
-            k._accumulate(merge(_unbroadcast(ds.swapaxes(-1, -2) @ qs, ks.shape)), owned=True)
+        if q_node.requires_grad:
+            q_node.accumulate(merge(_unbroadcast(ds @ ks, qs.shape)), owned=True)
+        if k_node.requires_grad:
+            k_node.accumulate(merge(_unbroadcast(ds.swapaxes(-1, -2) @ qs, ks.shape)), owned=True)
 
-    out = Tensor._node(merge(p @ vs), (q, k, v), backward)
+    out = Tensor._node(merge(p @ vs), parents, backward)
     return (out, Tensor(p)) if return_weights else out
 
 
@@ -413,18 +432,19 @@ def cross_entropy(logits: Tensor, targets, valid: np.ndarray | None = None) -> T
     and its index in ``targets`` (...), as shape (...). Where the boolean
     ``valid`` (...) is False the entry counts 0 and passes no gradient.
     The node keeps the probabilities and the indices for its backward
-    pass, not the log-probabilities."""
+    pass, not the logits or the log-probabilities."""
     idx = np.asarray(targets, dtype=np.int64)[..., None]
     logp = log_softmax(logits.data)
     out = -np.take_along_axis(logp, idx, axis=-1)[..., 0]
     sm = np.exp(logp)
     if valid is not None:
         out = out * valid
+    node = logits.node
 
     def backward(g):
         g = (g if valid is None else g * valid)[..., None]
         grad = sm * g
         np.put_along_axis(grad, idx, np.take_along_axis(grad, idx, axis=-1) - g, axis=-1)
-        logits._accumulate(grad, owned=True)
+        node.accumulate(grad, owned=True)
 
-    return Tensor._node(out, (logits,), backward)
+    return Tensor._node(out, (node,), backward)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import canonical_json, read_asset
+from .util import canonical_json, read_asset, require_fields, sha256_hex
 
 PAD, BOS, EOS, UNK, SEP, CLS = "<pad>", "<bos>", "<eos>", "<unk>", "<sep>", "<cls>"
 RESERVED_TOKENS = [PAD, BOS, EOS, UNK, SEP, CLS]
@@ -92,42 +92,38 @@ class DialogueSample:
         return self.history[-1]
 
 
-def _validate_history(raw_history, line_no: int) -> tuple[Utterance, ...]:
-    if not isinstance(raw_history, list) or not raw_history:
-        raise DatasetError(f"line {line_no}: history must be a non-empty list")
-    if len(raw_history) % 2 == 0:
-        raise DatasetError(f"line {line_no}: history length must be odd, got {len(raw_history)}")
+def _validate_history(raw_history: list, where: str) -> tuple[Utterance, ...]:
+    if len(raw_history) % 2 == 0:  # also when empty
+        raise DatasetError(f"{where}: history length must be odd, got {len(raw_history)}")
     utterances = []
     for i, item in enumerate(raw_history):
-        role = item.get("role")
-        expected = "speaker" if i % 2 == 0 else "listener"
+        if not isinstance(item, dict) or not isinstance(item.get("text"), str):
+            raise DatasetError(f"{where}: turn {i} must be an object with a string 'text'")
+        role, expected = item.get("role"), "speaker" if i % 2 == 0 else "listener"
         if role != expected:
-            raise DatasetError(
-                f"line {line_no}: role at turn {i} must be {expected!r}, got {role!r}"
-            )
-        text = normalize_text(item.get("text", ""))
+            raise DatasetError(f"{where}: role at turn {i} must be {expected!r}, got {role!r}")
+        text = normalize_text(item["text"])
         if not text:
-            raise DatasetError(f"line {line_no}: empty text at turn {i}")
+            raise DatasetError(f"{where}: empty text at turn {i}")
         utterances.append(Utterance(role, text, i))
     return tuple(utterances)
 
 
-def parse_sample(record: dict, labels: LabelSet, line_no: int = 0) -> DialogueSample:
-    for field in ("id", "history", "emotion", "response"):
-        if field not in record:
-            raise DatasetError(f"line {line_no}: missing field {field!r}")
-    history = _validate_history(record["history"], line_no)
+def parse_sample(record: dict, labels: LabelSet, where: str = "record") -> DialogueSample:
+    """A validated sample; ``where`` names the record in error messages."""
+    require_fields(record, where, DatasetError, id=str, history=list, emotion=str, response=str)
+    history = _validate_history(record["history"], where)
     emotion = record["emotion"]
     if emotion not in labels:
-        raise DatasetError(f"line {line_no}: unknown emotion {emotion!r}")
+        raise DatasetError(f"{where}: unknown emotion {emotion!r}")
     response = normalize_text(record["response"])
     if not response:
-        raise DatasetError(f"line {line_no}: empty response")
-    return DialogueSample(str(record["id"]), history, labels.get(emotion), response)
+        raise DatasetError(f"{where}: empty response")
+    return DialogueSample(record["id"], history, labels.get(emotion), response)
 
 
 def load_dataset(path: str | Path, labels: LabelSet | None = None) -> list[DialogueSample]:
-    """Load and validate a JSONL dataset; order is preserved."""
+    """Load and validate a JSONL dataset, in order; a bad line is refused by its file and line."""
     labels = labels or LabelSet.default()
     path = Path(path)
     if not path.exists():
@@ -141,8 +137,8 @@ def load_dataset(path: str | Path, labels: LabelSet | None = None) -> list[Dialo
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {line_no}: invalid JSON: {exc}") from exc
-            samples.append(parse_sample(record, labels, line_no))
+                raise DatasetError(f"{path}, line {line_no}: invalid JSON: {exc}") from exc
+            samples.append(parse_sample(record, labels, f"{path}, line {line_no}"))
     return samples
 
 
@@ -167,6 +163,8 @@ def split_dataset(
     """
     if not samples:
         raise DatasetError("cannot split an empty dataset")
+    if any(r < 0 for r in ratios):
+        raise DatasetError(f"split ratios must not be negative, got {', '.join(map(str, ratios))}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise DatasetError(f"split ratios must sum to 1, got {sum(ratios)}")
     n = len(samples)
@@ -252,8 +250,6 @@ class Vocab:
                 raise DatasetError(f"vocabulary {path}: {exc}") from exc
 
     def fingerprint(self) -> str:
-        from .util import sha256_hex
-
         return sha256_hex(canonical_json(self.token_to_id))
 
 

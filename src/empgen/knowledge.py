@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .corpus import DialogueSample, EmotionLabel
+from .corpus import DialogueSample, EmotionLabel, tokenize
 from .selectors import FixtureMissError
 from .util import now_iso, read_asset, read_jsonl, sha256_hex
 
@@ -103,8 +103,6 @@ class TemplateCommonsenseProvider(CommonsenseProvider):
     """Deterministic relation strings built from the utterance's last content word."""
 
     def _generate(self, last_utterance: str) -> KnowledgeBundle:
-        from .corpus import tokenize
-
         words = [w for w in tokenize(last_utterance) if w not in _STOPWORDS]
         topic = words[-1] if words else "that"
         relations = {r: f"the speaker {_RELATION_PHRASES[r]} {topic}" for r in RELATIONS}
@@ -116,7 +114,7 @@ class FixtureCommonsenseProvider(CommonsenseProvider):
 
     def __init__(self, path: str | Path):
         super().__init__()
-        self.table = {rec["hash"]: rec["relations"] for rec in read_jsonl(path)}
+        self.table = {rec["hash"]: rec["relations"] for _, rec in read_jsonl(path, hash=str, relations=dict)}
 
     @staticmethod
     def utterance_hash(text: str) -> str:
@@ -201,9 +199,10 @@ class FixtureLlmClient(LlmClient):
     def __init__(self, path: str | Path):
         super().__init__()
         self.table: dict[str, str] = {}
-        for rec in read_jsonl(path):
-            key = rec.get("cache_key") or prompt_cache_key(rec["prompt"])
-            self.table[key] = rec["response"]
+        for where, rec in read_jsonl(path, response=str):
+            if not isinstance(rec.get("cache_key") or rec.get("prompt"), str):
+                raise ValueError(f"{where}: field 'cache_key' or 'prompt' is missing or not a str")
+            self.table[rec.get("cache_key") or prompt_cache_key(rec["prompt"])] = rec["response"]
 
     def _complete(self, prompt: str) -> str:
         key = prompt_cache_key(prompt)

@@ -90,7 +90,7 @@ class FixtureSentimentPredictor(SentimentPredictor):
     def __init__(self, path: str | Path, labels: LabelSet):
         super().__init__()
         self.labels = labels
-        self.table = {rec["id"]: rec["e_ano"] for rec in read_jsonl(path)}
+        self.table = {rec["id"]: rec["e_ano"] for _, rec in read_jsonl(path, id=str, e_ano=str)}
 
     def _predict(self, sample: DialogueSample) -> EmotionLabel:
         if sample.id not in self.table:
@@ -147,7 +147,8 @@ class FileCauseDetector(CauseDetector):
 
     def __init__(self, path: str | Path):
         super().__init__()
-        self.table = {rec["id"]: rec["cause_turn_indices"] for rec in read_jsonl(path)}
+        rows = read_jsonl(path, id=str, cause_turn_indices=list)
+        self.table = {rec["id"]: rec["cause_turn_indices"] for _, rec in rows}
 
     def _detect(self, sample: DialogueSample, target: EmotionLabel) -> list[Utterance]:
         if sample.id not in self.table:

@@ -33,18 +33,30 @@ def read_asset(name: str) -> str:
     return (ASSETS_DIR / name).read_text(encoding="utf-8")
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    """One record per non-blank line; a malformed line is refused by the
-    file's path and its line number."""
+def require_fields(rec, where: str, error: type[ValueError] = ValueError, **fields: type) -> dict:
+    """``rec``, if it is a JSON object that holds each of ``fields``, names
+    mapped to their types; otherwise ``error`` names ``where`` and why."""
+    if not isinstance(rec, dict):
+        raise error(f"{where}: not a JSON object")
+    for name, kind in fields.items():
+        if not isinstance(rec.get(name), kind):
+            raise error(f"{where}: field {name!r} is missing or not a {kind.__name__}")
+    return rec
+
+
+def read_jsonl(path: str | Path, **fields: type) -> list[tuple[str, dict]]:
+    """Each non-blank line's record, holding ``fields`` (``require_fields``),
+    with its place "<path>, line <n>", by which a bad line is refused."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
+            where = f"{path}, line {number}"
             try:
-                records.append(json.loads(line))
+                records.append((where, require_fields(json.loads(line), where, **fields)))
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}, line {number}: {exc.msg} at column {exc.colno}") from exc
+                raise ValueError(f"{where}: {exc.msg} at column {exc.colno}") from exc
     return records
 
 

@@ -49,27 +49,34 @@ def gradient_footprint(model) -> frozenset:
     return frozenset(names)
 
 
-def tape_of(loss) -> tuple[list, list[np.ndarray]]:
+def buffer_of(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory of ``a``, a view or not."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def tape_of(loss, params: dict) -> tuple[list, list[np.ndarray]]:
     """The tape behind ``loss`` before its backward pass: its recorded
-    nodes, and every array they hold (outputs, constant inputs and what
-    the backward closures read), each buffer once. Parameters and
-    read-only tables shared by every model, such as the position table,
-    are not the tape's own."""
-    nodes, stack, seen = [], [loss], set()
+    nodes, and every array their backward closures hold, each buffer once.
+    The nodes hold no values of their own. The ``params`` (name to Tensor)
+    and read-only tables shared by every model, such as the position
+    table, are not the tape's own."""
+    nodes, stack, seen = [], [loss.node], set()
     while stack:
         node = stack.pop()
-        if id(node) not in seen and node._parents:
+        if id(node) not in seen and node.parents:
             seen.add(id(node))
             nodes.append(node)
-            stack.extend(node._parents)
-    held = [n.data for n in nodes] + [p.data for n in nodes for p in n._parents if not p.requires_grad]
-    held += [c.cell_contents for n in nodes for c in n._backward.__closure__ or ()]
+            stack.extend(node.parents)
+    shared = {id(buffer_of(p.data)) for p in params.values()}
     buffers = {}
-    for a in held:
+    for cell in (c for n in nodes for c in n.backward.__closure__ or ()):
+        a = cell.cell_contents
         if isinstance(a, np.ndarray) and a.flags.writeable:
-            while isinstance(a.base, np.ndarray):
-                a = a.base
-            buffers[id(a)] = a
+            a = buffer_of(a)
+            if id(a) not in shared:
+                buffers[id(a)] = a
     return nodes, list(buffers.values())
 
 

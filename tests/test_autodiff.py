@@ -16,6 +16,7 @@ from empgen.autodiff import (
     softmax,
 )
 
+from .helpers import buffer_of
 from .oracles import fd_gradient, softmax_oracle
 
 
@@ -179,7 +180,7 @@ def test_no_grad_records_no_parents_and_keeps_leaves_trainable():
     with no_grad():
         out = cross_entropy(linear(x, w, relu=True) + x.sum(axis=1, keepdims=True), [0, 1])
         assert not out.requires_grad
-        assert out._parents == () and out._backward is None
+        assert out._parents == () and out.node.backward is None
     assert x.requires_grad and w.requires_grad
     taped = (x @ w).sum()
     assert taped.requires_grad and taped._parents
@@ -296,13 +297,18 @@ def test_backward_releases_intermediates_and_keeps_leaf_grads():
     hidden = linear(x, w, relu=True)
     out = add_norm(x, hidden, gain, shift, 1e-5, 0.5, np.random.default_rng(0))
     loss = (out * out).sum()
-    refs = [weakref.ref(t) for t in (hidden, out)]
+    # The Tensors are freed with their last reference. The arrays that a
+    # backward formula reads stay on the tape: the ReLU output rectifies its
+    # linear's gradient and ``out`` is a factor of the product's.
+    tensors = [weakref.ref(t) for t in (hidden, out)]
+    arrays = [weakref.ref(buffer_of(t.data)) for t in (hidden, out)]
     del hidden, out
     gc.collect()
-    assert all(r() is not None for r in refs)  # held by the tape
+    assert all(r() is None for r in tensors)
+    assert all(r() is not None for r in arrays)
     loss.backward()
     gc.collect()
-    assert all(r() is None for r in refs)
+    assert all(r() is None for r in arrays)
     assert loss.grad is None and loss._parents == ()
     for leaf in (x, w, gain, shift):
         assert leaf.grad is not None and leaf.grad.shape == leaf.shape

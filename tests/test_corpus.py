@@ -124,6 +124,20 @@ def test_split_bad_ratios(labels):
         split_dataset(samples, (0.8, 0.1, 0.2), seed=0)
 
 
+def test_split_refuses_negative_ratios_before_writing(tmp_path, labels, capsys):
+    from empgen.cli import main
+
+    samples = [parse_sample(make_record() | {"id": str(i)}, labels) for i in range(100)]
+    with pytest.raises(DatasetError, match=r"must not be negative, got 1\.2, -0\.1, -0\.1$"):
+        split_dataset(samples, (1.2, -0.1, -0.1))
+    write_jsonl(tmp_path / "d.jsonl", [sample_to_record(s) for s in samples])
+    out = tmp_path / "out"
+    args = ["prepare-data", "--input", str(tmp_path / "d.jsonl"), "--out", str(out), "--ratios", "1.2,-0.1,-0.1"]
+    assert main(args) == 1
+    assert "must not be negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # vocabulary
 

@@ -2,17 +2,20 @@
 valid file either loads equal to the original or is refused by the
 reader's own error."""
 
+import copy
+import functools
 import io
 import json
+import operator
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from empgen.corpus import RESERVED_TOKENS, Vocab
+from empgen.corpus import RESERVED_TOKENS, DatasetError, LabelSet, Vocab, load_dataset
 from empgen.training import CheckpointError, TrainConfig, load_checkpoint, save_checkpoint
 
 HOSTILE = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -145,3 +148,64 @@ def test_a_non_finite_parameter_is_refused(name, at, value):
     params = {k: ARRAYS[k].copy() for k in PARAMS}
     params[name].flat[at % params[name].size] = value
     assert load(archive_bytes(params, META)) is None
+
+
+RECORD = {
+    "id": "d1",
+    "history": [
+        {"role": "speaker", "text": "i lost my keys"},
+        {"role": "listener", "text": "oh no"},
+        {"role": "speaker", "text": "found them at last"},
+    ],
+    "emotion": "anxious",
+    "response": "glad you found them",
+}
+# The record itself, each of its fields, each turn and each field of a turn.
+RECORD_PLACES = [
+    (),
+    *((key,) for key in RECORD),
+    *(("history", i, *key) for i, turn in enumerate(RECORD["history"]) for key in [(), *((k,) for k in turn)]),
+]
+LABELS = LabelSet.default()
+
+
+def load_record(record):
+    """The samples of a one-line dataset of ``record``, or None if it was
+    refused; a refusal names the file and the line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        try:
+            return load_dataset(path, LABELS)
+        except DatasetError as exc:
+            assert str(exc).startswith(f"{path}, line 1: "), exc
+            return None
+
+
+def test_the_unmutated_record_loads():
+    [sample] = load_record(RECORD)
+    assert sample.id == "d1" and len(sample.history) == 3
+
+
+@HOSTILE
+@given(place=st.sampled_from(RECORD_PLACES), drop=st.booleans(), value=RETYPED_VALUES)
+@example(place=("history", 1), drop=False, value="x")
+@example(place=("history", 0, "text"), drop=False, value=7)
+@example(place=("response",), drop=False, value=7)
+@example(place=("emotion",), drop=False, value=[1, 2])
+@example(place=(), drop=False, value=7)
+@example(place=(), drop=False, value=None)
+@example(place=("id",), drop=False, value={"a": 1})
+def test_a_dropped_or_retyped_dataset_field_or_turn_loads_equal_or_is_refused(place, drop, value):
+    record = copy.deepcopy(RECORD)
+    if not place:
+        record = value
+    else:
+        owner = functools.reduce(operator.getitem, place[:-1], record)
+        if drop:
+            del owner[place[-1]]
+        else:
+            assume(type(value) is not type(owner[place[-1]]))
+            owner[place[-1]] = value
+    loaded = load_record(record)
+    assert loaded is None or loaded == load_record(RECORD)

@@ -3,6 +3,7 @@ import re
 import pytest
 
 from empgen.corpus import LabelSet, parse_sample
+from empgen.knowledge import FixtureCommonsenseProvider, FixtureLlmClient
 from empgen.selectors import (
     FileCauseDetector,
     FixtureMissError,
@@ -85,6 +86,35 @@ def test_malformed_fixture_line_is_refused_by_path_and_line(tmp_path, labels):
     path.write_text('{"id": "s0", "e_ano": "proud"}\n\n{"id": "s1", "e_ano": }\n', encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}, line 3: Expecting value at column 23$"):
         FixtureSentimentPredictor(path, labels)
+
+
+FIXTURE_READERS = {
+    "sentiment": (lambda path: FixtureSentimentPredictor(path, LabelSet.default()), {"id": "s0", "e_ano": "proud"}),
+    "cause": (FileCauseDetector, {"id": "s0", "cause_turn_indices": [0]}),
+    "commonsense": (FixtureCommonsenseProvider, {"hash": "ab12", "relations": {"xIntent": "to rest"}}),
+    "llm": (FixtureLlmClient, {"prompt": "p", "response": "r"}),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(FIXTURE_READERS))
+def test_fixture_readers_refuse_a_bad_record_by_path_line_and_field(tmp_path, reader):
+    read, good = FIXTURE_READERS[reader]
+    path = tmp_path / "f.jsonl"
+    write_jsonl(path, [good])
+    read(path)
+    place = rf"^{re.escape(str(path))}, line 2: "
+    for field in good:
+        for bad in ({k: v for k, v in good.items() if k != field}, {**good, field: 7}):
+            write_jsonl(path, [good, bad])
+            with pytest.raises(ValueError, match=place + f".*'{field}'"):
+                read(path)
+    write_jsonl(path, [good, [good]])
+    with pytest.raises(ValueError, match=place + "not a JSON object$"):
+        read(path)
+    if reader == "llm":  # a row may name its prompt by hash instead
+        write_jsonl(path, [good, {"cache_key": ["k"], "response": "r"}])
+        with pytest.raises(ValueError, match=place + ".*'cache_key'"):
+            read(path)
 
 
 def test_heuristic_selects_matching_utterance(labels):

@@ -12,6 +12,7 @@ from empgen.model import PLANS, Providers
 from empgen.selectors import HeuristicCauseDetector, OracleSentimentPredictor
 from empgen.training import Adam, CheckpointError, TrainConfig, load_checkpoint, save_checkpoint, train
 
+from .helpers import buffer_of
 from .oracles import check_gradients, grad_check, micro_prepared_sample
 
 
@@ -704,13 +705,50 @@ def test_backward_releases_the_tape_on_a_real_step(mini_samples, mini_vocab, lex
     model = config.build_model(len(mini_vocab))
     fwd = model.forward_batch(prepared, plan)
     loss = fwd.nll_sum.sum() + fwd.emo_nll.sum()
-    memory = weakref.ref(fwd.memory.values)
+    memory = weakref.ref(buffer_of(fwd.memory.values.data))
+    feature = weakref.ref(buffer_of(fwd.feature.data))
     fwd = None
     gc.collect()
-    assert memory() is not None  # the tape holds it until backward
+    assert memory() is None  # only the add of the segment embeddings read it
+    assert feature() is not None  # the emotion classifier's backward reads it
     loss.backward()
     gc.collect()
-    assert memory() is None
+    assert feature() is None
+    assert all(p.grad is not None for p in model.named_parameters().values())
+
+
+def test_tape_lets_go_of_sublayer_results_and_logits_before_backward(
+    mini_samples, mini_vocab, lexicon, monkeypatch
+):
+    # No backward formula reads the result that ``add_norm`` adds to its
+    # input or the logits behind ``cross_entropy``: both are freed as soon
+    # as the forward pass drops them, before ``backward()`` runs.
+    import weakref
+
+    import empgen.decoder
+    import empgen.layers
+    from empgen.model import prepare_samples
+
+    refs = {"sublayer": [], "logits": []}
+
+    def watching(fn, key, position):
+        def wrapper(*args, **kwargs):
+            refs[key].append(weakref.ref(buffer_of(args[position].data)))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(empgen.layers, "add_norm", watching(empgen.layers.add_norm, "sublayer", 1))
+    monkeypatch.setattr(empgen.decoder, "cross_entropy", watching(empgen.decoder.cross_entropy, "logits", 0))
+    plan = PLANS["full"]
+    prepared = prepare_samples(mini_samples[:3], mini_vocab, fresh_providers(lexicon), plan)
+    model = tiny_config(dropout=0.25).build_model(len(mini_vocab))
+    fwd = model.forward_batch(prepared, plan, np.random.default_rng(0))
+    loss = fwd.nll_sum.sum() + fwd.emo_nll.sum()
+    gc.collect()
+    assert len(refs["sublayer"]) > 1 and len(refs["logits"]) == 1
+    assert all(r() is None for r in refs["sublayer"] + refs["logits"])
+    loss.backward()
     assert all(p.grad is not None for p in model.named_parameters().values())
 
 
@@ -728,17 +766,19 @@ def test_training_tape_keeps_no_dropout_mask_or_relu_input_and_stays_in_budget(
     assert padded_rows(prepared, plan) == 636
     model = config.build_model(len(mini_vocab))
     fwd = model.forward_batch(prepared, plan, np.random.default_rng(0))
-    nodes, arrays = tape_of(fwd.nll_sum.sum() * 0.01 + fwd.emo_nll.sum() * 0.25)
+    nodes, arrays = tape_of(fwd.nll_sum.sum() * 0.01 + fwd.emo_nll.sum() * 0.25, model.named_parameters())
     masks = [a for a in arrays if a.dtype == np.float64 and np.isin(a, (0.0, 1 / 0.75)).all()]
     assert not masks, "a float64 dropout mask is on the tape"
     hidden = [a for a in arrays if a.ndim and a.shape[-1] == 5 * config.d and (a < 0).any()]
     assert not hidden, "a ReLU pre-activation is on the tape"
-    # The logits and the cross-entropy's probabilities; no log-probabilities.
-    assert len([a for a in arrays if a.ndim and a.shape[-1] == len(mini_vocab)]) <= 2
-    # 4.84 MB in 142 nodes with dropout, residual add and LayerNorm in one
-    # node per sublayer, ReLU in its linear and each loss's log-softmax and
-    # pick in one cross-entropy node; 7.02 MB in 202 nodes apart.
-    assert sum(a.nbytes for a in arrays) < 5.5e6
+    # The cross-entropy's probabilities; no logits or log-probabilities.
+    assert len([a for a in arrays if a.ndim and a.shape[-1] == len(mini_vocab)]) <= 1
+    # 4.07 MB in 142 nodes, whose closures keep only the arrays a backward
+    # formula reads; 4.84 MB when each node also held its own value and its
+    # parents' values, and 7.02 MB in 202 nodes with dropout, residual add,
+    # LayerNorm, ReLU and the loss's log-softmax and pick recorded apart.
+    assert len(nodes) == 142
+    assert sum(a.nbytes for a in arrays) < 4.1e6
 
 
 # ----------------------------------------------------------------------
