@@ -228,9 +228,9 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a.accumulate(_unbroadcast(g * b_data, a_shape))
+                a.accumulate(_unbroadcast(g * b_data, a_shape), owned=True)
             if b.requires_grad:
-                b.accumulate(_unbroadcast(g * a_data, b_shape))
+                b.accumulate(_unbroadcast(g * a_data, b_shape), owned=True)
 
         return Tensor._node(self.data * other.data, (a, b), backward)
 
@@ -267,7 +267,7 @@ class Tensor:
 
         def backward(g):
             g = g if axis is None or keepdims else np.expand_dims(g, axis)
-            a.accumulate(np.broadcast_to(g, orig).astype(np.float64))
+            a.accumulate(np.broadcast_to(g, orig).astype(np.float64), owned=True)
 
         return Tensor._node(self.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -304,7 +304,7 @@ def slice_rows(t: Tensor, start: int, stop: int) -> Tensor:
     def backward(g):
         full = np.zeros(shape)
         full[..., start:stop, :] = g
-        node.accumulate(full)
+        node.accumulate(full, owned=True)
 
     return Tensor._node(t.data[..., start:stop, :], (node,), backward)
 

@@ -42,7 +42,7 @@ from .selectors import (
     majority_label,
 )
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
-from .util import canonical_json, now_iso, sha256_hex, write_jsonl
+from .util import canonical_json, now_iso, require_fields, sha256_hex, write_jsonl
 
 def write_manifest(command: str, config: dict, seed: int, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
@@ -66,8 +66,12 @@ def write_manifest(command: str, config: dict, seed: int, out_dir: str | Path) -
 def load_config(args) -> TrainConfig:
     data = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise ValueError(f"config {args.config}: {exc}") from exc
+        require_fields(data, f"config {args.config}")
         if "min_freq" in data:
             raise ValueError("min_freq is not a training setting: set it with prepare-data --min-freq")
     # Flags override the file before the config checks its values.

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .corpus import DialogueSample, EmotionLabel, tokenize
 from .selectors import FixtureMissError
-from .util import now_iso, read_asset, read_jsonl, sha256_hex
+from .util import now_iso, read_asset, read_jsonl, require_fields, sha256_hex
 
 RELATIONS = ("xIntent", "xEffect", "xWant", "xReact", "xNeed")
 
@@ -114,7 +114,10 @@ class FixtureCommonsenseProvider(CommonsenseProvider):
 
     def __init__(self, path: str | Path):
         super().__init__()
-        self.table = {rec["hash"]: rec["relations"] for _, rec in read_jsonl(path, hash=str, relations=dict)}
+        self.table = {}
+        for where, rec in read_jsonl(path, hash=str, relations=dict):
+            require_fields(rec["relations"], f"{where}: field 'relations'", **dict.fromkeys(RELATIONS, str))
+            self.table[rec["hash"]] = rec["relations"]
 
     @staticmethod
     def utterance_hash(text: str) -> str:
@@ -310,18 +313,18 @@ class AnalysisCache:
                 fh.write(b"\n")
         offset = 0
         for number, line in enumerate(data.splitlines(keepends=True), 1):
+            offset += len(line)
+            if not line.strip():
+                continue
             try:
-                rec = json.loads(line) if line.strip() else None
+                rec = json.loads(line)
             except ValueError as exc:
-                if data[offset + len(line) :].strip():
+                if data[offset:].strip():
                     raise ValueError(f"{self.path}:{number}: malformed analysis cache line: {exc}") from exc
                 warnings.warn(f"{self.path}:{number}: dropped a torn last line", RuntimeWarning, stacklevel=3)
                 with open(self.path, "r+b") as fh:
-                    fh.truncate(offset)
+                    fh.truncate(offset - len(line))
                 return
-            offset += len(line)
-            if rec is None:
-                continue
             if not isinstance(rec, dict) or not all(isinstance(rec.get(name), str) for name in RECORD_FIELDS):
                 raise ValueError(
                     f"{self.path}:{number}: malformed analysis cache line: "

@@ -213,14 +213,11 @@ class EmpathyModel:
     def __init__(self, config: TrainConfig, vocab_size: int, rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(config.seed)
         self.d = d = config.d
-        stack_args = (d, config.layers, config.heads, config.ffn_mult, config.dropout)
-        max_len = max(config.max_context_len, config.max_analysis_len, 512)
-        self.context_encoder = EncoderStack(rng, vocab_size, *stack_args, max_len)
-        self.relation_encoder = EncoderStack(rng, vocab_size, *stack_args, max_len)
+        stack_args = (d, config.layers, config.heads, config.ffn_mult, config.dropout, config.positions)
+        self.context_encoder = EncoderStack(rng, vocab_size, *stack_args)
+        self.relation_encoder = EncoderStack(rng, vocab_size, *stack_args)
         self.fusion = FusionParams.create(rng, d)
-        self.decoder = DecoderStack(
-            rng, vocab_size, *stack_args, max_len, token_embedding=self.context_encoder.token_embedding
-        )
+        self.decoder = DecoderStack(rng, vocab_size, *stack_args, token_embedding=self.context_encoder.token_embedding)
         self.classifier = Linear(rng, 3 * d, config.num_emotions)
 
     def named_parameters(self) -> dict[str, Tensor]:

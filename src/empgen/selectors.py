@@ -148,6 +148,9 @@ class FileCauseDetector(CauseDetector):
     def __init__(self, path: str | Path):
         super().__init__()
         rows = read_jsonl(path, id=str, cause_turn_indices=list)
+        for where, rec in rows:
+            if not all(type(i) is int for i in rec["cause_turn_indices"]):
+                raise ValueError(f"{where}: field 'cause_turn_indices' holds an entry that is not an integer")
         self.table = {rec["id"]: rec["cause_turn_indices"] for _, rec in rows}
 
     def _detect(self, sample: DialogueSample, target: EmotionLabel) -> list[Utterance]:

@@ -22,7 +22,7 @@ CHECKPOINT_VERSION = 1
 # Padded encoder rows per micro-batch: four short dialogues, or one at the
 # 256-token context cap. The tape of a micro-batch lives until its
 # backward pass, so this bounds training's peak memory: at d=64 and 2
-# layers a 735-row tape holds about 18 MB of arrays.
+# layers a 735-row tape holds about 14.5 MB of arrays.
 MICRO_BATCH_ROWS = 768
 
 # Settings that are gone, each with the value the code now always uses. Old
@@ -87,6 +87,16 @@ class TrainConfig:
             raise ValueError(f"d must be divisible by heads, got d={self.d} and heads={self.heads}")
         if self.ablation not in PLANS:
             raise ValueError(f"unknown ablation {self.ablation!r}; choose from {sorted(PLANS)}")
+        if self.max_gen_len > self.positions:
+            raise ValueError(
+                f"max_gen_len must be at most the model's {self.positions} positions, got {self.max_gen_len}"
+            )
+
+    @property
+    def positions(self) -> int:
+        """Rows of every stack's position table: the longest encoded stream,
+        and never fewer than 512."""
+        return max(self.max_context_len, self.max_analysis_len, 512)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -46,15 +46,18 @@ def require_fields(rec, where: str, error: type[ValueError] = ValueError, **fiel
 
 def read_jsonl(path: str | Path, **fields: type) -> list[tuple[str, dict]]:
     """Each non-blank line's record, holding ``fields`` (``require_fields``),
-    with its place "<path>, line <n>", by which a bad line is refused."""
+    with its place "<path>, line <n>", by which a bad line, or one that is
+    not UTF-8, is refused."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
             where = f"{path}, line {number}"
             try:
-                records.append((where, require_fields(json.loads(line), where, **fields)))
+                line = raw.decode("utf-8")
+                if line.strip():
+                    records.append((where, require_fields(json.loads(line), where, **fields)))
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{where}: not UTF-8 text ({exc.reason} at byte {exc.start + 1})") from exc
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{where}: {exc.msg} at column {exc.colno}") from exc
     return records

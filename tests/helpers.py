@@ -1,7 +1,8 @@
 """Helpers that only the tests use: summaries of training results,
 views of model outputs, the training tape, the authored case and fixture
-rows."""
+rows, and the perfbench scripts loaded as modules."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -11,7 +12,17 @@ from empgen.corpus import LabelSet, parse_sample
 from empgen.knowledge import build_analysis_prompt
 
 DATA_DIR = Path(__file__).parent / "data"
+PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 GOLDEN_PROMPT_PATH = DATA_DIR / "analysis_prompt_case_grateful.txt"
+
+
+def load_perfbench(name: str):
+    """``perfbench/<name>.py`` as a module, loaded by its file path:
+    perfbench is a directory of scripts, not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_case_fixture() -> dict:

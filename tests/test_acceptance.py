@@ -37,7 +37,7 @@ from empgen.selectors import HeuristicCauseDetector, OracleSentimentPredictor, l
 from empgen.training import TrainConfig, train
 
 from .helpers import GOLDEN_PROMPT_PATH, case_sample, emotion_loss, epoch_mean_total
-from .oracles import accuracy_oracle, bleu_oracle, dist_oracle, grad_check, ppl_oracle, rouge_f1_oracle
+from .oracles import grad_check, reference
 
 
 @contextlib.contextmanager
@@ -157,13 +157,13 @@ def test_criterion_metric_oracles():
                 gold.append(int(rng.integers(0, 4)))
                 nlls.extend(rng.uniform(0.05, 5.0, 4).tolist())
             for n in (1, 2, 3, 4):
-                assert abs(bleu_n(hyps, refs, n) - bleu_oracle(hyps, refs, n)) < 1e-9
+                assert abs(bleu_n(hyps, refs, n) - reference.bleu(hyps, refs, n)) < 1e-9
             for n in (1, 2):
                 for h, r in zip(hyps, refs):
-                    assert abs(rouge_n(h, r, n) - rouge_f1_oracle(h, r, n)) < 1e-9
-                assert abs(dist_n(hyps, n) - dist_oracle(hyps, n)) < 1e-9
-            assert abs(accuracy(pred, gold) - accuracy_oracle(pred, gold)) < 1e-9
-            assert abs(perplexity(nlls) - ppl_oracle(nlls)) < 1e-9
+                    assert abs(rouge_n(h, r, n) - reference.rouge_f1(h, r, n)) < 1e-9
+                assert abs(dist_n(hyps, n) - reference.dist(hyps, n)) < 1e-9
+            assert abs(accuracy(pred, gold) - reference.accuracy(pred, gold)) < 1e-9
+            assert abs(perplexity(nlls) - reference.perplexity(nlls)) < 1e-9
             assert abs(perplexity(nlls) - math.exp(np.mean(nlls))) < 1e-9
 
 

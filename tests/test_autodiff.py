@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from empgen.autodiff import (
+    Node,
     Tensor,
     add_norm,
     attention,
@@ -17,7 +18,7 @@ from empgen.autodiff import (
 )
 
 from .helpers import buffer_of
-from .oracles import fd_gradient, softmax_oracle
+from .oracles import fd_gradient, reference
 
 
 def rel_err(a, b):
@@ -67,9 +68,8 @@ def test_softmax_and_log_softmax_match_oracle():
     logp = log_softmax(x)
     probs = softmax(x.copy())
     for row, lp, p in zip(x.reshape(-1, 7), logp.reshape(-1, 7), probs.reshape(-1, 7)):
-        expected = softmax_oracle(list(row))
-        np.testing.assert_allclose(p, expected, atol=1e-12)
-        np.testing.assert_allclose(lp, np.log(expected), atol=1e-12)
+        np.testing.assert_allclose(p, reference.softmax_rows(row), atol=1e-12)
+        np.testing.assert_allclose(lp, reference.log_softmax_rows(row), atol=1e-12)
     scores = x.copy()
     assert softmax(scores, axis=1) is scores  # in place
     np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-12)
@@ -320,6 +320,25 @@ def test_accumulate_copies_the_first_gradient():
     (a + b).sum().backward()  # both receive the same incoming array
     a.grad += 1.0
     np.testing.assert_array_equal(b.grad, np.ones(3))
+
+
+@pytest.mark.parametrize("op", ["slice_rows", "sum", "mul"])
+def test_backward_passes_hand_over_their_fresh_gradients_uncopied(op, monkeypatch):
+    # Each of these backward passes makes a new array, so it passes it as
+    # owned and the first accumulation keeps it rather than copying it.
+    x = parameter(np.arange(6.0).reshape(2, 3))
+    out = {"slice_rows": lambda: slice_rows(x, 0, 1), "sum": lambda: x.sum(axis=0), "mul": lambda: x * x}[op]()
+    accumulate, flags = Node.accumulate, []
+
+    def spy(node, grad, owned=False):
+        flags.append(owned)
+        accumulate(node, grad, owned)
+
+    monkeypatch.setattr(Node, "accumulate", spy)
+    out.sum().backward()
+    expected = {"slice_rows": [[1.0] * 3, [0.0] * 3], "sum": np.ones((2, 3)), "mul": 2 * x.data}[op]
+    np.testing.assert_array_equal(x.grad, expected)
+    assert flags[0] is False and all(flags[1:]), flags  # the first call seeds the loss's own gradient
 
 
 def test_shared_gradient_stays_distinct_over_two_passes():

@@ -95,6 +95,16 @@ def test_config_file_setting_min_freq_is_refused(workspace, tmp_path, capsys):
         assert not run.exists()
 
 
+def test_config_file_generation_cap_past_the_positions_is_refused(workspace, tmp_path, capsys):
+    # A reply longer than the position table would crash the decoder.
+    run = tmp_path / "run"
+    args = ["train", "--data-dir", str(workspace / "data"), "--out", str(run), "--config"]
+    assert main([*args, str(fast_config(tmp_path, max_gen_len=513))]) == 1
+    assert "max_gen_len must be at most the model's 512 positions, got 513" in capsys.readouterr().err
+    assert not run.exists()
+    assert main([*args, str(fast_config(tmp_path, max_gen_len=600, max_context_len=600))]) == 0
+
+
 def test_debug_flag_prints_the_traceback(tmp_path, capsys):
     args = ["prepare-data", "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")]
     assert main(args) == 1

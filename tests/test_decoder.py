@@ -23,7 +23,7 @@ from empgen.model import PLANS, prepare_samples
 from empgen.training import TrainConfig
 
 from .helpers import memory_rows_of
-from .oracles import beam_oracle, decoder_log_probs_oracle, greedy_oracle
+from .oracles import beam_oracle, greedy_oracle, reference
 
 
 def micro_decoder(seed=0, vocab_size=10, d=4, layers=1, heads=2):
@@ -342,13 +342,15 @@ def test_decoding_matches_full_prefix_oracle_on_fixture_corpus(mini_samples, min
     # Make <eos> close to the top so that some replies end early and some run out.
     model.decoder.out_proj.bias.data[EOS_ID] = 1.15
     plan = PLANS["full"]
+    oracle = reference.ModelOracle.of(model, heads=2)
     ended = {"greedy": set(), "beam": set()}
     for prep in prepare_samples(mini_samples, mini_vocab, providers, plan):
         with no_grad():
             memory, _ = model.encode_batch([prep], plan)
+        oracle_memory = oracle.memory(oracle.streams(prep))
 
         def step(prefix):
-            return decoder_log_probs_oracle(model.decoder, prefix, memory.values.data[0], memory.segment_ids)
+            return oracle.decoder_log_probs(prefix, oracle_memory)
 
         for strategy, (ids, log_probs) in (
             ("greedy", greedy_oracle(step, EOS_ID, 16)),

@@ -12,9 +12,10 @@ from empgen.encoder import (
     relation_token_ids,
 )
 from empgen.knowledge import KnowledgeBundle, RELATIONS
+from empgen.training import TrainConfig
 
 from .helpers import encode_one, relation_cls_positions
-from .oracles import encoder_forward_oracle, fusion_oracle
+from .oracles import fusion_oracle, reference
 
 # Values computed before the build with an explicit-loop arithmetic script
 # over rng(42) draws; the scale inside the softmax is sqrt(2*d) = 2.
@@ -52,27 +53,27 @@ def test_encode_rejects_out_of_range_ids():
         encode_one(stack, [7, 8])
 
 
+def assert_encoders_match_reference(model, heads, ids):
+    oracle = reference.ModelOracle.of(model, heads)
+    for stack in ("context_encoder", "relation_encoder"):
+        ours = encode_one(getattr(model, stack), ids)
+        np.testing.assert_allclose(ours, oracle.encode(stack, ids), atol=1e-12, err_msg=stack)
+
+
 def test_encoder_forward_matches_independent_oracle():
-    stack = micro_stack(seed=5, vocab_size=12, d=4, layers=1, heads=2)
-    ids = [3, 1, 7, 2]
-    ours = encode_one(stack, ids)
-    theirs = encoder_forward_oracle(stack, ids)
-    np.testing.assert_allclose(ours, theirs, atol=1e-12)
+    model = TrainConfig(seed=5, d=4, layers=1, heads=2, ffn_mult=2, dropout=0.0).build_model(12)
+    assert_encoders_match_reference(model, 2, [3, 1, 7, 2])
 
 
 def test_encoder_two_layer_oracle():
-    stack = micro_stack(seed=9, vocab_size=10, d=8, layers=2, heads=2)
-    ids = [0, 4, 9, 3, 3]
-    np.testing.assert_allclose(
-        encode_one(stack, ids), encoder_forward_oracle(stack, ids), atol=1e-12
-    )
+    model = TrainConfig(seed=9, d=8, layers=2, heads=2, ffn_mult=2, dropout=0.0).build_model(10)
+    assert_encoders_match_reference(model, 2, [0, 4, 9, 3, 3])
 
 
 def test_encode_cause_same_math_as_context(monkeypatch):
     # The model encodes the cause span with the context's encoder stack.
     import empgen.model
     from empgen.model import AblationPlan, PreparedSample
-    from empgen.training import TrainConfig
 
     model = TrainConfig(seed=0, d=4, layers=1, heads=2, ffn_mult=2, dropout=0.0).build_model(16)
     ids = [2, 4, 5]

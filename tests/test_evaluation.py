@@ -21,15 +21,7 @@ from empgen.model import Providers
 from empgen.selectors import HeuristicCauseDetector, OracleSentimentPredictor
 from empgen.training import TrainConfig, train
 
-from .oracles import (
-    accuracy_oracle,
-    bleu_oracle,
-    decoder_log_probs_oracle,
-    dist_oracle,
-    greedy_oracle,
-    ppl_oracle,
-    rouge_f1_oracle,
-)
+from .oracles import greedy_oracle, reference
 
 
 def random_corpus(rng, n_pairs, vocab=12, max_len=9, min_len=1):
@@ -57,7 +49,7 @@ def test_ppl_perfect_model():
 
 def test_ppl_mixed_vs_oracle(rng):
     values = list(rng.uniform(0.1, 6.0, 64))
-    assert abs(perplexity(values) - ppl_oracle(values)) < 1e-10
+    assert abs(perplexity(values) - reference.perplexity(values)) < 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +85,7 @@ def test_bleu_randomized_vs_oracle(rng):
         hyps, refs = random_corpus(rng, int(rng.integers(1, 6)))
         for n in (1, 2, 3, 4):
             ours = bleu_n(hyps, refs, n)
-            theirs = bleu_oracle(hyps, refs, n)
+            theirs = reference.bleu(hyps, refs, n)
             assert abs(ours - theirs) < 1e-9, (trial, n)
 
 
@@ -128,7 +120,7 @@ def test_rouge_randomized_vs_oracle(rng):
     for _ in range(40):
         hyps, refs = random_corpus(rng, 1, min_len=2)
         for n in (1, 2):
-            assert abs(rouge_n(hyps[0], refs[0], n) - rouge_f1_oracle(hyps[0], refs[0], n)) < 1e-9
+            assert abs(rouge_n(hyps[0], refs[0], n) - reference.rouge_f1(hyps[0], refs[0], n)) < 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +140,7 @@ def test_dist_randomized_exact_vs_oracle(rng):
     for _ in range(30):
         hyps, _ = random_corpus(rng, int(rng.integers(1, 7)), min_len=2)
         for n in (1, 2):
-            assert dist_n(hyps, n) == dist_oracle(hyps, n)
+            assert dist_n(hyps, n) == reference.dist(hyps, n)
 
 
 def test_dist_bounds_property(rng):
@@ -183,7 +175,7 @@ def test_accuracy_randomized_vs_oracle(rng):
         n = int(rng.integers(1, 30))
         pred = [int(x) for x in rng.integers(0, 5, n)]
         gold = [int(x) for x in rng.integers(0, 5, n)]
-        assert accuracy(pred, gold) == accuracy_oracle(pred, gold)
+        assert accuracy(pred, gold) == reference.accuracy(pred, gold)
 
 
 # ----------------------------------------------------------------------
@@ -284,17 +276,14 @@ def test_evaluate_equals_the_per_stage_reference(trained, mini_samples, mini_voc
     report = evaluate(model, config, samples, mini_vocab, eval_providers(lexicon))
     plan = PLANS[config.ablation]
     prepared = prepare_samples(samples, mini_vocab, eval_providers(lexicon), plan)
+    oracle = reference.ModelOracle.of(model, config.heads)
     per_token, hyps, refs, predicted, generations = [], [], [], [], []
     for sample, prep in zip(samples, prepared):
         fwd = model.forward_sample(prep, plan)
         assert fwd.nll_sum.requires_grad
         per_token.extend(fwd.per_token_nll.tolist())
-        values, segments = fwd.memory.values.data[0], fwd.memory.segment_ids
-        ids, _ = greedy_oracle(
-            lambda prefix: decoder_log_probs_oracle(model.decoder, prefix, values, segments),
-            EOS_ID,
-            config.max_gen_len,
-        )
+        memory = oracle.memory(oracle.streams(prep))
+        ids, _ = greedy_oracle(lambda prefix: oracle.decoder_log_probs(prefix, memory), EOS_ID, config.max_gen_len)
         label = int(np.argmax(model.classify(prep, plan)))
         hyps.append(mini_vocab.tokens_of(ids))
         refs.append(tokenize(sample.gold_response))
@@ -310,13 +299,13 @@ def test_evaluate_equals_the_per_stage_reference(trained, mini_samples, mini_voc
         )
     assert report.generations == generations
     expected = [
-        ppl_oracle(per_token),
-        *[100 * bleu_oracle(hyps, refs, n) for n in (1, 2, 3, 4)],
-        100 * float(np.mean([rouge_f1_oracle(h, r, 1) for h, r in zip(hyps, refs)])),
-        100 * float(np.mean([rouge_f1_oracle(h, r, 2) for h, r in zip(hyps, refs)])),
-        100 * dist_oracle(hyps, 1),
-        100 * dist_oracle(hyps, 2),
-        100 * accuracy_oracle(predicted, [p.emotion_index for p in prepared]),
+        reference.perplexity(per_token),
+        *[100 * reference.bleu(hyps, refs, n) for n in (1, 2, 3, 4)],
+        100 * float(np.mean([reference.rouge_f1(h, r, 1) for h, r in zip(hyps, refs)])),
+        100 * float(np.mean([reference.rouge_f1(h, r, 2) for h, r in zip(hyps, refs)])),
+        100 * reference.dist(hyps, 1),
+        100 * reference.dist(hyps, 2),
+        100 * reference.accuracy(predicted, [p.emotion_index for p in prepared]),
     ]
     np.testing.assert_allclose(report.row_values(), expected, rtol=1e-9, atol=1e-9)
 

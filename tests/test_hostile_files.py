@@ -2,6 +2,7 @@
 valid file either loads equal to the original or is refused by the
 reader's own error."""
 
+import argparse
 import copy
 import functools
 import io
@@ -9,13 +10,25 @@ import json
 import operator
 import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from empgen.cli import load_config
 from empgen.corpus import RESERVED_TOKENS, DatasetError, LabelSet, Vocab, load_dataset
+from empgen.knowledge import (
+    FIXED_TIMESTAMP,
+    RELATIONS,
+    AnalysisCache,
+    AnalysisRecord,
+    FixtureCommonsenseProvider,
+    FixtureLlmClient,
+    prompt_cache_key,
+)
+from empgen.selectors import FileCauseDetector, FixtureSentimentPredictor
 from empgen.training import CheckpointError, TrainConfig, load_checkpoint, save_checkpoint
 
 HOSTILE = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -209,3 +222,166 @@ def test_a_dropped_or_retyped_dataset_field_or_turn_loads_equal_or_is_refused(pl
             owner[place[-1]] = value
     loaded = load_record(record)
     assert loaded is None or loaded == load_record(RECORD)
+
+
+# ----------------------------------------------------------------------
+# Text files: the vocabulary, a --config file, the analysis cache and the
+# four fixture readers. Text has no checksum, so a flipped byte inside a
+# value can change that one value; every other damage loads equal or is
+# refused by the reader's own error, never a KeyError, TypeError or
+# AttributeError.
+
+SENTIMENT_ROWS = [{"id": "s0", "e_ano": "proud"}, {"id": "s1", "e_ano": "lonely"}]
+CAUSE_ROWS = [{"id": "s0", "cause_turn_indices": [0]}, {"id": "s1", "cause_turn_indices": [2, 0]}]
+COMMONSENSE_ROWS = [
+    {"hash": h, "utterance": u, "relations": {r: f"{u} {r}" for r in RELATIONS}}
+    for h, u in (("ab12", "i rest"), ("cd34", "i ran"))
+]
+LLM_ROWS = [{"prompt": "p", "response": "r"}, {"cache_key": "k1", "response": "s"}]
+CACHE_ROWS = [
+    AnalysisRecord(prompt, f"{prompt} said", prompt_cache_key(prompt), "echo", FIXED_TIMESTAMP).to_dict()
+    for prompt in ("first prompt", "second prompt")
+]
+CONFIG_FILE = dict(
+    seed=3, d=16, layers=1, heads=2, dropout=0.0, learning_rate=0.001, grad_clip=1.0, ablation="self_pres"
+)
+
+
+def read_config(path):
+    return asdict(load_config(argparse.Namespace(config=str(path))))
+
+
+# Each reader: the rows or object it reads, how it is written, how it is
+# read to a comparable value, and its own error. The JSONL readers' values
+# are keyed by record, so that a file cut at a line end reads as a subset.
+TEXT_READERS = {
+    "vocab": (VOCAB.token_to_id, json.dumps, lambda p: Vocab.load(p).token_to_id, DatasetError),
+    "config": (CONFIG_FILE, json.dumps, read_config, ValueError),
+    "cache": (CACHE_ROWS, None, lambda p: dict(AnalysisCache(p)._records), ValueError),
+    "sentiment": (SENTIMENT_ROWS, None, lambda p: FixtureSentimentPredictor(p, LABELS).table, ValueError),
+    "cause": (CAUSE_ROWS, None, lambda p: FileCauseDetector(p).table, ValueError),
+    "commonsense": (COMMONSENSE_ROWS, None, lambda p: FixtureCommonsenseProvider(p).table, ValueError),
+    "llm": (LLM_ROWS, None, lambda p: FixtureLlmClient(p).table, ValueError),
+}
+
+
+def text_of(reader, content) -> bytes:
+    dump = TEXT_READERS[reader][1]
+    if dump is not None:
+        return (dump(content) + "\n").encode()
+    return "".join(json.dumps(row) + "\n" for row in content).encode()
+
+
+def read_text(reader, raw: bytes):
+    """The reader's value of a file holding ``raw``, or None if its own
+    error refused the file; a refusal of a whole file names it."""
+    _, _, read, error = TEXT_READERS[reader]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f"
+        path.write_bytes(raw)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the cache drops a torn last line with a warning
+                return read(path)
+        except error as exc:
+            assert reader == "config" or str(path) in str(exc), exc
+            return None
+
+
+ORIGINALS = {reader: read_text(reader, text_of(reader, content)) for reader, (content, *_) in TEXT_READERS.items()}
+ORIGINAL_BYTES = {reader: text_of(reader, content) for reader, (content, *_) in TEXT_READERS.items()}
+
+
+def differing(loaded: dict, original: dict) -> set:
+    """The keys that one of the two lacks or that hold different values."""
+    absent = object()
+    return {k for k in loaded.keys() | original.keys() if loaded.get(k, absent) != original.get(k, absent)}
+
+
+def test_the_unmutated_text_files_load():
+    assert all(ORIGINALS.values())
+    assert ORIGINALS["cause"] == {"s0": [0], "s1": [2, 0]} and ORIGINALS["config"]["grad_clip"] == 1.0
+
+
+@HOSTILE
+@given(reader=st.sampled_from(sorted(TEXT_READERS)), at=st.floats(0, 1, exclude_max=True))
+def test_a_truncated_text_file_loads_whole_records_or_is_refused(reader, at):
+    raw = ORIGINAL_BYTES[reader]
+    loaded = read_text(reader, raw[: int(at * len(raw))])
+    # A JSONL file cut at a line end holds fewer records, each as written.
+    assert loaded is None or loaded.items() <= ORIGINALS[reader].items()
+    if TEXT_READERS[reader][1] is not None:
+        assert loaded is None
+
+
+@settings(HOSTILE, max_examples=120)
+@given(reader=st.sampled_from(sorted(TEXT_READERS)), at=st.floats(0, 1, exclude_max=True), mask=st.integers(1, 255))
+def test_a_text_file_with_a_flipped_byte_changes_one_value_or_is_refused(reader, at, mask):
+    raw = bytearray(ORIGINAL_BYTES[reader])
+    raw[int(at * len(raw))] ^= mask
+    loaded = read_text(reader, bytes(raw))
+    # One changed record reads as one key gone and one added.
+    assert loaded is None or len(differing(loaded, ORIGINALS[reader])) <= 2
+
+
+def text_places(content):
+    """The object and each of its keys; or each record of the rows, each
+    of their fields and each entry of a field that holds a list or an
+    object."""
+    if isinstance(content, dict):
+        return [(), *((key,) for key in content)]
+    places = []
+    for i, row in enumerate(content):
+        places.append((i,))
+        for key, value in row.items():
+            inner = range(len(value)) if isinstance(value, list) else value if isinstance(value, dict) else ()
+            places += [(i, key), *((i, key, k) for k in inner)]
+    return places
+
+
+TEXT_PLACES = [(reader, place) for reader, (content, *_) in TEXT_READERS.items() for place in text_places(content)]
+
+
+@settings(HOSTILE, max_examples=150)
+@given(where=st.sampled_from(TEXT_PLACES), drop=st.booleans(), value=RETYPED_VALUES)
+@example(where=("cause", (1, "cause_turn_indices", 1)), drop=False, value="0")
+@example(where=("cause", (0, "cause_turn_indices", 0)), drop=False, value=0.0)
+@example(where=("cause", (0, "cause_turn_indices", 0)), drop=False, value=True)
+@example(where=("commonsense", (0, "relations", "xReact")), drop=True, value=None)
+@example(where=("config", ("d",)), drop=False, value=[1, 2])
+@example(where=("config", ()), drop=False, value=7)
+@example(where=("config", ()), drop=False, value=[1, 2])
+def test_a_dropped_or_retyped_text_key_loads_equal_or_is_refused(where, drop, value):
+    reader, place = where
+    content = copy.deepcopy(TEXT_READERS[reader][0])
+    owner = functools.reduce(operator.getitem, place[:-1], content)
+    if not place:
+        assume(not drop)
+        assert read_text(reader, text_of(reader, value)) is None
+        return
+    if drop and isinstance(owner, list):
+        owner.pop(place[-1])
+    elif drop:
+        del owner[place[-1]]
+    else:
+        assume(type(value) is not type(owner[place[-1]]))
+        owner[place[-1]] = value
+    loaded = read_text(reader, text_of(reader, content))
+    if reader == "config":  # a file sets some fields; the rest keep their defaults
+        assert loaded == config_of(content)
+    elif reader == "vocab" or (drop and len(place) == 1):
+        assert loaded is None or loaded.items() <= ORIGINALS[reader].items()  # fewer tokens or records
+    elif drop and isinstance(owner, list):  # a shorter list of turn indices
+        assert loaded is None or len(differing(loaded, ORIGINALS[reader])) <= 1
+    elif place[-1] == "utterance":  # an annotation the reader does not use
+        assert loaded == ORIGINALS[reader]
+    else:
+        assert loaded is None
+
+
+def config_of(fields: dict):
+    """The settings ``TrainConfig`` makes of ``fields``, or None if it refuses them."""
+    try:
+        return asdict(TrainConfig(**fields))
+    except ValueError:
+        return None

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from empgen.corpus import LabelSet, parse_sample
-from empgen.knowledge import FixtureCommonsenseProvider, FixtureLlmClient
+from empgen.knowledge import RELATIONS, FixtureCommonsenseProvider, FixtureLlmClient
 from empgen.selectors import (
     FileCauseDetector,
     FixtureMissError,
@@ -91,7 +91,7 @@ def test_malformed_fixture_line_is_refused_by_path_and_line(tmp_path, labels):
 FIXTURE_READERS = {
     "sentiment": (lambda path: FixtureSentimentPredictor(path, LabelSet.default()), {"id": "s0", "e_ano": "proud"}),
     "cause": (FileCauseDetector, {"id": "s0", "cause_turn_indices": [0]}),
-    "commonsense": (FixtureCommonsenseProvider, {"hash": "ab12", "relations": {"xIntent": "to rest"}}),
+    "commonsense": (FixtureCommonsenseProvider, {"hash": "ab12", "relations": dict.fromkeys(RELATIONS, "to rest")}),
     "llm": (FixtureLlmClient, {"prompt": "p", "response": "r"}),
 }
 
@@ -111,6 +111,11 @@ def test_fixture_readers_refuse_a_bad_record_by_path_line_and_field(tmp_path, re
     write_jsonl(path, [good, [good]])
     with pytest.raises(ValueError, match=place + "not a JSON object$"):
         read(path)
+    if reader == "cause":  # a turn index must be an integer
+        for entry in ("0", 0.0, True):
+            write_jsonl(path, [good, {"id": "s1", "cause_turn_indices": [0, entry]}])
+            with pytest.raises(ValueError, match=place + "field 'cause_turn_indices' .* not an integer$"):
+                read(path)
     if reader == "llm":  # a row may name its prompt by hash instead
         write_jsonl(path, [good, {"cache_key": ["k"], "response": "r"}])
         with pytest.raises(ValueError, match=place + ".*'cache_key'"):

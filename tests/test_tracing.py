@@ -1,16 +1,10 @@
-import importlib.util
-from pathlib import Path
-
 from empgen.training import TrainConfig, train
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from .helpers import load_perfbench
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing.Tracer()
+    return load_perfbench("tracing").Tracer()
 
 
 def test_benchmark_tracer_finds_every_function_it_wraps():

@@ -13,7 +13,7 @@ from empgen.selectors import HeuristicCauseDetector, OracleSentimentPredictor
 from empgen.training import Adam, CheckpointError, TrainConfig, load_checkpoint, save_checkpoint, train
 
 from .helpers import buffer_of
-from .oracles import check_gradients, grad_check, micro_prepared_sample
+from .oracles import check_gradients, grad_check, micro_prepared_sample, plan_losses, reference
 
 
 def tiny_config(**overrides):
@@ -456,6 +456,10 @@ DAMAGE = {
         lambda d: d["meta"]["config"].update(d="16"),
         r"ck\.npz holds a config that is refused: d must be an integer, got '16'",
     ),
+    "config max_gen_len past the positions": (
+        lambda d: d["meta"]["config"].update(max_gen_len=600),
+        r"refused: max_gen_len must be at most the model's 512 positions, got 600",
+    ),
     "parameter missing": (lambda d: d.pop("param/decoder.out_proj.bias"), "missing array param/decoder.out_proj"),
     "parameter NaN": (lambda d: d["param/fusion.w_q"].fill(np.nan), "fusion.w_q holds NaN or infinite"),
     "parameter inf": (set_item("param/classifier.bias", 0, np.inf), "classifier.bias holds NaN or infinite"),
@@ -585,8 +589,6 @@ def test_batched_steps_match_per_sample_loop_and_oracle(ablation, mini_samples, 
     from empgen.model import prepare_samples
     from empgen.training import micro_batches
 
-    from .oracles import sample_losses_oracle
-
     config = tiny_config(ablation=ablation, dropout=0.0, batch_size=7, epochs=2)
     plan = PLANS[ablation]
     samples = mini_samples[:14]
@@ -611,12 +613,11 @@ def test_batched_steps_match_per_sample_loop_and_oracle(ablation, mini_samples, 
     # Every step's losses against the numpy oracle at that step's parameters;
     # the batches follow the same seeded draws as train().
     rng = np.random.default_rng(config.seed)
-    replay = config.build_model(len(mini_vocab), rng)
+    config.build_model(len(mini_vocab), rng)  # the draws of the initial parameters
     batches = [order[i : i + 7] for order in (rng.permutation(14), rng.permutation(14)) for i in (0, 7)]
     for record, params, batch in zip(result.history, seen_params, batches):
-        for name, p in replay.named_parameters().items():
-            p.data = params[name]
-        losses = [sample_losses_oracle(replay, result.prepared[i], plan) for i in batch]
+        oracle = reference.ModelOracle(params, config.heads)
+        losses = [plan_losses(oracle, result.prepared[i], plan) for i in batch]
         nll = sum(per_token.sum() for per_token, _ in losses) / record.token_count
         emo = sum(e for _, e in losses) / len(batch)
         assert abs(record.nll - nll) <= 1e-10 * nll and abs(record.emo - emo) <= 1e-10 * emo, record.step
