@@ -18,7 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fixtures
-from .corpus import LabelSet, Vocab, build_vocab, load_dataset, parse_sample, sample_to_record, split_dataset
+from .corpus import (
+    LabelSet, Vocab, build_vocab, dialogue_sample, load_dataset, read_dialogue, sample_to_record, split_dataset
+)
 from .evaluation import METRIC_COLUMNS, evaluate, format_table, write_report
 from .knowledge import (
     AnalysisCache,
@@ -42,10 +44,9 @@ from .selectors import (
     majority_label,
 )
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
-from .util import canonical_json, now_iso, require_fields, sha256_hex, write_jsonl
+from .util import canonical_json, now_iso, read_json, sha256_hex, write_file, write_jsonl
 
-def write_manifest(command: str, config: dict, seed: int, out_dir: str | Path) -> Path:
-    out_dir = Path(out_dir)
+def write_manifest(command: str, config: dict, seed: int, out_dir: Path) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -55,30 +56,27 @@ def write_manifest(command: str, config: dict, seed: int, out_dir: str | Path) -
         "out_dir": str(out_dir),
         "created_at": now_iso(),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "run_manifest.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    write_file(out_dir / "run_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _check_emotions(config: TrainConfig, where: str) -> TrainConfig:
+    """``config``, refused unless its emotion head has one output per label."""
+    if config.num_emotions != (labels := len(LabelSet.default())):
+        raise ValueError(f"{where}: num_emotions must be the {labels} emotion labels, got {config.num_emotions}")
+    return config
 
 
 def load_config(args) -> TrainConfig:
     data = {}
     if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except ValueError as exc:  # bad UTF-8 or bad JSON
-            raise ValueError(f"config {args.config}: {exc}") from exc
-        require_fields(data, f"config {args.config}")
+        data = read_json(args.config, "config")
         if "min_freq" in data:
             raise ValueError("min_freq is not a training setting: set it with prepare-data --min-freq")
     # Flags override the file before the config checks its values.
     for name in ("seed", "ablation", "epochs"):
         if getattr(args, name, None) is not None:
             data[name] = getattr(args, name)
-    return TrainConfig.from_dict(data)
+    return _check_emotions(TrainConfig.from_dict(data), f"config {args.config}")
 
 
 # The file in --knowledge-dir that each of these fixture backends reads
@@ -175,12 +173,7 @@ def cmd_make_fixtures(args) -> int:
     checksums = {
         p.name: sha256_hex(p.read_bytes()) for p in sorted(out.glob("*.jsonl"))
     }
-    write_manifest(
-        "make-fixtures",
-        {"seed": args.seed, "size": args.size, "checksums": checksums},
-        args.seed,
-        out,
-    )
+    write_manifest("make-fixtures", {"seed": args.seed, "size": args.size, "checksums": checksums}, args.seed, out)
     print(f"wrote {len(records)} dialogues and fixtures under {out}")
     return 0
 
@@ -197,12 +190,8 @@ def cmd_prepare_data(args) -> int:
         write_jsonl(out / f"{name}.jsonl", [sample_to_record(s) for s in part])
     vocab = build_vocab(train_s, args.min_freq)
     vocab.save(out / "vocab.json")
-    write_manifest(
-        "prepare-data",
-        {"input": str(args.input), "ratios": list(ratios), "min_freq": args.min_freq},
-        args.seed,
-        out,
-    )
+    manifest = {"input": str(args.input), "ratios": list(ratios), "min_freq": args.min_freq}
+    write_manifest("prepare-data", manifest, args.seed, out)
     print(f"split {len(samples)} samples into {len(train_s)}/{len(val_s)}/{len(test_s)}; vocab {len(vocab)}")
     return 0
 
@@ -222,7 +211,6 @@ def cmd_build_knowledge(args) -> int:
     out = Path(args.out)
     args.knowledge_dir = args.knowledge_dir or str(out)
     providers = build_providers(args, config, splits[0], labels)
-    out.mkdir(parents=True, exist_ok=True)
     commonsense_rows = {}
     built = 0
     failures = 0
@@ -248,12 +236,8 @@ def cmd_build_knowledge(args) -> int:
                     raise
     if plan.use_knowledge:
         write_jsonl(out / "commonsense_fixture.jsonl", list(commonsense_rows.values()))
-    write_manifest(
-        "build-knowledge",
-        {"ablation": config.ablation, "data_dir": str(data_dir), "built": built, "failures": failures},
-        config.seed,
-        out,
-    )
+    manifest = {"ablation": config.ablation, "data_dir": str(data_dir), "built": built, "failures": failures}
+    write_manifest("build-knowledge", manifest, config.seed, out)
     print(
         f"knowledge built for {built} samples "
         f"(provider calls: {providers.call_counts()}, failures: {failures})"
@@ -271,6 +255,7 @@ def _load_trained(args, labels: LabelSet):
     data_dir = Path(args.data_dir)
     vocab = Vocab.load(data_dir / "vocab.json")
     loaded = load_checkpoint(args.checkpoint, vocab)
+    _check_emotions(loaded.config, f"checkpoint {args.checkpoint}")
     providers = build_providers(args, loaded.config, _load_split(data_dir, "train", labels), labels)
     return vocab, loaded, providers
 
@@ -331,12 +316,8 @@ def cmd_evaluate(args) -> int:
     )
     out = Path(args.out)
     write_report(report, out)
-    write_manifest(
-        "evaluate",
-        {"checkpoint": str(args.checkpoint), "split": args.split, "strategy": args.strategy},
-        config.seed,
-        out,
-    )
+    manifest = {"checkpoint": str(args.checkpoint), "split": args.split, "strategy": args.strategy}
+    write_manifest("evaluate", manifest, config.seed, out)
     if args.metrics:
         values = dict(zip(METRIC_COLUMNS, report.row_values()))
         for name in wanted:
@@ -346,17 +327,14 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _reply(record: dict, args, vocab: Vocab, loaded, providers: Providers, labels: LabelSet):
-    """The reply to one dialogue record and its predicted emotion, decoded
-    with ``args.strategy`` and ``args.beam_size``. The record's
-    ``response``, if any, is not used: the sample goes with no target."""
+def _reply(sample, args, vocab: Vocab, loaded, providers: Providers, labels: LabelSet):
+    """The reply to one dialogue sample and its predicted emotion, decoded
+    with ``args.strategy`` and ``args.beam_size``. The sample's response
+    is not used: it goes with no target."""
     config, model = loaded.config, loaded.model
-    record = {"id": "adhoc", "emotion": labels.names[0], "response": "placeholder", **record}
     plan = PLANS[config.ablation]
     providers.require(plan)
-    prep = prepare_sample(
-        parse_sample(record, labels), vocab, providers, plan, config.max_context_len, config.max_analysis_len
-    )
+    prep = prepare_sample(sample, vocab, providers, plan, config.max_context_len, config.max_analysis_len)
     prep.target_ids = []
     [reply] = model.respond([prep], plan, vocab, args.strategy, args.beam_size, config.max_gen_len)
     return reply.response, labels.by_index(int(np.argmax(reply.emotion_probs))).name
@@ -364,10 +342,9 @@ def _reply(record: dict, args, vocab: Vocab, loaded, providers: Providers, label
 
 def cmd_generate(args) -> int:
     labels = LabelSet.default()
+    sample = read_dialogue(args.dialogue, labels)
     vocab, loaded, providers = _load_trained(args, labels)
-    with open(args.dialogue, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
-    response, emotion = _reply(record, args, vocab, loaded, providers, labels)
+    response, emotion = _reply(sample, args, vocab, loaded, providers, labels)
     print(response.text)
     print(f"predicted emotion: {emotion}")
     return 0
@@ -379,9 +356,9 @@ def cmd_ablate(args) -> int:
     train_samples = _load_split(data_dir, "train", labels)
     test_samples = _load_split(data_dir, args.split, labels)
     vocab = Vocab.load(data_dir / "vocab.json")
+    base_config = load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    base_config = load_config(args)
     reports = []
     counter_log = {}
     for ablation in ABLATION_ORDER:
@@ -404,21 +381,10 @@ def cmd_ablate(args) -> int:
             "eval": eval_providers.call_counts(),
         }
     table = format_table(reports)
-    with open(out / "ablation.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(table + "\n")
-    with open(out / "ablation.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(
-            {
-                "rows": [r.to_dict() for r in reports],
-                "provider_calls": counter_log,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
-    write_manifest(
-        "ablate", {"split": args.split, "base": base_config.to_dict()}, base_config.seed, out
-    )
+    write_file(out / "ablation.txt", table + "\n")
+    rows = {"rows": [r.to_dict() for r in reports], "provider_calls": counter_log}
+    write_file(out / "ablation.json", json.dumps(rows, indent=2) + "\n")
+    write_manifest("ablate", {"split": args.split, "base": base_config.to_dict()}, base_config.seed, out)
     print(table)
     return 0
 
@@ -436,8 +402,8 @@ def cmd_chat(args) -> int:
         if not line:
             break
         history.append({"role": "speaker", "text": line})
-        record = {"id": f"chat-{len(history)}", "history": list(history)}
-        response, _ = _reply(record, args, vocab, loaded, providers, labels)
+        sample = dialogue_sample({"id": f"chat-{len(history)}", "history": list(history)}, labels, "chat")
+        response, _ = _reply(sample, args, vocab, loaded, providers, labels)
         print(f"bot> {response.text}")
         history.append({"role": "listener", "text": response.text or "i see ."})
     return 0

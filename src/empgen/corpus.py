@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import canonical_json, read_asset, require_fields, sha256_hex
+from .util import canonical_json, read_asset, read_json, read_jsonl, require_fields, sha256_hex, write_file
 
 PAD, BOS, EOS, UNK, SEP, CLS = "<pad>", "<bos>", "<eos>", "<unk>", "<sep>", "<cls>"
 RESERVED_TOKENS = [PAD, BOS, EOS, UNK, SEP, CLS]
@@ -122,24 +122,24 @@ def parse_sample(record: dict, labels: LabelSet, where: str = "record") -> Dialo
     return DialogueSample(record["id"], history, labels.get(emotion), response)
 
 
+def dialogue_sample(record: dict, labels: LabelSet, where: str) -> DialogueSample:
+    """The sample of a dialogue to answer: ``record``'s ``history``, and an
+    ``id``, ``emotion`` and ``response`` where it holds none."""
+    return parse_sample({"id": "adhoc", "emotion": labels.names[0], "response": "placeholder", **record}, labels, where)
+
+
+def read_dialogue(path: str | Path, labels: LabelSet) -> DialogueSample:
+    """The sample of a ``generate --dialogue`` file: a JSON object, as
+    ``dialogue_sample`` takes it, refused by the file's path."""
+    return dialogue_sample(read_json(path, "dialogue", DatasetError), labels, f"dialogue {path}")
+
+
 def load_dataset(path: str | Path, labels: LabelSet | None = None) -> list[DialogueSample]:
     """Load and validate a JSONL dataset, in order; a bad line is refused by its file and line."""
     labels = labels or LabelSet.default()
-    path = Path(path)
-    if not path.exists():
+    if not Path(path).exists():
         raise DatasetError(f"dataset not found: {path}")
-    samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}, line {line_no}: invalid JSON: {exc}") from exc
-            samples.append(parse_sample(record, labels, f"{path}, line {line_no}"))
-    return samples
+    return [parse_sample(record, labels, where) for where, record in read_jsonl(path, DatasetError)]
 
 
 def sample_to_record(sample: DialogueSample) -> dict:
@@ -229,25 +229,20 @@ class Vocab:
         return " ".join(self.tokens_of(ids))
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         ordered = {tok: self.token_to_id[tok] for tok in self.id_to_token}
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(ordered, ensure_ascii=False, indent=0))
-            fh.write("\n")
+        write_file(path, json.dumps(ordered, ensure_ascii=False, indent=0) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
         """The vocabulary saved at ``path``: a JSON object of token to
         integer id. Any other content is refused by the file's path."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-                if not isinstance(data, dict) or not all(type(i) is int for i in data.values()):
-                    raise DatasetError("not a JSON object of token to integer id")
-                return cls(data)
-            except ValueError as exc:  # bad UTF-8, bad JSON or a DatasetError of the content
-                raise DatasetError(f"vocabulary {path}: {exc}") from exc
+        data = read_json(path, "vocabulary", DatasetError)
+        try:
+            if not all(type(i) is int for i in data.values()):
+                raise DatasetError("not a JSON object of token to integer id")
+            return cls(data)
+        except DatasetError as exc:
+            raise DatasetError(f"vocabulary {path}: {exc}") from exc
 
     def fingerprint(self) -> str:
         return sha256_hex(canonical_json(self.token_to_id))

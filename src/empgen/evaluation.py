@@ -19,6 +19,7 @@ import numpy as np
 from .corpus import DialogueSample, Vocab, tokenize
 from .model import PLANS, EmpathyModel, Providers, prepare_samples
 from .training import TrainConfig
+from .util import write_file
 
 BLEU_EPSILON = 1e-9
 
@@ -239,12 +240,7 @@ def evaluate(
 
 
 def write_report(report: MetricReport, out_dir: str | Path) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    json_path = out_dir / "report.json"
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_dict(include_generations=True), fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
-    with open(out_dir / "report.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_table([report]) + "\n")
+    json_path = Path(out_dir) / "report.json"
+    write_file(json_path, json.dumps(report.to_dict(include_generations=True), indent=2, ensure_ascii=False) + "\n")
+    write_file(json_path.with_name("report.txt"), format_table([report]) + "\n")
     return json_path

@@ -286,6 +286,15 @@ class HttpLlmClient(LlmClient):
 # cache
 
 
+def _opens_with_json(line: bytes) -> bool:
+    """Whether ``line`` starts with a whole JSON value."""
+    try:
+        json.JSONDecoder().raw_decode(line.decode("utf-8", "replace").lstrip())
+    except ValueError:
+        return False
+    return True
+
+
 class AnalysisCache:
     """Append-only JSONL cache keyed by prompt hash.
 
@@ -304,34 +313,33 @@ class AnalysisCache:
         """Read the file. An unparseable last line is an append cut short
         by a crash: it is dropped, with a warning, and cut from the file so
         that the next append starts on a clean line. An unparseable line
-        before it is damage this cache cannot explain, and raises, as does
-        any line that is not a JSON object with a string for each field
-        of an ``AnalysisRecord``."""
+        before it, or a last line that opens with a whole JSON value, which
+        a cut-short append never holds, is damage this cache cannot explain:
+        it raises and leaves the file as it is, as does any line that is
+        not a JSON object with a string for each field of an
+        ``AnalysisRecord``."""
         data = self.path.read_bytes()
-        if data and not data.endswith(b"\n"):  # the last append was cut short
-            with open(self.path, "ab") as fh:
-                fh.write(b"\n")
         offset = 0
         for number, line in enumerate(data.splitlines(keepends=True), 1):
             offset += len(line)
             if not line.strip():
                 continue
+            where = f"{self.path}:{number}: malformed analysis cache line"
             try:
                 rec = json.loads(line)
             except ValueError as exc:
-                if data[offset:].strip():
-                    raise ValueError(f"{self.path}:{number}: malformed analysis cache line: {exc}") from exc
+                if data[offset:].strip() or _opens_with_json(line):
+                    raise ValueError(f"{where}: {exc}") from exc
                 warnings.warn(f"{self.path}:{number}: dropped a torn last line", RuntimeWarning, stacklevel=3)
                 with open(self.path, "r+b") as fh:
                     fh.truncate(offset - len(line))
                 return
-            if not isinstance(rec, dict) or not all(isinstance(rec.get(name), str) for name in RECORD_FIELDS):
-                raise ValueError(
-                    f"{self.path}:{number}: malformed analysis cache line: "
-                    f"not a JSON object with string fields {', '.join(RECORD_FIELDS)}"
-                )
+            require_fields(rec, where, **dict.fromkeys(RECORD_FIELDS, str))
             record = AnalysisRecord(**{name: rec[name] for name in RECORD_FIELDS})
             self._records[record.cache_key] = record
+        if data and not data.endswith(b"\n"):  # the last append was cut short after its record
+            with open(self.path, "ab") as fh:
+                fh.write(b"\n")
 
     def __len__(self) -> int:
         return len(self._records)

@@ -4,7 +4,6 @@ deterministic batching and checkpointing."""
 from __future__ import annotations
 
 import json
-import os
 import time
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -15,7 +14,7 @@ import numpy as np
 from .autodiff import Tensor
 from .corpus import Vocab
 from .model import PLANS, AblationPlan, EmpathyModel, PreparedSample, Providers, padded_rows, prepare_samples
-from .util import canonical_json, sha256_hex
+from .util import canonical_json, sha256_hex, write_file
 
 CHECKPOINT_VERSION = 1
 
@@ -309,9 +308,8 @@ def train(
 def save_checkpoint(path: str | Path, model: EmpathyModel, config: TrainConfig, vocab: Vocab) -> None:
     """Write the model's parameters (``param/<name>``) and a ``meta`` entry
     with what rebuilds the model: the config and the vocabulary's size and
-    fingerprint."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    fingerprint. The file is written beside its path and renamed onto it,
+    so an interrupted save leaves the previous checkpoint in place."""
     arrays = {f"param/{name}": p.data for name, p in model.named_parameters().items()}
     meta = {
         "version": CHECKPOINT_VERSION,
@@ -320,20 +318,7 @@ def save_checkpoint(path: str | Path, model: EmpathyModel, config: TrainConfig, 
         "vocab_fingerprint": vocab.fingerprint(),
     }
     arrays["meta"] = np.array(json.dumps(meta))
-    # Written beside the final path and renamed onto it, so an interrupted
-    # save leaves the previous checkpoint in place. The name gets np.savez's
-    # ".npz" suffix as a direct np.savez(path) would.
-    final = path if path.name.endswith(".npz") else path.with_name(path.name + ".npz")
-    tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, final)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_file(path, lambda fh: np.savez(fh, **arrays))
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Shared small helpers: canonical JSON, hashing, JSONL and asset IO."""
+"""Shared small helpers: canonical JSON, hashing, asset IO, and the one
+reader of JSON and JSONL files and the one writer of output files."""
 
 from __future__ import annotations
 
@@ -6,7 +7,9 @@ import datetime
 import functools
 import hashlib
 import json
+import os
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 ASSETS_DIR = Path(__file__).parent / "assets"
 
@@ -44,10 +47,22 @@ def require_fields(rec, where: str, error: type[ValueError] = ValueError, **fiel
     return rec
 
 
-def read_jsonl(path: str | Path, **fields: type) -> list[tuple[str, dict]]:
+def read_json(path: str | Path, what: str, error: type[ValueError] = ValueError) -> dict:
+    """The JSON object in the file at ``path``. A file that is not UTF-8,
+    not JSON or not an object is refused with ``error``, naming ``what``
+    and the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise error(f"{what} {path}: {exc}") from exc
+    return require_fields(data, f"{what} {path}", error)
+
+
+def read_jsonl(path: str | Path, error: type[ValueError] = ValueError, **fields: type) -> list[tuple[str, dict]]:
     """Each non-blank line's record, holding ``fields`` (``require_fields``),
-    with its place "<path>, line <n>", by which a bad line, or one that is
-    not UTF-8, is refused."""
+    with its place "<path>, line <n>", by which ``error`` refuses a bad
+    line, or one that is not UTF-8."""
     records = []
     with open(path, "rb") as fh:
         for number, raw in enumerate(fh, 1):
@@ -55,17 +70,32 @@ def read_jsonl(path: str | Path, **fields: type) -> list[tuple[str, dict]]:
             try:
                 line = raw.decode("utf-8")
                 if line.strip():
-                    records.append((where, require_fields(json.loads(line), where, **fields)))
+                    records.append((where, require_fields(json.loads(line), where, error, **fields)))
             except UnicodeDecodeError as exc:
-                raise ValueError(f"{where}: not UTF-8 text ({exc.reason} at byte {exc.start + 1})") from exc
+                raise error(f"{where}: not UTF-8 text ({exc.reason} at byte {exc.start + 1})") from exc
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: {exc.msg} at column {exc.colno}") from exc
+                raise error(f"{where}: {exc.msg} at column {exc.colno}") from exc
     return records
 
 
-def write_jsonl(path: str | Path, records) -> None:
+def write_file(path: str | Path, content: str | Callable[[BinaryIO], object]) -> None:
+    """Write ``content``, text as UTF-8 or a function that writes to a binary
+    file, beside ``path`` and rename it onto ``path``: an interrupted write
+    leaves the previous file, or none, and no partial one."""
+    write = content if callable(content) else lambda fh: fh.write(content.encode("utf-8"))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: str | Path, records) -> None:
+    write_file(path, "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in records))

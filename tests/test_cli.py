@@ -1,9 +1,13 @@
+import errno
+import io
 import json
+import os
 
 import numpy as np
 import pytest
 
-from empgen.cli import main
+from empgen import cli, util
+from empgen.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +107,38 @@ def test_config_file_generation_cap_past_the_positions_is_refused(workspace, tmp
     assert "max_gen_len must be at most the model's 512 positions, got 513" in capsys.readouterr().err
     assert not run.exists()
     assert main([*args, str(fast_config(tmp_path, max_gen_len=600, max_context_len=600))]) == 0
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "build-knowledge"])
+def test_config_file_emotion_count_other_than_the_labels_is_refused(workspace, tmp_path, capsys, command):
+    run = tmp_path / "run"
+    for count in (5, 400):
+        config = fast_config(tmp_path, num_emotions=count)
+        assert main([command, "--data-dir", str(workspace / "data"), "--out", str(run), "--config", str(config)]) == 1
+        assert f"config {config}: num_emotions must be the 32 emotion labels, got {count}" in capsys.readouterr().err
+        assert not run.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "generate"])
+def test_checkpoint_emotion_count_other_than_the_labels_is_refused(workspace, tmp_path, capsys, monkeypatch, command):
+    from empgen.corpus import Vocab
+    from empgen.training import TrainConfig, save_checkpoint
+
+    data = workspace / "data"
+    vocab = Vocab.load(data / "vocab.json")
+    dialogue = tmp_path / "dialogue.json"
+    dialogue.write_text(json.dumps(THANKFUL), encoding="utf-8")
+    out = tmp_path / "eval"
+    extra = {"evaluate": ["--out", str(out)], "generate": ["--dialogue", str(dialogue)]}[command]
+    monkeypatch.setattr(cli, "build_providers", lambda *_: pytest.fail("the providers were built"))
+    for count in (5, 400):
+        config = TrainConfig(seed=3, d=16, layers=1, heads=2, ffn_mult=2, num_emotions=count)
+        checkpoint = tmp_path / "checkpoint.npz"
+        save_checkpoint(checkpoint, config.build_model(len(vocab)), config, vocab)
+        assert main([command, "--checkpoint", str(checkpoint), "--data-dir", str(data), *extra]) == 1
+        err = capsys.readouterr().err
+        assert f"checkpoint {checkpoint}: num_emotions must be the 32 emotion labels, got {count}" in err
+        assert not out.exists()
 
 
 def test_debug_flag_prints_the_traceback(tmp_path, capsys):
@@ -521,6 +557,21 @@ def test_generate_answers_whatever_the_ignored_response_holds(workspace, tmp_pat
     assert outputs[0] == outputs[1] and "predicted emotion: " in outputs[1]
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"[1, 2]", b'"x"', b"{not json", b'{"history": \xff}', b'{"history": 7}', b'{"history": []}'],
+    ids=["list", "string", "not JSON", "not UTF-8", "history a number", "history empty"],
+)
+def test_generate_refuses_a_bad_dialogue_file_by_its_path(workspace, tmp_path, capsys, monkeypatch, content):
+    data = workspace / "data"
+    checkpoint, *_ = untrained_checkpoint(data, tmp_path)
+    dialogue = tmp_path / "dialogue.json"
+    dialogue.write_bytes(content)
+    monkeypatch.setattr(cli, "build_providers", lambda *_: pytest.fail("the providers were built"))
+    assert main(["generate", "--checkpoint", str(checkpoint), "--data-dir", str(data), "--dialogue", str(dialogue)]) == 1
+    assert f"error: dialogue {dialogue}: " in capsys.readouterr().err
+
+
 def test_evaluate_refuses_unknown_metrics_before_running(workspace, tmp_path, capsys):
     from empgen.corpus import Vocab
     from empgen.training import TrainConfig, save_checkpoint
@@ -535,3 +586,67 @@ def test_evaluate_refuses_unknown_metrics_before_running(workspace, tmp_path, ca
     assert main([*args, "--metrics", "PPL,B-5"]) == 1
     assert "'B-5'" in capsys.readouterr().err
     assert not (out / "report.json").exists() and not (out / "run_manifest.json").exists()
+
+
+class FullDisk(io.FileIO):
+    """A file that takes 10 bytes and then refuses more, as a full disk does."""
+
+    def write(self, data):
+        data = bytes(data)
+        room = max(10 - self.tell(), 0)
+        if len(data) > room:
+            super().write(data[:room])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(data)
+
+
+def run_command(*argv) -> int:
+    """A command's result, its exceptions raised and not printed."""
+    args = build_parser().parse_args([str(a) for a in argv])
+    return args.fn(args)
+
+
+def prepare_data(workspace, out):
+    run_command("prepare-data", "--input", workspace / "fixtures" / "corpus.jsonl", "--out", out, "--seed", "0")
+
+
+def evaluate_untrained(workspace, out):
+    checkpoint, *_ = untrained_checkpoint(workspace / "data", out.parent)
+    run_command("evaluate", "--checkpoint", checkpoint, "--data-dir", workspace / "data", "--out", out)
+
+
+def ablate(workspace, out):
+    config = fast_config(out.parent, d=8, batch_size=16)
+    run_command("ablate", "--data-dir", workspace / "data", "--out", out, "--split", "val", "--config", config)
+
+
+# Each output file and what writes it into the directory ``out``.
+WRITERS = {
+    "checkpoint.npz": lambda workspace, out: untrained_checkpoint(workspace / "data", out),
+    "vocab.json": prepare_data,
+    "train.jsonl": prepare_data,
+    "run_manifest.json": prepare_data,
+    "report.json": evaluate_untrained,
+    "report.txt": evaluate_untrained,
+    "ablation.txt": ablate,
+    "ablation.json": ablate,
+}
+
+
+@pytest.mark.parametrize("name", list(WRITERS))
+def test_an_interrupted_write_leaves_the_previous_file(workspace, tmp_path, monkeypatch, name):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).write_bytes(b"previous\n")
+
+    def full_disk(file, mode="r", *args, **kwargs):
+        if "w" in mode and name in os.path.basename(file):
+            return FullDisk(file, "w")
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(util, "open", full_disk, raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        WRITERS[name](workspace, out)
+    monkeypatch.undo()
+    assert (out / name).read_bytes() == b"previous\n"
+    assert [p.name for p in out.iterdir() if name in p.name] == [name]

@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from empgen.cli import load_config
-from empgen.corpus import RESERVED_TOKENS, DatasetError, LabelSet, Vocab, load_dataset
+from empgen.corpus import RESERVED_TOKENS, DatasetError, LabelSet, Vocab, load_dataset, read_dialogue
 from empgen.knowledge import (
     FIXED_TIMESTAMP,
     RELATIONS,
@@ -225,8 +225,8 @@ def test_a_dropped_or_retyped_dataset_field_or_turn_loads_equal_or_is_refused(pl
 
 
 # ----------------------------------------------------------------------
-# Text files: the vocabulary, a --config file, the analysis cache and the
-# four fixture readers. Text has no checksum, so a flipped byte inside a
+# Text files: the vocabulary, a --config file, a generate --dialogue file,
+# a dataset, the analysis cache and the four fixture readers. Text has no checksum, so a flipped byte inside a
 # value can change that one value; every other damage loads equal or is
 # refused by the reader's own error, never a KeyError, TypeError or
 # AttributeError.
@@ -247,6 +247,10 @@ CONFIG_FILE = dict(
 )
 
 
+DATASET_ROWS = [RECORD, {**RECORD, "id": "d2", "emotion": "proud", "response": "well done"}]
+DIALOGUE = {"history": RECORD["history"]}
+
+
 def read_config(path):
     return asdict(load_config(argparse.Namespace(config=str(path))))
 
@@ -257,6 +261,8 @@ def read_config(path):
 TEXT_READERS = {
     "vocab": (VOCAB.token_to_id, json.dumps, lambda p: Vocab.load(p).token_to_id, DatasetError),
     "config": (CONFIG_FILE, json.dumps, read_config, ValueError),
+    "dialogue": (DIALOGUE, json.dumps, lambda p: asdict(read_dialogue(p, LABELS)), DatasetError),
+    "dataset": (DATASET_ROWS, None, lambda p: {s.id: s for s in load_dataset(p, LABELS)}, DatasetError),
     "cache": (CACHE_ROWS, None, lambda p: dict(AnalysisCache(p)._records), ValueError),
     "sentiment": (SENTIMENT_ROWS, None, lambda p: FixtureSentimentPredictor(p, LABELS).table, ValueError),
     "cause": (CAUSE_ROWS, None, lambda p: FileCauseDetector(p).table, ValueError),
@@ -292,6 +298,10 @@ ORIGINALS = {reader: read_text(reader, text_of(reader, content)) for reader, (co
 ORIGINAL_BYTES = {reader: text_of(reader, content) for reader, (content, *_) in TEXT_READERS.items()}
 
 
+# The newline between the cache's two records, as a place in its file.
+CACHE_NEWLINE = (ORIGINAL_BYTES["cache"].index(b"\n") + 0.5) / len(ORIGINAL_BYTES["cache"])
+
+
 def differing(loaded: dict, original: dict) -> set:
     """The keys that one of the two lacks or that hold different values."""
     absent = object()
@@ -305,23 +315,29 @@ def test_the_unmutated_text_files_load():
 
 @HOSTILE
 @given(reader=st.sampled_from(sorted(TEXT_READERS)), at=st.floats(0, 1, exclude_max=True))
+@example(reader="config", at=0.999)  # cut of the last newline alone
 def test_a_truncated_text_file_loads_whole_records_or_is_refused(reader, at):
     raw = ORIGINAL_BYTES[reader]
-    loaded = read_text(reader, raw[: int(at * len(raw))])
+    cut = raw[: int(at * len(raw))]
+    loaded = read_text(reader, cut)
     # A JSONL file cut at a line end holds fewer records, each as written.
     assert loaded is None or loaded.items() <= ORIGINALS[reader].items()
-    if TEXT_READERS[reader][1] is not None:
-        assert loaded is None
+    if TEXT_READERS[reader][1] is not None:  # one object: whole only if just its last newline is cut
+        assert loaded == (ORIGINALS[reader] if cut == raw.rstrip(b"\n") else None)
 
 
 @settings(HOSTILE, max_examples=120)
 @given(reader=st.sampled_from(sorted(TEXT_READERS)), at=st.floats(0, 1, exclude_max=True), mask=st.integers(1, 255))
+@example(reader="cache", at=CACHE_NEWLINE, mask=ord("\n") ^ ord(" "))  # two records merged on one line
+@example(reader="dataset", at=0.5, mask=0x80)  # a line that is not UTF-8
+@example(reader="dialogue", at=0.5, mask=0x80)
 def test_a_text_file_with_a_flipped_byte_changes_one_value_or_is_refused(reader, at, mask):
     raw = bytearray(ORIGINAL_BYTES[reader])
     raw[int(at * len(raw))] ^= mask
     loaded = read_text(reader, bytes(raw))
-    # One changed record reads as one key gone and one added.
-    assert loaded is None or len(differing(loaded, ORIGINALS[reader])) <= 2
+    # One changed record reads as one key gone and one added, or one value changed.
+    original = ORIGINALS[reader]
+    assert loaded is None or (len(differing(loaded, original)) <= 2 and len(original.keys() - loaded.keys()) <= 1)
 
 
 def text_places(content):
@@ -351,6 +367,9 @@ TEXT_PLACES = [(reader, place) for reader, (content, *_) in TEXT_READERS.items()
 @example(where=("config", ("d",)), drop=False, value=[1, 2])
 @example(where=("config", ()), drop=False, value=7)
 @example(where=("config", ()), drop=False, value=[1, 2])
+@example(where=("dialogue", ()), drop=False, value=[1, 2])
+@example(where=("dialogue", ()), drop=False, value="x")
+@example(where=("dialogue", ("history",)), drop=False, value=7)
 def test_a_dropped_or_retyped_text_key_loads_equal_or_is_refused(where, drop, value):
     reader, place = where
     content = copy.deepcopy(TEXT_READERS[reader][0])

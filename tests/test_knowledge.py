@@ -262,27 +262,41 @@ def test_cache_malformed_line_before_the_tail_raises(tmp_path):
         AnalysisCache(path)
 
 
+def test_cache_refuses_two_records_merged_on_the_last_line_and_leaves_the_file(tmp_path):
+    path = tmp_path / "analysis_cache.jsonl"
+    cache = AnalysisCache(path)
+    for label in ("proud", "joyful", "sad"):
+        query_analysis(f"Sentiment label: {label}", EchoLlmClient(), cache)
+    lines = path.read_bytes().splitlines(keepends=True)
+    merged = b"".join([lines[0], lines[1].rstrip(b"\n") + b" ", lines[2]])  # a flipped newline
+    for damaged in (merged, merged.rstrip(b"\n")):
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError, match=r"analysis_cache\.jsonl:2: malformed analysis cache line: Extra data"):
+            AnalysisCache(path)
+        assert path.read_bytes() == damaged
+
+
 RECORD = {"prompt": "p", "response": "r", "cache_key": "k", "llm_id": "echo", "created_at": "t"}
 
 
 @pytest.mark.parametrize(
-    "line",
+    "line, why",
     [
-        {k: v for k, v in RECORD.items() if k != "response"},
-        [RECORD],
-        7,
-        "a string",
-        {**RECORD, "cache_key": ["k"]},
-        {**RECORD, "created_at": None},
+        ({k: v for k, v in RECORD.items() if k != "response"}, "field 'response' is missing or not a str"),
+        ([RECORD], "not a JSON object"),
+        (7, "not a JSON object"),
+        ("a string", "not a JSON object"),
+        ({**RECORD, "cache_key": ["k"]}, "field 'cache_key' is missing or not a str"),
+        ({**RECORD, "created_at": None}, "field 'created_at' is missing or not a str"),
     ],
     ids=["no response", "a list", "a number", "a string", "list cache_key", "null created_at"],
 )
-def test_cache_line_of_the_wrong_shape_is_refused_by_line(tmp_path, line):
+def test_cache_line_of_the_wrong_shape_is_refused_by_line(tmp_path, line, why):
     path = tmp_path / "analysis_cache.jsonl"
     query_analysis("Sentiment label: proud", EchoLlmClient(), AnalysisCache(path))
     # Whole JSON, so not a torn append, even as the last line.
     path.write_text(path.read_text(encoding="utf-8") + json.dumps(line) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"analysis_cache\.jsonl:2: malformed analysis cache line: not a JSON object"):
+    with pytest.raises(ValueError, match=rf"analysis_cache\.jsonl:2: malformed analysis cache line: {why}$"):
         AnalysisCache(path)
 
 

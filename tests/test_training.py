@@ -350,31 +350,6 @@ def test_checkpoint_whose_config_holds_min_freq_loads(tmp_path, mini_vocab):
             load_with(**{**old_defaults, name: value})
 
 
-def test_checkpoint_write_is_atomic(tmp_path, mini_vocab, monkeypatch):
-    config = tiny_config()
-    model = config.build_model(len(mini_vocab))
-    save_checkpoint(tmp_path / "ck", model, config, mini_vocab)  # np.savez adds ".npz"
-    assert [p.name for p in tmp_path.iterdir()] == ["ck.npz"]
-    before = (tmp_path / "ck.npz").read_bytes()
-
-    def interrupted(fh, **arrays):
-        fh.write(b"PK partial archive")
-        raise OSError("disk full")
-
-    monkeypatch.setattr(np, "savez", interrupted)
-    for p in model.named_parameters().values():
-        p.data = p.data + 1.0
-    with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(tmp_path / "ck.npz", model, config, mini_vocab)
-    monkeypatch.undo()
-    assert [p.name for p in tmp_path.iterdir()] == ["ck.npz"]
-    assert (tmp_path / "ck.npz").read_bytes() == before
-    loaded = load_checkpoint(tmp_path / "ck.npz")
-    fresh = config.build_model(len(mini_vocab))
-    for name, p in loaded.model.named_parameters().items():
-        np.testing.assert_array_equal(p.data, fresh.named_parameters()[name].data)
-
-
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(CheckpointError, match="not found"):
         load_checkpoint(tmp_path / "absent.npz")
