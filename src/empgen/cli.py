@@ -2,7 +2,7 @@
 preparation, knowledge building, training, evaluation, generation, the
 four-way ablation harness, and a simple chat entry point.
 
-Every command writes a run manifest into its output directory; all
+Every command with an --out directory writes a run manifest there; all
 randomness flows from the single --seed flag.
 """
 
@@ -23,6 +23,9 @@ from .corpus import (
 )
 from .evaluation import METRIC_COLUMNS, evaluate, format_table, write_report
 from .knowledge import (
+    ANALYSIS_CACHE,
+    ANALYSIS_FIXTURE,
+    COMMONSENSE_FIXTURE,
     AnalysisCache,
     EchoLlmClient,
     FixtureCommonsenseProvider,
@@ -46,42 +49,63 @@ from .selectors import (
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 from .util import canonical_json, now_iso, read_json, sha256_hex, write_file, write_jsonl
 
-def write_manifest(command: str, config: dict, seed: int, out_dir: Path) -> None:
+# The packaged emotion labels, the only ones the commands take.
+LABELS = LabelSet.default()
+
+# The data dir that prepare-data writes and the other commands read: one
+# JSONL file of samples for each split, and the vocabulary.
+SPLITS = ("train", "val", "test")
+VOCAB_FILE = "vocab.json"
+
+
+def _split_path(data_dir: str | Path, split: str) -> Path:
+    return Path(data_dir) / f"{split}.jsonl"
+
+
+def _load_split(data_dir: str | Path, split: str):
+    return load_dataset(_split_path(data_dir, split), LABELS)
+
+
+def write_manifest(args, config: dict, seed: int) -> None:
+    """``run_manifest.json`` in ``args.out``, for the command ``args`` runs."""
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "config_hash": sha256_hex(canonical_json(config)),
         "seed": seed,
         "code_version": __version__,
-        "out_dir": str(out_dir),
+        "out_dir": str(Path(args.out)),
         "created_at": now_iso(),
     }
-    write_file(out_dir / "run_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_file(Path(args.out) / "run_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _check_emotions(config: TrainConfig, where: str) -> TrainConfig:
-    """``config``, refused unless its emotion head has one output per label."""
-    if config.num_emotions != (labels := len(LabelSet.default())):
-        raise ValueError(f"{where}: num_emotions must be the {labels} emotion labels, got {config.num_emotions}")
-    return config
+def _check_emotions(config: TrainConfig, where: str) -> None:
+    """Refuse ``config``, by ``where``, unless its emotion head has one output per label."""
+    if config.num_emotions != len(LABELS):
+        raise ValueError(f"{where}: num_emotions must be the {len(LABELS)} emotion labels, got {config.num_emotions}")
 
 
 def load_config(args) -> TrainConfig:
-    data = {}
-    if getattr(args, "config", None):
+    """The ``--config`` file's settings, refused by the file's path, then
+    the ``--seed``, ``--ablation`` and ``--epochs`` flags over them."""
+    config = TrainConfig()
+    if args.config:
         data = read_json(args.config, "config")
-        if "min_freq" in data:
-            raise ValueError("min_freq is not a training setting: set it with prepare-data --min-freq")
-    # Flags override the file before the config checks its values.
-    for name in ("seed", "ablation", "epochs"):
-        if getattr(args, name, None) is not None:
-            data[name] = getattr(args, name)
-    return _check_emotions(TrainConfig.from_dict(data), f"config {args.config}")
+        try:  # every refusal of the file's content names the file
+            if "min_freq" in data:
+                raise ValueError("min_freq is not a training setting: set it with prepare-data --min-freq")
+            config = TrainConfig.from_dict(data)
+        except ValueError as exc:
+            raise ValueError(f"config {args.config}: {exc}") from exc
+        _check_emotions(config, f"config {args.config}")
+    flags = {name: getattr(args, name, None) for name in ("seed", "ablation", "epochs")}
+    return replace(config, **{name: value for name, value in flags.items() if value is not None})
 
 
 # The file in --knowledge-dir that each of these fixture backends reads
 # when it is given no file of its own.
-KNOWLEDGE_DIR_FILES = {"commonsense": "commonsense_fixture.jsonl", "llm": "analysis_fixture.jsonl"}
+KNOWLEDGE_DIR_FILES = {"commonsense": COMMONSENSE_FIXTURE, "llm": ANALYSIS_FIXTURE}
 
 
 def _fixture_path(args, provider: str) -> str | Path:
@@ -103,41 +127,41 @@ def _http_llm(args, *_) -> HttpLlmClient:
 
 
 # Each provider's backends by name, the default first. Each builds its
-# provider from the parsed flags, the labels and the training samples.
+# provider from the parsed flags and the training samples.
 BACKENDS = {
     "sentiment": {
-        "lexicon": lambda args, labels, samples: LexiconSentimentPredictor(
-            load_lexicon(labels=labels), labels, majority_label(samples, labels)
+        "lexicon": lambda args, samples: LexiconSentimentPredictor(
+            load_lexicon(LABELS), LABELS, majority_label(samples, LABELS)
         ),
         "oracle": lambda *_: OracleSentimentPredictor(),
-        "fixture": lambda args, labels, _: FixtureSentimentPredictor(_fixture_path(args, "sentiment"), labels),
+        "fixture": lambda args, _: FixtureSentimentPredictor(_fixture_path(args, "sentiment"), LABELS),
     },
     "cause": {
-        "heuristic": lambda args, labels, _: HeuristicCauseDetector(load_lexicon(labels=labels)),
-        "fixture": lambda args, *_: FileCauseDetector(_fixture_path(args, "cause")),
+        "heuristic": lambda *_: HeuristicCauseDetector(load_lexicon(LABELS)),
+        "fixture": lambda args, _: FileCauseDetector(_fixture_path(args, "cause")),
     },
     "commonsense": {
         "template": lambda *_: TemplateCommonsenseProvider(),
-        "fixture": lambda args, *_: FixtureCommonsenseProvider(_fixture_path(args, "commonsense")),
+        "fixture": lambda args, _: FixtureCommonsenseProvider(_fixture_path(args, "commonsense")),
     },
     "llm": {
         "echo": lambda *_: EchoLlmClient(),
-        "fixture": lambda args, *_: FixtureLlmClient(_fixture_path(args, "llm")),
+        "fixture": lambda args, _: FixtureLlmClient(_fixture_path(args, "llm")),
         "http": _http_llm,
     },
 }
 
 
-def build_providers(args, config: TrainConfig, train_samples, labels: LabelSet) -> Providers:
+def build_providers(args, config: TrainConfig, train_samples) -> Providers:
     """Instantiate the provider stack the active ablation plan needs."""
     plan = PLANS[config.ablation]
     providers = Providers()
     for name in plan_providers(plan):
         backend = BACKENDS[name][getattr(args, f"{name}_backend")]
-        setattr(providers, name, backend(args, labels, train_samples))
+        setattr(providers, name, backend(args, train_samples))
     if plan.use_analysis:
         cache_dir = args.knowledge_dir
-        providers.analysis_cache = AnalysisCache(Path(cache_dir) / "analysis_cache.jsonl" if cache_dir else None)
+        providers.analysis_cache = AnalysisCache(Path(cache_dir) / ANALYSIS_CACHE if cache_dir else None)
     return providers
 
 
@@ -151,13 +175,25 @@ def _add_provider_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--knowledge-dir", default=None)
 
 
-def _add_config_flags(p: argparse.ArgumentParser, ablation: bool = True, epochs: bool = True) -> None:
-    p.add_argument("--config", default=None, help="JSON file of training settings")
-    p.add_argument("--seed", type=int, default=None)
-    if ablation:
-        p.add_argument("--ablation", default=None, choices=ABLATION_ORDER)
-    if epochs:
-        p.add_argument("--epochs", type=int, default=None)
+# The flags that several commands take. --seed, --ablation and --epochs
+# set those settings over the --config file (load_config).
+SHARED_FLAGS = {
+    "--data-dir": {"required": True},
+    "--out": {"required": True},
+    "--checkpoint": {"required": True},
+    "--split": {"default": "test", "choices": SPLITS},
+    "--strategy": {"default": "greedy", "choices": ["greedy", "beam"]},
+    "--beam-size": {"type": int, "default": 3},
+    "--config": {"default": None, "help": "JSON file of training settings"},
+    "--seed": {"type": int, "default": None},
+    "--ablation": {"default": None, "choices": ABLATION_ORDER},
+    "--epochs": {"type": int, "default": None},
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **SHARED_FLAGS[flag])
 
 
 # ----------------------------------------------------------------------
@@ -173,25 +209,25 @@ def cmd_make_fixtures(args) -> int:
     checksums = {
         p.name: sha256_hex(p.read_bytes()) for p in sorted(out.glob("*.jsonl"))
     }
-    write_manifest("make-fixtures", {"seed": args.seed, "size": args.size, "checksums": checksums}, args.seed, out)
+    write_manifest(args, {"seed": args.seed, "size": args.size, "checksums": checksums}, args.seed)
     print(f"wrote {len(records)} dialogues and fixtures under {out}")
     return 0
 
 
 def cmd_prepare_data(args) -> int:
-    labels = LabelSet.default()
-    samples = load_dataset(args.input, labels)
-    ratios = tuple(float(x) for x in args.ratios.split(","))
+    samples = load_dataset(args.input, LABELS)
+    try:
+        ratios = tuple(float(x) for x in args.ratios.split(","))
+    except ValueError:
+        ratios = ()
     if len(ratios) != 3:
-        raise ValueError("--ratios must name three comma-separated fractions")
+        raise ValueError(f"--ratios must name three comma-separated fractions, got {args.ratios!r}")
     train_s, val_s, test_s = split_dataset(samples, ratios, args.seed)
-    out = Path(args.out)
-    for name, part in (("train", train_s), ("val", val_s), ("test", test_s)):
-        write_jsonl(out / f"{name}.jsonl", [sample_to_record(s) for s in part])
+    for name, part in zip(SPLITS, (train_s, val_s, test_s)):
+        write_jsonl(_split_path(args.out, name), [sample_to_record(s) for s in part])
     vocab = build_vocab(train_s, args.min_freq)
-    vocab.save(out / "vocab.json")
-    manifest = {"input": str(args.input), "ratios": list(ratios), "min_freq": args.min_freq}
-    write_manifest("prepare-data", manifest, args.seed, out)
+    vocab.save(Path(args.out) / VOCAB_FILE)
+    write_manifest(args, {"input": str(args.input), "ratios": list(ratios), "min_freq": args.min_freq}, args.seed)
     print(f"split {len(samples)} samples into {len(train_s)}/{len(val_s)}/{len(test_s)}; vocab {len(vocab)}")
     return 0
 
@@ -205,12 +241,10 @@ def cmd_build_knowledge(args) -> int:
             file=sys.stderr,
         )
         return 2
-    labels = LabelSet.default()
-    data_dir = Path(args.data_dir)
-    splits = [_load_split(data_dir, name, labels) for name in ("train", "val", "test")]
+    splits = [_load_split(args.data_dir, name) for name in SPLITS]
     out = Path(args.out)
     args.knowledge_dir = args.knowledge_dir or str(out)
-    providers = build_providers(args, config, splits[0], labels)
+    providers = build_providers(args, config, splits[0])
     commonsense_rows = {}
     built = 0
     failures = 0
@@ -235,9 +269,9 @@ def cmd_build_knowledge(args) -> int:
                 if not args.continue_on_error:
                     raise
     if plan.use_knowledge:
-        write_jsonl(out / "commonsense_fixture.jsonl", list(commonsense_rows.values()))
-    manifest = {"ablation": config.ablation, "data_dir": str(data_dir), "built": built, "failures": failures}
-    write_manifest("build-knowledge", manifest, config.seed, out)
+        write_jsonl(out / COMMONSENSE_FIXTURE, list(commonsense_rows.values()))
+    manifest = {"ablation": config.ablation, "data_dir": str(Path(args.data_dir)), "built": built, "failures": failures}
+    write_manifest(args, manifest, config.seed)
     print(
         f"knowledge built for {built} samples "
         f"(provider calls: {providers.call_counts()}, failures: {failures})"
@@ -245,28 +279,21 @@ def cmd_build_knowledge(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _load_split(data_dir: Path, split: str, labels: LabelSet):
-    return load_dataset(data_dir / f"{split}.jsonl", labels)
-
-
-def _load_trained(args, labels: LabelSet):
+def _load_trained(args):
     """The data dir's vocabulary, the checkpoint (refused unless trained on
     that vocabulary) and the providers its ablation needs."""
-    data_dir = Path(args.data_dir)
-    vocab = Vocab.load(data_dir / "vocab.json")
+    vocab = Vocab.load(Path(args.data_dir) / VOCAB_FILE)
     loaded = load_checkpoint(args.checkpoint, vocab)
     _check_emotions(loaded.config, f"checkpoint {args.checkpoint}")
-    providers = build_providers(args, loaded.config, _load_split(data_dir, "train", labels), labels)
+    providers = build_providers(args, loaded.config, _load_split(args.data_dir, "train"))
     return vocab, loaded, providers
 
 
 def cmd_train(args) -> int:
     config = load_config(args)
-    labels = LabelSet.default()
-    data_dir = Path(args.data_dir)
-    train_samples = _load_split(data_dir, "train", labels)
-    vocab = Vocab.load(data_dir / "vocab.json")
-    providers = build_providers(args, config, train_samples, labels)
+    train_samples = _load_split(args.data_dir, "train")
+    vocab = Vocab.load(Path(args.data_dir) / VOCAB_FILE)
+    providers = build_providers(args, config, train_samples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = train(
@@ -278,7 +305,7 @@ def cmd_train(args) -> int:
         timing_path=out / "train_timing.jsonl",
     )
     save_checkpoint(out / "checkpoint.npz", result.model, config, vocab)
-    write_manifest("train", config.to_dict(), config.seed, out)
+    write_manifest(args, config.to_dict(), config.seed)
     first, last = result.history[0], result.history[-1]
     print(
         f"trained {config.epochs} epochs ({last.step} steps); "
@@ -293,8 +320,7 @@ def cmd_evaluate(args) -> int:
     unknown = [m for m in wanted if m not in METRIC_COLUMNS]
     if unknown:
         raise ValueError(f"unknown metrics {unknown}; choose from {METRIC_COLUMNS}")
-    labels = LabelSet.default()
-    vocab, loaded, providers = _load_trained(args, labels)
+    vocab, loaded, providers = _load_trained(args)
     config = loaded.config
     if args.ablation and args.ablation != config.ablation:
         print(
@@ -303,7 +329,7 @@ def cmd_evaluate(args) -> int:
             file=sys.stderr,
         )
         return 2
-    samples = _load_split(Path(args.data_dir), args.split, labels)
+    samples = _load_split(args.data_dir, args.split)
     report = evaluate(
         loaded.model,
         config,
@@ -314,10 +340,9 @@ def cmd_evaluate(args) -> int:
         beam_size=args.beam_size,
         row_label=ABLATION_ROW_LABELS[config.ablation],
     )
-    out = Path(args.out)
-    write_report(report, out)
+    write_report(report, Path(args.out))
     manifest = {"checkpoint": str(args.checkpoint), "split": args.split, "strategy": args.strategy}
-    write_manifest("evaluate", manifest, config.seed, out)
+    write_manifest(args, manifest, config.seed)
     if args.metrics:
         values = dict(zip(METRIC_COLUMNS, report.row_values()))
         for name in wanted:
@@ -327,7 +352,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _reply(sample, args, vocab: Vocab, loaded, providers: Providers, labels: LabelSet):
+def _reply(sample, args, vocab: Vocab, loaded, providers: Providers):
     """The reply to one dialogue sample and its predicted emotion, decoded
     with ``args.strategy`` and ``args.beam_size``. The sample's response
     is not used: it goes with no target."""
@@ -337,25 +362,22 @@ def _reply(sample, args, vocab: Vocab, loaded, providers: Providers, labels: Lab
     prep = prepare_sample(sample, vocab, providers, plan, config.max_context_len, config.max_analysis_len)
     prep.target_ids = []
     [reply] = model.respond([prep], plan, vocab, args.strategy, args.beam_size, config.max_gen_len)
-    return reply.response, labels.by_index(int(np.argmax(reply.emotion_probs))).name
+    return reply.response, LABELS.by_index(int(np.argmax(reply.emotion_probs))).name
 
 
 def cmd_generate(args) -> int:
-    labels = LabelSet.default()
-    sample = read_dialogue(args.dialogue, labels)
-    vocab, loaded, providers = _load_trained(args, labels)
-    response, emotion = _reply(sample, args, vocab, loaded, providers, labels)
+    sample = read_dialogue(args.dialogue, LABELS)
+    vocab, loaded, providers = _load_trained(args)
+    response, emotion = _reply(sample, args, vocab, loaded, providers)
     print(response.text)
     print(f"predicted emotion: {emotion}")
     return 0
 
 
 def cmd_ablate(args) -> int:
-    labels = LabelSet.default()
-    data_dir = Path(args.data_dir)
-    train_samples = _load_split(data_dir, "train", labels)
-    test_samples = _load_split(data_dir, args.split, labels)
-    vocab = Vocab.load(data_dir / "vocab.json")
+    train_samples = _load_split(args.data_dir, "train")
+    test_samples = _load_split(args.data_dir, args.split)
+    vocab = Vocab.load(Path(args.data_dir) / VOCAB_FILE)
     base_config = load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -363,10 +385,10 @@ def cmd_ablate(args) -> int:
     counter_log = {}
     for ablation in ABLATION_ORDER:
         config = replace(base_config, ablation=ablation)
-        providers = build_providers(args, config, train_samples, labels)
+        providers = build_providers(args, config, train_samples)
         result = train(config, train_samples, vocab, providers, log_path=out / f"train_{ablation}.jsonl")
         save_checkpoint(out / f"checkpoint_{ablation}.npz", result.model, config, vocab)
-        eval_providers = build_providers(args, config, train_samples, labels)
+        eval_providers = build_providers(args, config, train_samples)
         report = evaluate(
             result.model,
             config,
@@ -384,14 +406,13 @@ def cmd_ablate(args) -> int:
     write_file(out / "ablation.txt", table + "\n")
     rows = {"rows": [r.to_dict() for r in reports], "provider_calls": counter_log}
     write_file(out / "ablation.json", json.dumps(rows, indent=2) + "\n")
-    write_manifest("ablate", {"split": args.split, "base": base_config.to_dict()}, base_config.seed, out)
+    write_manifest(args, {"split": args.split, "base": base_config.to_dict()}, base_config.seed)
     print(table)
     return 0
 
 
 def cmd_chat(args) -> int:
-    labels = LabelSet.default()
-    vocab, loaded, providers = _load_trained(args, labels)
+    vocab, loaded, providers = _load_trained(args)
     history = []
     print("speaker turns only; blank line quits")
     while True:
@@ -402,8 +423,8 @@ def cmd_chat(args) -> int:
         if not line:
             break
         history.append({"role": "speaker", "text": line})
-        sample = dialogue_sample({"id": f"chat-{len(history)}", "history": list(history)}, labels, "chat")
-        response, _ = _reply(sample, args, vocab, loaded, providers, labels)
+        sample = dialogue_sample({"id": f"chat-{len(history)}", "history": list(history)}, LABELS, "chat")
+        response, _ = _reply(sample, args, vocab, loaded, providers)
         print(f"bot> {response.text}")
         history.append({"role": "listener", "text": response.text or "i see ."})
     return 0
@@ -415,41 +436,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make-fixtures", help="generate the synthetic mini-corpus and fixtures")
-    p.add_argument("--out", required=True)
+    _add_flags(p, "--out")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--size", type=int, default=200)
     p.set_defaults(fn=cmd_make_fixtures)
 
     p = sub.add_parser("prepare-data", help="validate, split, and build the vocabulary")
     p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
+    _add_flags(p, "--out")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ratios", default="0.8,0.1,0.1")
     p.add_argument("--min-freq", type=int, default=1)
     p.set_defaults(fn=cmd_prepare_data)
 
     p = sub.add_parser("build-knowledge", help="materialize knowledge caches for the splits")
-    p.add_argument("--data-dir", required=True)
-    p.add_argument("--out", required=True)
+    _add_flags(p, "--data-dir", "--out")
     p.add_argument("--continue-on-error", action="store_true")
-    _add_config_flags(p, epochs=False)
+    _add_flags(p, "--config", "--seed", "--ablation")
     _add_provider_flags(p)
     p.set_defaults(fn=cmd_build_knowledge)
 
     p = sub.add_parser("train", help="train one configuration")
-    p.add_argument("--data-dir", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_flags(p, "--data-dir", "--out", "--config", "--seed", "--ablation", "--epochs")
     _add_provider_flags(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a split")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data-dir", required=True)
-    p.add_argument("--split", default="test", choices=["train", "val", "test"])
-    p.add_argument("--out", required=True)
-    p.add_argument("--strategy", default="greedy", choices=["greedy", "beam"])
-    p.add_argument("--beam-size", type=int, default=3)
+    _add_flags(p, "--checkpoint", "--data-dir", "--split", "--out", "--strategy", "--beam-size")
     p.add_argument("--metrics", default=None, help="comma list of table columns to print, e.g. PPL,B-2,Acc")
     p.add_argument(
         "--ablation", default=None, choices=ABLATION_ORDER, help="refuse a checkpoint of another ablation"
@@ -458,27 +471,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("generate", help="respond to one dialogue JSON file")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data-dir", required=True)
+    _add_flags(p, "--checkpoint", "--data-dir")
     p.add_argument("--dialogue", required=True)
-    p.add_argument("--strategy", default="greedy", choices=["greedy", "beam"])
-    p.add_argument("--beam-size", type=int, default=3)
+    _add_flags(p, "--strategy", "--beam-size")
     _add_provider_flags(p)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("ablate", help="train and score all four configurations")
-    p.add_argument("--data-dir", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--split", default="test", choices=["train", "val", "test"])
-    _add_config_flags(p, ablation=False)
+    _add_flags(p, "--data-dir", "--out", "--split", "--config", "--seed", "--epochs")
     _add_provider_flags(p)
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("chat", help="talk with a trained model, one speaker turn per line")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data-dir", required=True)
-    p.add_argument("--strategy", default="greedy", choices=["greedy", "beam"])
-    p.add_argument("--beam-size", type=int, default=3)
+    _add_flags(p, "--checkpoint", "--data-dir", "--strategy", "--beam-size")
     _add_provider_flags(p)
     p.set_defaults(fn=cmd_chat)
 

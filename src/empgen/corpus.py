@@ -9,6 +9,7 @@ tokens, most recent turns kept on truncation.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -163,8 +164,11 @@ def split_dataset(
     """
     if not samples:
         raise DatasetError("cannot split an empty dataset")
+    shown = ", ".join(map(str, ratios))
+    if not all(math.isfinite(r) for r in ratios):
+        raise DatasetError(f"split ratios must be finite, got {shown}")
     if any(r < 0 for r in ratios):
-        raise DatasetError(f"split ratios must not be negative, got {', '.join(map(str, ratios))}")
+        raise DatasetError(f"split ratios must not be negative, got {shown}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise DatasetError(f"split ratios must sum to 1, got {sum(ratios)}")
     n = len(samples)

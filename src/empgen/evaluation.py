@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -145,21 +145,9 @@ class MetricReport:
     generations: list[dict] = field(default_factory=list, repr=False)
 
     def to_dict(self, include_generations: bool = False) -> dict:
-        out = {
-            "ppl": self.ppl,
-            "bleu": self.bleu,
-            "rouge1": self.rouge1,
-            "rouge2": self.rouge2,
-            "dist1": self.dist1,
-            "dist2": self.dist2,
-            "acc": self.acc,
-            "sample_count": self.sample_count,
-            "config_fingerprint": self.config_fingerprint,
-            "empty_reference_warnings": self.empty_reference_warnings,
-            "row_label": self.row_label,
-        }
-        if include_generations:
-            out["generations"] = self.generations
+        out = asdict(self)
+        if not include_generations:
+            del out["generations"]
         return out
 
     def row_values(self) -> list[float]:

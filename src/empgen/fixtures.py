@@ -10,13 +10,15 @@ import numpy as np
 
 from .corpus import LabelSet, parse_sample
 from .knowledge import (
+    ANALYSIS_FIXTURE,
+    COMMONSENSE_FIXTURE,
     EchoLlmClient,
     FixtureCommonsenseProvider,
     TemplateCommonsenseProvider,
     build_analysis_prompt,
     prompt_cache_key,
 )
-from .selectors import HeuristicCauseDetector, load_lexicon
+from .selectors import SELECTOR_FIXTURE, HeuristicCauseDetector, load_lexicon
 from .util import write_jsonl
 
 _EVENTS = [
@@ -61,7 +63,7 @@ def label_words(lexicon: dict[str, list[str]], label: str) -> list[str]:
     return sorted(w for w, names in lexicon.items() if label in names)
 
 
-def generate_mini_corpus(seed: int, size: int = 200, labels: LabelSet | None = None) -> list[dict]:
+def generate_mini_corpus(seed: int, size: int = 200) -> list[dict]:
     """Balanced, label-signaled dialogues as raw dataset records.
 
     Every label appears floor(size/32) or ceil(size/32) times; each
@@ -69,7 +71,7 @@ def generate_mini_corpus(seed: int, size: int = 200, labels: LabelSet | None = N
     and the classifier have learnable signal. Byte-identical output for a
     fixed seed.
     """
-    labels = labels or LabelSet.default()
+    labels = LabelSet.default()
     if size < len(labels):
         raise ValueError(f"size must be at least {len(labels)}")
     lexicon = load_lexicon(labels=labels)
@@ -121,7 +123,7 @@ def write_selector_fixtures(records: list[dict], out_dir: str | Path) -> Path:
     gold label, and the turns that ``HeuristicCauseDetector`` picks for it.
 
     A single file serves both the fixture sentiment backend (reads e_ano)
-    and the oracle/fixture cause backends (read cause_turn_indices).
+    and the fixture cause backend (reads cause_turn_indices).
     """
     labels = LabelSet.default()
     detector = HeuristicCauseDetector(load_lexicon(labels=labels))
@@ -130,21 +132,19 @@ def write_selector_fixtures(records: list[dict], out_dir: str | Path) -> Path:
         sample = parse_sample(r, labels)
         turns = [u.turn_index for u in detector.detect(sample, sample.gold_emotion)]
         rows.append({"id": r["id"], "e_ano": r["emotion"], "cause_turn_indices": turns})
-    path = Path(out_dir) / "selector_fixture.jsonl"
+    path = Path(out_dir) / SELECTOR_FIXTURE
     write_jsonl(path, rows)
     return path
 
 
-def write_knowledge_fixtures(
-    records: list[dict], out_dir: str | Path, labels: LabelSet | None = None
-) -> tuple[Path, Path]:
+def write_knowledge_fixtures(records: list[dict], out_dir: str | Path) -> tuple[Path, Path]:
     """Deterministic commonsense and analysis fixture files for the corpus.
 
     Relation texts come from the template provider; analysis responses
     from the echo stub keyed by the rendered prompt. The built files feed
     the fixture backends so training runs with zero live providers.
     """
-    labels = labels or LabelSet.default()
+    labels = LabelSet.default()
     out_dir = Path(out_dir)
     template_provider = TemplateCommonsenseProvider()
     echo = EchoLlmClient()
@@ -164,8 +164,8 @@ def write_knowledge_fixtures(
         analysis_rows.append(
             {"cache_key": prompt_cache_key(prompt), "prompt": prompt, "response": echo.complete(prompt)}
         )
-    commonsense_path = out_dir / "commonsense_fixture.jsonl"
-    analysis_path = out_dir / "analysis_fixture.jsonl"
+    commonsense_path = out_dir / COMMONSENSE_FIXTURE
+    analysis_path = out_dir / ANALYSIS_FIXTURE
     write_jsonl(commonsense_path, comet_rows)
     write_jsonl(analysis_path, analysis_rows)
     return commonsense_path, analysis_path

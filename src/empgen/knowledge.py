@@ -18,6 +18,12 @@ from .util import now_iso, read_asset, read_jsonl, require_fields, sha256_hex
 
 RELATIONS = ("xIntent", "xEffect", "xWant", "xReact", "xNeed")
 
+# The files of a knowledge dir: what FixtureCommonsenseProvider,
+# FixtureLlmClient and AnalysisCache read there.
+COMMONSENSE_FIXTURE = "commonsense_fixture.jsonl"
+ANALYSIS_FIXTURE = "analysis_fixture.jsonl"
+ANALYSIS_CACHE = "analysis_cache.jsonl"
+
 # Deterministic backends stamp records with a fixed instant so knowledge
 # caches are byte-identical across machines and reruns.
 FIXED_TIMESTAMP = "1970-01-01T00:00:00+00:00"

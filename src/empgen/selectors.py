@@ -15,6 +15,10 @@ from pathlib import Path
 from .corpus import DialogueSample, EmotionLabel, LabelSet, Utterance, tokenize
 from .util import read_asset, read_jsonl
 
+# The file of authored labels and cause spans that FixtureSentimentPredictor
+# and FileCauseDetector read, as make-fixtures names it.
+SELECTOR_FIXTURE = "selector_fixture.jsonl"
+
 
 class FixtureMissError(KeyError):
     """A fixture-backed provider had no entry for the requested key."""
@@ -140,9 +144,9 @@ class HeuristicCauseDetector(CauseDetector):
 class FileCauseDetector(CauseDetector):
     """Authored cause spans looked up by sample id.
 
-    Backs both the oracle and fixture backends: samples carry no gold
-    cause annotation, so ground truth is whatever spans were authored
-    alongside the corpus.
+    Backs the fixture cause backend: samples carry no gold cause
+    annotation, so ground truth is whatever spans were authored alongside
+    the corpus.
     """
 
     def __init__(self, path: str | Path):

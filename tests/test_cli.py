@@ -1,3 +1,4 @@
+import argparse
 import errno
 import io
 import json
@@ -81,6 +82,11 @@ def test_train_flags_are_checked_like_the_config_file(workspace, tmp_path, capsy
     assert main([*args, "--epochs", "0"]) == 1
     assert "error: epochs must be positive, got 0" in capsys.readouterr().err
     assert not run.exists()
+    # The file's own values are checked first, by its path, even one a flag sets.
+    config = fast_config(tmp_path, epochs=0)
+    assert main([*args, "--epochs", "1"]) == 1
+    assert f"error: config {config}: epochs must be positive, got 0" in capsys.readouterr().err
+    assert not run.exists()
 
 
 def test_config_file_setting_min_freq_is_refused(workspace, tmp_path, capsys):
@@ -150,6 +156,73 @@ def test_debug_flag_prints_the_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback (most recent call last)" in err
     assert "nope.jsonl" in err.splitlines()[-1]
+
+
+# Each command's options in parser order: the option strings, default,
+# type, choices and whether it is required.
+ABLATIONS = ["vanilla", "self_pres", "analysis", "full"]
+SPLIT = [("--split", "test", None, ["train", "val", "test"], False)]
+SEARCH = [("--strategy", "greedy", None, ["greedy", "beam"], False), ("--beam-size", 3, int, None, False)]
+CONFIG = [("--config", None, None, None, False), ("--seed", None, int, None, False)]
+ABLATION = [("--ablation", None, None, ABLATIONS, False)]
+EPOCHS = [("--epochs", None, int, None, False)]
+PROVIDERS = [
+    ("--sentiment-backend", "lexicon", None, ["lexicon", "oracle", "fixture"], False),
+    ("--cause-backend", "heuristic", None, ["heuristic", "fixture"], False),
+    ("--commonsense-backend", "template", None, ["template", "fixture"], False),
+    ("--llm-backend", "echo", None, ["echo", "fixture", "http"], False),
+    *[(f"--{name}", None, None, None, False) for name in (
+        "sentiment-fixture", "cause-fixture", "commonsense-fixture", "llm-fixture", "llm-url", "llm-model",
+        "knowledge-dir",
+    )],
+]
+DATA_OUT = [("--data-dir", None, None, None, True), ("--out", None, None, None, True)]
+CHECKPOINT = [("--checkpoint", None, None, None, True), ("--data-dir", None, None, None, True)]
+FLAG_SURFACE = {
+    None: [("--debug", False, None, None, False)],
+    "make-fixtures": [
+        ("--out", None, None, None, True), ("--seed", 7, int, None, False), ("--size", 200, int, None, False)
+    ],
+    "prepare-data": [
+        ("--input", None, None, None, True),
+        ("--out", None, None, None, True),
+        ("--seed", 0, int, None, False),
+        ("--ratios", "0.8,0.1,0.1", None, None, False),
+        ("--min-freq", 1, int, None, False),
+    ],
+    "build-knowledge": [
+        *DATA_OUT, ("--continue-on-error", False, None, None, False), *CONFIG, *ABLATION, *PROVIDERS
+    ],
+    "train": [*DATA_OUT, *CONFIG, *ABLATION, *EPOCHS, *PROVIDERS],
+    "evaluate": [
+        *CHECKPOINT,
+        *SPLIT,
+        ("--out", None, None, None, True),
+        *SEARCH,
+        ("--metrics", None, None, None, False),
+        *ABLATION,
+        *PROVIDERS,
+    ],
+    "generate": [*CHECKPOINT, ("--dialogue", None, None, None, True), *SEARCH, *PROVIDERS],
+    "ablate": [*DATA_OUT, *SPLIT, *CONFIG, *EPOCHS, *PROVIDERS],
+    "chat": [*CHECKPOINT, *SEARCH, *PROVIDERS],
+}
+
+
+def test_every_command_keeps_its_flags():
+    def options(parser):
+        return [
+            (" ".join(a.option_strings), a.default, a.type, a.choices and list(a.choices), a.required)
+            for a in parser._actions
+            if a.option_strings and a.dest != "help"
+        ]
+
+    parser = build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert options(parser) == FLAG_SURFACE[None]
+    assert list(commands.choices) == [name for name in FLAG_SURFACE if name]
+    for name, command in commands.choices.items():
+        assert options(command) == FLAG_SURFACE[name], name
 
 
 def test_build_knowledge_refuses_vanilla(workspace, capsys):
@@ -341,8 +414,8 @@ def test_generate_encodes_each_stream_once(workspace, tmp_path, capsys, monkeypa
     loaded = load_checkpoint(run / "checkpoint.npz")
     vocab = Vocab.load(data / "vocab.json")
     sample = parse_sample({**record, "id": "adhoc", "emotion": labels.names[0], "response": "placeholder"}, labels)
-    train_samples = _load_split(data, "train", labels)
-    providers = build_providers(build_parser().parse_args(args), loaded.config, train_samples, labels)
+    train_samples = _load_split(data, "train")
+    providers = build_providers(build_parser().parse_args(args), loaded.config, train_samples)
     plan = PLANS[loaded.config.ablation]
     prep = prepare_sample(sample, vocab, providers, plan)
     reply = loaded.model.generate_response(prep, plan, vocab)
@@ -533,7 +606,7 @@ def test_generate_runs_the_search_and_no_teacher_forced_pass(workspace, tmp_path
     # The search alone over the same memory makes the same calls.
     labels = LabelSet.default()
     sample = parse_sample({**record, "id": "adhoc", "emotion": labels.names[0]}, labels)
-    providers = build_providers(build_parser().parse_args(args), config, _load_split(data, "train", labels), labels)
+    providers = build_providers(build_parser().parse_args(args), config, _load_split(data, "train"))
     plan = PLANS[config.ablation]
     memory, _ = model.encode_batch([prepare_sample(sample, vocab, providers, plan)], plan)
     calls.clear()

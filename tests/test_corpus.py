@@ -138,6 +138,25 @@ def test_split_refuses_negative_ratios_before_writing(tmp_path, labels, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "ratios,message",
+    [
+        ("0.8,x,0.1", "--ratios must name three comma-separated fractions, got '0.8,x,0.1'"),
+        ("nan,0.1,0.1", "split ratios must be finite, got nan, 0.1, 0.1"),
+        ("1,nan,0", "split ratios must be finite, got 1.0, nan, 0.0"),
+    ],
+)
+def test_prepare_data_refuses_ratios_that_are_not_finite_numbers(tmp_path, labels, capsys, ratios, message):
+    from empgen.cli import main
+
+    records = [make_record() | {"id": str(i)} for i in range(64)]
+    write_jsonl(tmp_path / "d.jsonl", records)
+    out = tmp_path / "out"
+    assert main(["prepare-data", "--input", str(tmp_path / "d.jsonl"), "--out", str(out), "--ratios", ratios]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # vocabulary
 

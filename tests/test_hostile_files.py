@@ -290,7 +290,7 @@ def read_text(reader, raw: bytes):
                 warnings.simplefilter("ignore")  # the cache drops a torn last line with a warning
                 return read(path)
         except error as exc:
-            assert reader == "config" or str(path) in str(exc), exc
+            assert str(path) in str(exc), exc
             return None
 
 

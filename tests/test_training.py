@@ -59,7 +59,7 @@ def test_bad_config_values_are_refused_by_name(field, value, tmp_path, capsys):
     out = tmp_path / "run"
     args = ["train", "--data-dir", str(tmp_path / "data"), "--out", str(out), "--config", str(bad)]
     assert main(args) == 1
-    assert f"error: {field} must be" in capsys.readouterr().err
+    assert f"error: config {bad}: {field} must be" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -86,7 +86,7 @@ def test_wrong_typed_config_fields_are_refused_by_name(fields, message, tmp_path
     out = tmp_path / "run"
     args = ["train", "--data-dir", str(tmp_path / "data"), "--out", str(out), "--config", str(bad)]
     assert main(args) == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: config {bad}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
