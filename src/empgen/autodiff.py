@@ -18,9 +18,12 @@ and 12 for LayerNorm), 6 (14 with attention's head split and merge) and
 3 (log-softmax, pick and negation; 4 with a padding mask). Their forward
 and backward passes do the composed ops' float operations in the same
 order; they keep a dropout mask as booleans, no ReLU pre-activation, no
-sublayer result and no logits or log-probabilities. ``softmax`` and
-``log_softmax`` work on plain arrays, for the fused nodes and for
-inference.
+sublayer result and no logits or log-probabilities. The forward
+arithmetic of ``linear``, ``add_norm`` and ``attention`` is written once,
+over plain arrays, in ``linear_array``, ``add_norm_array`` and
+``attention_array``: each node calls its array function, and the decoding
+step calls them with no ``Tensor`` at all. ``softmax`` and
+``log_softmax`` work on plain arrays too.
 """
 
 from __future__ import annotations
@@ -34,9 +37,12 @@ __all__ = [
     "Tensor",
     "add_norm",
     "attention",
+    "attention_array",
+    "add_norm_array",
     "cross_entropy",
-    "grad_enabled",
     "linear",
+    "linear_array",
+    "merge_heads",
     "no_grad",
     "parameter",
     "concat",
@@ -44,6 +50,7 @@ __all__ = [
     "softmax",
     "log_softmax",
     "slice_rows",
+    "split_heads",
 ]
 
 
@@ -65,11 +72,6 @@ def no_grad():
         yield
     finally:
         _mode.recording = previous
-
-
-def grad_enabled() -> bool:
-    """Whether this thread records the tape: False inside ``no_grad()``."""
-    return _mode.recording
 
 
 def parameter(array) -> "Tensor":
@@ -94,9 +96,9 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax over ``axis`` of a plain array, computed in place in ``x``
     and returned: pass a fresh array that nothing else reads (attention's
     scores can be megabytes)."""
-    x -= x.max(axis=axis, keepdims=True)
+    x -= np.maximum.reduce(x, axis=axis, keepdims=True)
     np.exp(x, out=x)
-    x /= x.sum(axis=axis, keepdims=True)
+    x /= np.add.reduce(x, axis=axis, keepdims=True)
     return x
 
 
@@ -309,19 +311,26 @@ def slice_rows(t: Tensor, start: int, stop: int) -> Tensor:
     return Tensor._node(t.data[..., start:stop, :], (node,), backward)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, relu: bool = False) -> Tensor:
-    """``x @ weight + bias`` for ``x`` (..., k) and a (k, m) weight, run as
-    one 2-D GEMM over all rows, forward and backward. With ``relu`` the node
-    rectifies its output and keeps no pre-activation: the output is
-    positive exactly where the pre-activation was."""
+def linear_array(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None, relu: bool = False):
+    """``x @ weight + bias`` for ``x`` (..., k) and a (k, m) weight, as one
+    2-D GEMM over all rows, rectified with ``relu``."""
     k, m = weight.shape
-    rows, w, x_shape = x.data.reshape(-1, k), weight.data, x.data.shape
-    y = rows @ w
+    y = x.reshape(-1, k) @ weight
     if bias is not None:
-        y += bias.data
+        y += bias
     if relu:
         y *= y > 0
-    rectified = y if relu else None  # the output is kept only to rectify g
+    return y.reshape(*x.shape[:-1], m)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, relu: bool = False) -> Tensor:
+    """``linear_array`` as a node; its backward pass is one 2-D GEMM too.
+    With ``relu`` it keeps no pre-activation: the output is positive
+    exactly where the pre-activation was."""
+    k, m = weight.shape
+    rows, w, x_shape = x.data.reshape(-1, k), weight.data, x.data.shape
+    y = linear_array(x.data, w, None if bias is None else bias.data, relu)
+    rectified = y.reshape(-1, m) if relu else None  # the output is kept only to rectify g
     x_node, w_node, b_node = x.node, weight.node, None if bias is None else bias.node
 
     def backward(g):
@@ -336,29 +345,37 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, relu: bool = F
             b_node.accumulate(g.sum(axis=0), owned=True)
 
     parents = (x_node, w_node) if b_node is None else (x_node, w_node, b_node)
-    return Tensor._node(y.reshape(*x_shape[:-1], m), parents, backward)
+    return Tensor._node(y, parents, backward)
+
+
+def add_norm_array(x: np.ndarray, h: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
+    """``LN(x + h)`` over the last axis: the sum normalized to zero mean
+    and unit variance, scaled by ``gain`` and shifted by ``bias``. Returns
+    the output, the normalized sum and the inverse standard deviation."""
+    s = x + h
+    n = s.shape[-1]
+    centered = s - np.add.reduce(s, axis=-1, keepdims=True) * (1.0 / n)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) * (1.0 / n)
+    inv = (var + eps) ** -0.5
+    normed = centered * inv
+    return normed * gain + bias, normed, inv
 
 
 def add_norm(
     x: Tensor, h: Tensor, gain: Tensor, bias: Tensor, eps: float, rate: float, rng: np.random.Generator | None
 ) -> Tensor:
     """``LN(x + dropout(h))``, a post-norm sublayer's output from its input
-    ``x`` and its result ``h``, both (..., n). Inverted dropout zeroes each
-    entry of ``h`` with probability ``rate`` and scales the rest by
-    1 / (1 - rate); it is the identity when ``rng`` is None (eval mode) or
-    ``rate`` is 0. The sum is then normalized over the last axis to zero
-    mean and unit variance, scaled by ``gain`` and shifted by ``bias``."""
+    ``x`` and its result ``h``, both (..., n), as a node of
+    ``add_norm_array``. Inverted dropout zeroes each entry of ``h`` with
+    probability ``rate`` and scales the rest by 1 / (1 - rate); it is the
+    identity when ``rng`` is None (eval mode) or ``rate`` is 0."""
     s = h.data
     keep = None
     if rng is not None and rate > 0.0:
         keep = rng.random(h.shape) >= rate
         s = s * (keep / (1.0 - rate))
-    s = x.data + s
-    n = s.shape[-1]
-    centered = s - s.sum(axis=-1, keepdims=True) * (1.0 / n)
-    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
-    inv = (var + eps) ** -0.5
-    normed = centered * inv
+    out, normed, inv = add_norm_array(x.data, s, gain.data, bias.data, eps)
+    n = out.shape[-1]
     parents = x_node, h_node, gain_node, bias_node = x.node, h.node, gain.node, bias.node
     g_weight = gain.data
 
@@ -376,7 +393,30 @@ def add_norm(
         if x_node.requires_grad:
             x_node.accumulate(gs, owned=True)
 
-    return Tensor._node(normed * g_weight + bias.data, parents, backward)
+    return Tensor._node(out, parents, backward)
+
+
+def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(..., rows, d) -> (..., heads, rows, d / heads), as a view; one head stays unsplit."""
+    return x.reshape(*x.shape[:-1], heads, -1).swapaxes(-3, -2) if heads > 1 else x
+
+
+def merge_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """The inverse of ``split_heads``."""
+    return x.swapaxes(-3, -2).reshape(*x.shape[:-3], x.shape[-2], -1) if heads > 1 else x
+
+
+def attention_array(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, mask: np.ndarray | None = None):
+    """``softmax(q kᵀ * scale + mask) v`` over the last two axes, and the
+    weights; leading axes broadcast, and ``mask`` is additive (-1e9 hides
+    a key)."""
+    # One scores array, changed in place: it can be megabytes.
+    p = q @ k.swapaxes(-1, -2)
+    p *= scale
+    if mask is not None:
+        p += mask
+    softmax(p)
+    return p @ v, p
 
 
 def attention(
@@ -388,42 +428,31 @@ def attention(
     return_weights: bool = False,
     heads: int = 1,
 ):
-    """``softmax(q kᵀ * scale + mask) v`` over the last two axes; leading
-    axes broadcast. With ``heads`` > 1, each of ``heads`` equal slices of
-    the last axis attends on its own, split and merged inside this node.
-    ``mask`` is additive (-1e9 hides a key) and broadcasts against each
-    head's (..., queries, keys) scores. With ``return_weights`` the weights,
-    (..., heads, queries, keys) when heads > 1, come back as a constant."""
-
-    def split(x):  # (..., rows, d) -> (..., heads, rows, d / heads)
-        return x.reshape(*x.shape[:-1], heads, -1).swapaxes(-3, -2) if heads > 1 else x
-
-    def merge(x):  # (..., heads, rows, d / heads) -> (..., rows, d)
-        return x.swapaxes(-3, -2).reshape(*x.shape[:-3], x.shape[-2], -1) if heads > 1 else x
-
-    qs, ks, vs = split(q.data), split(k.data), split(v.data)
-    # One scores array, changed in place: it can be megabytes.
-    p = qs @ ks.swapaxes(-1, -2)
-    p *= scale
-    if mask is not None:
-        p += mask[..., None, :, :] if heads > 1 and mask.ndim > 1 else mask
-    softmax(p)
+    """``attention_array`` as a node. With ``heads`` > 1, each of ``heads``
+    equal slices of the last axis attends on its own, split and merged
+    inside this node, and ``mask`` broadcasts against each head's (...,
+    queries, keys) scores. With ``return_weights`` the weights, (...,
+    heads, queries, keys) when heads > 1, come back as a constant."""
+    qs, ks, vs = (split_heads(t.data, heads) for t in (q, k, v))
+    if mask is not None and heads > 1 and mask.ndim > 1:
+        mask = mask[..., None, :, :]
+    out, p = attention_array(qs, ks, vs, scale, mask)
     parents = q_node, k_node, v_node = q.node, k.node, v.node
 
     def backward(g):
-        g = split(g)
+        g = split_heads(g, heads)
         if v_node.requires_grad:
-            v_node.accumulate(merge(_unbroadcast(p.swapaxes(-1, -2) @ g, vs.shape)), owned=True)
+            v_node.accumulate(merge_heads(_unbroadcast(p.swapaxes(-1, -2) @ g, vs.shape), heads), owned=True)
         ds = g @ vs.swapaxes(-1, -2)
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
         if q_node.requires_grad:
-            q_node.accumulate(merge(_unbroadcast(ds @ ks, qs.shape)), owned=True)
+            q_node.accumulate(merge_heads(_unbroadcast(ds @ ks, qs.shape), heads), owned=True)
         if k_node.requires_grad:
-            k_node.accumulate(merge(_unbroadcast(ds.swapaxes(-1, -2) @ qs, ks.shape)), owned=True)
+            k_node.accumulate(merge_heads(_unbroadcast(ds.swapaxes(-1, -2) @ qs, ks.shape), heads), owned=True)
 
-    out = Tensor._node(merge(p @ vs), parents, backward)
+    out = Tensor._node(merge_heads(out, heads), parents, backward)
     return (out, Tensor(p)) if return_weights else out
 
 

@@ -88,7 +88,8 @@ def _check_emotions(config: TrainConfig, where: str) -> None:
 
 def load_config(args) -> TrainConfig:
     """The ``--config`` file's settings, refused by the file's path, then
-    the ``--seed``, ``--ablation`` and ``--epochs`` flags over them."""
+    the ``--seed``, ``--ablation`` and ``--epochs`` flags over them,
+    each refused by the flag's name."""
     config = TrainConfig()
     if args.config:
         data = read_json(args.config, "config")
@@ -99,8 +100,14 @@ def load_config(args) -> TrainConfig:
         except ValueError as exc:
             raise ValueError(f"config {args.config}: {exc}") from exc
         _check_emotions(config, f"config {args.config}")
-    flags = {name: getattr(args, name, None) for name in ("seed", "ablation", "epochs")}
-    return replace(config, **{name: value for name, value in flags.items() if value is not None})
+    for name in ("seed", "ablation", "epochs"):
+        value = getattr(args, name, None)
+        if value is not None:
+            try:
+                config = replace(config, **{name: value})
+            except ValueError as exc:
+                raise ValueError(f"--{name}: {exc}") from exc
+    return config
 
 
 # The file in --knowledge-dir that each of these fixture backends reads
@@ -281,8 +288,11 @@ def cmd_build_knowledge(args) -> int:
 
 def _load_trained(args):
     """The data dir's vocabulary, the checkpoint (refused unless trained on
-    that vocabulary) and the providers its ablation needs."""
+    that vocabulary) and the providers its ablation needs. A ``--beam-size``
+    outside 1 to the vocabulary size is refused first."""
     vocab = Vocab.load(Path(args.data_dir) / VOCAB_FILE)
+    if not 1 <= args.beam_size <= len(vocab):
+        raise ValueError(f"--beam-size must be from 1 to the vocabulary's {len(vocab)} tokens, got {args.beam_size}")
     loaded = load_checkpoint(args.checkpoint, vocab)
     _check_emotions(loaded.config, f"checkpoint {args.checkpoint}")
     providers = build_providers(args, loaded.config, _load_split(args.data_dir, "train"))

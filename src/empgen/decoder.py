@@ -2,11 +2,15 @@
 and analysis representations, teacher-forced NLL, and token-by-token
 generation (greedy or beam).
 
-Generation runs without the autodiff tape and feeds one new row per
-hypothesis per step: a ``DecoderCache`` keeps the memory's cross-attention
-keys and values, projected once per response, and every layer's
-self-attention keys and values of the rows fed so far, as plain arrays.
-The live beams advance together in one batched step.
+Teacher forcing and training run ``DecoderStack.forward`` on the tape.
+Generation does not touch it: a ``DecoderStep`` runs each search step on
+plain float64 arrays, feeding one new row per hypothesis. It keeps each
+layer's cross-attention keys and values of the memory, projected and
+split by head once per reply, and preallocated self-attention key and
+value buffers, into which each step writes its new row. The step calls
+the array forwards that the fused nodes call, so its logits are those of
+the teacher-forced pass. The live beams advance together in one batched
+step.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, cross_entropy, embedding, grad_enabled, log_softmax, no_grad
+from .autodiff import Tensor, concat, cross_entropy, embedding, log_softmax, split_heads
 from .corpus import BOS_ID, EOS_ID, Vocab
-from .layers import DecoderLayer, KeyValues, Linear, causal_mask, pad_ids, prefixed, sinusoidal_positions
+from .layers import DecoderLayer, Linear, causal_mask, pad_ids, prefixed, sinusoidal_positions
 
 SEGMENT_CONTEXT, SEGMENT_KNOWLEDGE, SEGMENT_ANALYSIS = 0, 1, 2
 NUM_SEGMENTS = 3
@@ -73,26 +77,6 @@ def assemble_memory(
     return DecoderMemory(values, np.concatenate(segments), key_mask)
 
 
-class DecoderCache:
-    """What one response's decoding keeps between steps.
-
-    ``memory`` holds each layer's cross-attention keys and values of the
-    segment-tagged memory, projected on the first step; ``past`` holds
-    each layer's self-attention key and value arrays of the ``length`` rows
-    fed so far, one set per hypothesis when the rows are batched. A cache
-    is filled only without the tape, inside ``no_grad()``.
-    """
-
-    def __init__(self):
-        self.memory: list[KeyValues] | None = None
-        self.past: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.length = 0
-
-    def reorder(self, parents) -> None:
-        """Keep, for each next hypothesis, the rows of its parent."""
-        self.past = {i: (k[parents], v[parents]) for i, (k, v) in self.past.items()}
-
-
 class DecoderStack:
     """Masked self-attention plus cross-attention over the segment-tagged memory."""
 
@@ -121,40 +105,21 @@ class DecoderStack:
         self.layers = [DecoderLayer(rng, d, heads, ffn_mult) for _ in range(layers)]
         self.out_proj = Linear(rng, d, vocab_size)
 
-    def forward(
-        self,
-        input_ids,
-        memory: DecoderMemory,
-        rng: np.random.Generator | None = None,
-        cache: DecoderCache | None = None,
-    ) -> Tensor:
-        """Logits over the vocabulary for every input position.
-
-        ``input_ids`` is a list of equally long rows (B, m): one per sample,
-        or one per hypothesis over a memory of one sample. Without a cache
-        they are whole prefixes; with one they follow the rows the cache
-        holds, which then grows by them, and must run under ``no_grad()``:
-        the cache keeps no tape.
-        """
+    def forward(self, input_ids, memory: DecoderMemory, rng: np.random.Generator | None = None) -> Tensor:
+        """Logits over the vocabulary for every position of the whole
+        prefixes ``input_ids``, equally long rows (B, m): one per sample,
+        or one per hypothesis over a memory of one sample."""
         ids = np.asarray(input_ids, dtype=np.int64)
         if ids.size == 0:
             raise ValueError("decoder needs at least one input token")
-        if cache is None:
-            cache = DecoderCache()
-        elif grad_enabled():
-            raise RuntimeError("a cached decoder forward keeps no gradients; run it under no_grad()")
         drop = self.dropout if rng is not None else 0.0
-        m, p = ids.shape[-1], cache.length
-        x = embedding(self.token_embedding, ids) + Tensor(self.positions[p : p + m])
-        if cache.memory is None:
-            mem = memory.values + embedding(self.segment_embedding, memory.segment_ids)
-            cache.memory = [layer.cross_attn.keys_values(mem) for layer in self.layers]
-        # A lone new row may see every row so far: causal_mask(1, p) is all 0.
-        mask = causal_mask(m, p) if m > 1 else None
+        m = ids.shape[-1]
+        x = embedding(self.token_embedding, ids) + Tensor(self.positions[:m])
+        mem = memory.values + embedding(self.segment_embedding, memory.segment_ids)
+        mask = causal_mask(m)
         memory_mask = None if memory.key_mask is None else memory.key_mask[..., None, :]
-        for i, layer in enumerate(self.layers):
-            x, cache.past[i] = layer(x, cache.memory[i], mask, drop, rng, cache.past.get(i), memory_mask)
-        cache.length = p + m
+        for layer in self.layers:
+            x = layer(x, mem, mask, drop, rng, memory_mask)
         return self.out_proj(x)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -256,6 +221,51 @@ def beam_decode(step_fn, k: int, eos_id: int, max_len: int):
     return list(best[0]), list(best[2])
 
 
+class DecoderStep:
+    """One reply's search state on plain arrays: each call feeds one new
+    token per hypothesis and returns each hypothesis's next-token logits
+    (B, vocab), those of the last row of ``DecoderStack.forward`` on its
+    whole prefix. No ``Tensor`` is made, so nothing is recorded.
+
+    ``memory`` is one sample's. Its rows plus their segment embedding are
+    projected to each layer's cross-attention keys and values once, split
+    by head. Each layer's self-attention keys and values of the rows fed
+    so far sit in buffers of ``max_len`` rows; a call writes its new row
+    there. A lone new row sees every row before it, so it needs no
+    causal mask.
+    """
+
+    def __init__(self, stack: DecoderStack, memory: DecoderMemory, max_len: int):
+        self.stack, self.length = stack, 0
+        self.heads = heads = stack.layers[0].self_attn.heads
+        mem = memory.values.data + stack.segment_embedding.data[memory.segment_ids]
+        self.memory = [
+            (split_heads(layer.cross_attn.wk.array(mem), heads), split_heads(layer.cross_attn.wv.array(mem), heads))
+            for layer in stack.layers
+        ]
+        mask = None if memory.key_mask is None else memory.key_mask[..., None, :]
+        self.memory_mask = mask[..., None, :, :] if mask is not None and heads > 1 else mask
+        shape = split_heads(np.empty((1, max_len, stack.positions.shape[1])), heads).shape
+        self.past = [(np.empty(shape), np.empty(shape)) for _ in stack.layers]
+
+    def reorder(self, parents) -> None:
+        """Keep, for each next hypothesis, the rows of its parent."""
+        self.past = [(k[parents], v[parents]) for k, v in self.past]
+
+    def __call__(self, tokens) -> np.ndarray:
+        stack, t, heads = self.stack, self.length, self.heads
+        x = stack.token_embedding.data[np.asarray(tokens, dtype=np.int64)[:, None]] + stack.positions[t : t + 1]
+        for layer, (mem_k, mem_v), (k, v) in zip(stack.layers, self.memory, self.past):
+            attn = layer.self_attn
+            k[..., t : t + 1, :] = split_heads(attn.wk.array(x), heads)
+            v[..., t : t + 1, :] = split_heads(attn.wv.array(x), heads)
+            x = layer.ln1.array(x, attn.array(x, k[..., : t + 1, :], v[..., : t + 1, :]))
+            x = layer.ln2.array(x, layer.cross_attn.array(x, mem_k, mem_v, self.memory_mask))
+            x = layer.ln3.array(x, layer.ffn.array(x))
+        self.length = t + 1
+        return stack.out_proj.array(x)[:, 0]
+
+
 def generate(
     memory: DecoderMemory,
     stack: DecoderStack,
@@ -264,20 +274,23 @@ def generate(
     beam_size: int = 3,
     max_gen_len: int = DEFAULT_MAX_GEN_LEN,
 ) -> GeneratedResponse:
+    """One reply over one sample's memory, searched with ``DecoderStep``.
+    A beam may not be wider than the vocabulary."""
     if strategy not in ("greedy", "beam"):
         raise ValueError(f"unknown decoding strategy {strategy!r}")
-    cache = DecoderCache()
+    vocab_size = stack.out_proj.weight.shape[1]
+    if strategy == "beam" and beam_size > vocab_size:
+        raise ValueError(f"beam size {beam_size} is larger than the vocabulary's {vocab_size} tokens")
+    step = DecoderStep(stack, memory, max_gen_len)
 
     def step_fn(prefixes, parents=None) -> np.ndarray:
         if parents is not None:
-            cache.reorder(parents)
-        new = [prefix[cache.length :] for prefix in prefixes]
-        return log_softmax(stack.forward(new, memory, cache=cache).data[:, -1])
+            step.reorder(parents)
+        return log_softmax(step([prefix[-1] for prefix in prefixes]))
 
-    with no_grad():
-        if strategy == "greedy":
-            ids, log_probs = greedy_decode(step_fn, EOS_ID, max_gen_len)
-        else:
-            ids, log_probs = beam_decode(step_fn, beam_size, EOS_ID, max_gen_len)
+    if strategy == "greedy":
+        ids, log_probs = greedy_decode(step_fn, EOS_ID, max_gen_len)
+    else:
+        ids, log_probs = beam_decode(step_fn, beam_size, EOS_ID, max_gen_len)
     text = vocab.decode(ids) if vocab is not None else ""
     return GeneratedResponse(ids, text, log_probs)

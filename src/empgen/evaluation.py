@@ -187,13 +187,15 @@ def evaluate(
 ) -> MetricReport:
     """Generate, score, and classify the given split.
 
-    Required providers are validated against the checkpoint's ablation
-    plan before any work starts.
+    Required providers, and every sample's sequence lengths, are checked
+    against the checkpoint's ablation plan and positions before any work
+    starts.
     """
     plan = PLANS[config.ablation]
     prepared = prepare_samples(
         samples, vocab, providers, plan, config.max_context_len, config.max_analysis_len
     )
+    model.check_lengths(prepared, plan)
     replies = model.respond(prepared, plan, vocab, strategy, beam_size, config.max_gen_len)
     hyps = [vocab.tokens_of(reply.response.ids) for reply in replies]
     refs = [tokenize(sample.gold_response) for sample in samples]

@@ -316,14 +316,15 @@ class AnalysisCache:
             self._load()
 
     def _load(self) -> None:
-        """Read the file. An unparseable last line is an append cut short
-        by a crash: it is dropped, with a warning, and cut from the file so
-        that the next append starts on a clean line. An unparseable line
-        before it, or a last line that opens with a whole JSON value, which
-        a cut-short append never holds, is damage this cache cannot explain:
-        it raises and leaves the file as it is, as does any line that is
-        not a JSON object with a string for each field of an
-        ``AnalysisRecord``."""
+        """Read the file. An unparseable last line with no newline is an
+        append cut short by a crash: it is dropped, with a warning, and cut
+        from the file so that the next append starts on a clean line. An
+        unparseable line before it, or one that ends in its newline or opens
+        with a whole JSON value, which a cut-short append never does, is
+        damage this cache cannot explain: it raises and leaves the file as
+        it is, as does any line that is not a JSON object with a string for
+        each field of an ``AnalysisRecord``, or whose ``cache_key`` is not
+        that of its prompt."""
         data = self.path.read_bytes()
         offset = 0
         for number, line in enumerate(data.splitlines(keepends=True), 1):
@@ -334,7 +335,7 @@ class AnalysisCache:
             try:
                 rec = json.loads(line)
             except ValueError as exc:
-                if data[offset:].strip() or _opens_with_json(line):
+                if line.endswith(b"\n") or data[offset:].strip() or _opens_with_json(line):
                     raise ValueError(f"{where}: {exc}") from exc
                 warnings.warn(f"{self.path}:{number}: dropped a torn last line", RuntimeWarning, stacklevel=3)
                 with open(self.path, "r+b") as fh:
@@ -342,6 +343,8 @@ class AnalysisCache:
                 return
             require_fields(rec, where, **dict.fromkeys(RECORD_FIELDS, str))
             record = AnalysisRecord(**{name: rec[name] for name in RECORD_FIELDS})
+            if record.cache_key != prompt_cache_key(record.prompt):
+                raise ValueError(f"{where}: cache_key is not the SHA-256 of the prompt")
             self._records[record.cache_key] = record
         if data and not data.endswith(b"\n"):  # the last append was cut short after its record
             with open(self.path, "ab") as fh:

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Tensor, add_norm, attention, linear, parameter
+from .autodiff import (
+    Tensor, add_norm, add_norm_array, attention, attention_array, linear, linear_array, merge_heads, parameter,
+    split_heads,
+)
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -28,11 +30,10 @@ def sinusoidal_positions(length: int, d: int) -> np.ndarray:
     return table
 
 
-def causal_mask(length: int, cached: int = 0) -> np.ndarray:
-    """Additive mask of ``length`` new rows over ``cached`` earlier rows and
-    themselves, shape (length, cached + length): new row i sees columns
-    0..cached+i (0) and nothing after them (-1e9)."""
-    return np.triu(np.full((length, cached + length), -1e9), k=cached + 1)
+def causal_mask(length: int) -> np.ndarray:
+    """Additive (length, length) mask: row i sees columns 0..i (0) and
+    nothing after them (-1e9)."""
+    return np.triu(np.full((length, length), -1e9), k=1)
 
 
 def pad_ids(seqs) -> tuple[np.ndarray, np.ndarray]:
@@ -66,6 +67,9 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
 
+    def array(self, x: np.ndarray, relu: bool = False) -> np.ndarray:
+        return linear_array(x, self.weight.data, None if self.bias is None else self.bias.data, relu)
+
     def parameters(self) -> dict[str, Tensor]:
         out = {"weight": self.weight}
         if self.bias is not None:
@@ -85,15 +89,12 @@ class LayerNorm:
         and result ``h``, as one ``add_norm`` node."""
         return add_norm(x, h, self.gain, self.bias, self.EPS, drop, rng)
 
+    def array(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """``LN(x + h)`` of plain arrays, with no dropout."""
+        return add_norm_array(x, h, self.gain.data, self.bias.data, self.EPS)[0]
+
     def parameters(self) -> dict[str, Tensor]:
         return {"gain": self.gain, "bias": self.bias}
-
-
-class KeyValues(NamedTuple):
-    """Projected keys and values of attended rows, each (..., rows, d)."""
-
-    k: Tensor
-    v: Tensor
 
 
 class MultiHeadAttention:
@@ -111,16 +112,19 @@ class MultiHeadAttention:
         self.wv = Linear(rng, d, d)
         self.wo = Linear(rng, d, d)
 
-    def keys_values(self, context: Tensor) -> KeyValues:
-        return KeyValues(self.wk(context), self.wv(context))
-
-    def __call__(self, query: Tensor, context, mask: np.ndarray | None = None) -> Tensor:
-        """Attend from ``query`` rows over ``context``: the rows themselves,
-        or their ``KeyValues`` when those were projected before. ``mask``
-        is additive and broadcasts against each head's (..., queries, keys)
+    def __call__(self, query: Tensor, context: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """Attend from ``query`` rows over ``context`` rows. ``mask`` is
+        additive and broadcasts against each head's (..., queries, keys)
         scores."""
-        kv = context if isinstance(context, KeyValues) else self.keys_values(context)
-        return self.wo(attention(self.wq(query), kv.k, kv.v, self.scale, mask, heads=self.heads))
+        k, v = self.wk(context), self.wv(context)
+        return self.wo(attention(self.wq(query), k, v, self.scale, mask, heads=self.heads))
+
+    def array(self, query: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+        """Attend from plain ``query`` rows over keys and values projected
+        and split by head before (``split_heads``); ``mask`` broadcasts
+        against the split (..., heads, queries, keys) scores."""
+        out, _ = attention_array(split_heads(self.wq.array(query), self.heads), k, v, self.scale, mask)
+        return self.wo.array(merge_heads(out, self.heads))
 
     def parameters(self) -> dict[str, Tensor]:
         return prefixed({"wq": self.wq, "wk": self.wk, "wv": self.wv, "wo": self.wo})
@@ -133,6 +137,9 @@ class FeedForward:
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.lin2(linear(x, self.lin1.weight, self.lin1.bias, relu=True))
+
+    def array(self, x: np.ndarray) -> np.ndarray:
+        return self.lin2.array(self.lin1.array(x, relu=True))
 
     def parameters(self) -> dict[str, Tensor]:
         return prefixed({"lin1": self.lin1, "lin2": self.lin2})
@@ -171,28 +178,18 @@ class DecoderLayer:
     def __call__(
         self,
         x: Tensor,
-        memory: KeyValues,
+        memory: Tensor,
         mask: np.ndarray | None,
         drop: float,
         rng: np.random.Generator | None,
-        past: tuple[np.ndarray, np.ndarray] | None = None,
         memory_mask: np.ndarray | None = None,
-    ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
-        """The block over new rows ``x`` that follow the rows of ``past``.
-
-        ``memory`` is the cross-attention's projection of the memory rows,
-        and ``memory_mask`` hides the padded ones. ``past`` holds the
-        self-attention keys and values of the earlier rows as plain arrays,
-        joined to ``x``'s without the tape. Returns the output and the key
-        and value arrays of the earlier rows and ``x``'s.
-        """
-        k, v = self.self_attn.keys_values(x)
-        if past is not None:
-            k = Tensor(np.concatenate([past[0], k.data], axis=-2))
-            v = Tensor(np.concatenate([past[1], v.data], axis=-2))
-        x = self.ln1(x, self.self_attn(x, KeyValues(k, v), mask), drop, rng)
+    ) -> Tensor:
+        """The block over rows ``x``, which ``mask`` keeps causal, attending
+        over the ``memory`` rows, of which ``memory_mask`` hides the padded
+        ones."""
+        x = self.ln1(x, self.self_attn(x, x, mask), drop, rng)
         x = self.ln2(x, self.cross_attn(x, memory, memory_mask), drop, rng)
-        return self.ln3(x, self.ffn(x), drop, rng), (k.data, v.data)
+        return self.ln3(x, self.ffn(x), drop, rng)
 
     def parameters(self) -> dict[str, Tensor]:
         names = ("self_attn", "ln1", "cross_attn", "ln2", "ffn", "ln3")

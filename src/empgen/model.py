@@ -68,6 +68,12 @@ ABLATION_ROW_LABELS = {
 }
 
 
+def position_count(max_context_len: int, max_analysis_len: int) -> int:
+    """Rows of every stack's position table: the longest encoded stream,
+    and never fewer than 512."""
+    return max(max_context_len, max_analysis_len, 512)
+
+
 class ProviderError(RuntimeError):
     """A provider required by the active ablation plan is missing."""
 
@@ -127,7 +133,8 @@ def prepare_sample(
 ) -> PreparedSample:
     """Run the text-level pipeline for one sample: selection, knowledge,
     analysis. No model parameters are involved, so this happens once per
-    run, not once per step."""
+    run, not once per step. Like the context, the cause keeps the suffix
+    of its ids that fits the position table."""
     prep = PreparedSample(
         sample_id=sample.id,
         context_ids=encode_dialogue(sample, vocab, max_context_len),
@@ -137,7 +144,7 @@ def prepare_sample(
     label = providers.sentiment.predict(sample) if "sentiment" in plan_providers(plan) else None
     if plan.use_fusion:
         cause_utts = providers.cause.detect(sample, label)
-        prep.cause_ids = encode_cause_ids(cause_utts, vocab)
+        prep.cause_ids = encode_cause_ids(cause_utts, vocab)[-position_count(max_context_len, max_analysis_len) :]
         if not prep.cause_ids:
             raise ValueError(f"sample {sample.id!r}: cause holds no word token to encode")
     if plan.use_knowledge:

@@ -13,7 +13,9 @@ import numpy as np
 
 from .autodiff import Tensor
 from .corpus import Vocab
-from .model import PLANS, AblationPlan, EmpathyModel, PreparedSample, Providers, padded_rows, prepare_samples
+from .model import (
+    PLANS, AblationPlan, EmpathyModel, PreparedSample, Providers, padded_rows, position_count, prepare_samples
+)
 from .util import canonical_json, sha256_hex, write_file
 
 CHECKPOINT_VERSION = 1
@@ -78,6 +80,8 @@ class TrainConfig:
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.grad_clip is not None and not self.grad_clip > 0:
@@ -93,9 +97,7 @@ class TrainConfig:
 
     @property
     def positions(self) -> int:
-        """Rows of every stack's position table: the longest encoded stream,
-        and never fewer than 512."""
-        return max(self.max_context_len, self.max_analysis_len, 512)
+        return position_count(self.max_context_len, self.max_analysis_len)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -216,7 +218,8 @@ def train(
     log_path: str | Path | None = None,
     timing_path: str | Path | None = None,
 ) -> TrainResult:
-    """Run the joint objective over the samples.
+    """Run the joint objective over the samples, once every sample's
+    sequence lengths are checked against the position table.
 
     The generation loss enters the reported total as the batch sum divided
     by the batch token count. Each batch is sorted by its samples' own padded encoder
@@ -239,6 +242,7 @@ def train(
     )
     rng = np.random.default_rng(config.seed)
     model = config.build_model(len(vocab), rng)
+    model.check_lengths(prepared, plan)
     params = model.named_parameters()
     own_rows = [padded_rows([p], plan) for p in prepared]
     opt = Adam(params, config.adam_beta1, config.adam_beta2, config.adam_eps)

@@ -79,8 +79,12 @@ def test_prepare_data_missing_input(tmp_path, capsys):
 def test_train_flags_are_checked_like_the_config_file(workspace, tmp_path, capsys):
     run = tmp_path / "run"
     args = ["train", "--data-dir", str(workspace / "data"), "--out", str(run), "--config", str(fast_config(tmp_path))]
+    # A flag's refusal names the flag, before the output directory is made.
     assert main([*args, "--epochs", "0"]) == 1
-    assert "error: epochs must be positive, got 0" in capsys.readouterr().err
+    assert "error: --epochs: epochs must be positive, got 0" in capsys.readouterr().err
+    assert not run.exists()
+    assert main([*args, "--seed", "-1"]) == 1
+    assert "error: --seed: seed must be non-negative, got -1" in capsys.readouterr().err
     assert not run.exists()
     # The file's own values are checked first, by its path, even one a flag sets.
     config = fast_config(tmp_path, epochs=0)
@@ -580,7 +584,7 @@ THANKFUL = {"history": [{"role": "speaker", "text": "i felt so thankful about th
 def test_generate_runs_the_search_and_no_teacher_forced_pass(workspace, tmp_path, capsys, monkeypatch, strategy):
     from empgen.cli import _load_split, build_parser, build_providers
     from empgen.corpus import LabelSet, parse_sample
-    from empgen.decoder import DecoderStack, generate
+    from empgen.decoder import DecoderStack, DecoderStep, generate
     from empgen.model import PLANS, prepare_sample
 
     data = workspace / "data"
@@ -588,20 +592,18 @@ def test_generate_runs_the_search_and_no_teacher_forced_pass(workspace, tmp_path
     record = {**THANKFUL, "response": "thank you for telling me"}
     dialogue = tmp_path / "dialogue.json"
     dialogue.write_text(json.dumps(record), encoding="utf-8")
-    calls = []
+    calls, forwards = [], []
+    step = DecoderStep.__call__
+    monkeypatch.setattr(DecoderStep, "__call__", lambda self, tokens: calls.append(len(tokens)) or step(self, tokens))
     forward = DecoderStack.forward
-
-    def counted_forward(stack, input_ids, memory, rng=None, cache=None):
-        calls.append(len(input_ids))
-        return forward(stack, input_ids, memory, rng, cache)
-
-    monkeypatch.setattr(DecoderStack, "forward", counted_forward)
+    monkeypatch.setattr(DecoderStack, "forward", lambda *a, **k: forwards.append(1) or forward(*a, **k))
     args = ["generate", "--checkpoint", str(checkpoint), "--data-dir", str(data), "--dialogue", str(dialogue)]
     args += ["--strategy", strategy]
     capsys.readouterr()
     assert main(args) == 0
     printed = capsys.readouterr().out.splitlines()
     in_command = list(calls)
+    assert in_command and not forwards  # search steps, and no teacher-forced pass
 
     # The search alone over the same memory makes the same calls.
     labels = LabelSet.default()
@@ -615,6 +617,25 @@ def test_generate_runs_the_search_and_no_teacher_forced_pass(workspace, tmp_path
     assert printed[0] == reply.text
     if strategy == "greedy":
         assert len(calls) == len(reply.ids)
+
+
+@pytest.mark.parametrize("beam_size", ["0", "vocabulary + 1", "1000000000"])
+@pytest.mark.parametrize("command", ["evaluate", "generate", "chat"])
+def test_a_beam_size_past_the_vocabulary_is_refused_by_the_flag(workspace, tmp_path, capsys, command, beam_size):
+    # Only the refusal is checked: a search this wide is never started.
+    data = workspace / "data"
+    checkpoint, _, _, vocab = untrained_checkpoint(data, tmp_path)
+    beam_size = str(len(vocab) + 1) if beam_size == "vocabulary + 1" else beam_size
+    dialogue = tmp_path / "dialogue.json"
+    dialogue.write_text(json.dumps(THANKFUL), encoding="utf-8")
+    run = tmp_path / "run"
+    extra = {"evaluate": ["--out", str(run)], "generate": ["--dialogue", str(dialogue)], "chat": []}[command]
+    args = [command, "--checkpoint", str(checkpoint), "--data-dir", str(data), *extra]
+    capsys.readouterr()
+    assert main([*args, "--strategy", "beam", "--beam-size", beam_size]) == 1
+    message = f"error: --beam-size must be from 1 to the vocabulary's {len(vocab)} tokens, got {beam_size}\n"
+    assert capsys.readouterr() == ("", message)
+    assert not run.exists()
 
 
 def test_generate_answers_whatever_the_ignored_response_holds(workspace, tmp_path, capsys):

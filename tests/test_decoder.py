@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from empgen.autodiff import Tensor, embedding, no_grad
+from empgen.autodiff import Tensor, no_grad
 from empgen.corpus import BOS_ID, EOS_ID
 from empgen.decoder import (
     SEGMENT_ANALYSIS,
     SEGMENT_CONTEXT,
     SEGMENT_KNOWLEDGE,
-    DecoderCache,
     DecoderStack,
+    DecoderStep,
     assemble_memory,
     beam_decode,
     generate,
@@ -282,14 +282,7 @@ def test_generated_response_detokenizes(mini_vocab, rng):
 
 
 # ----------------------------------------------------------------------
-# cached, batched decoding
-
-
-def test_causal_mask_after_cached_rows():
-    np.testing.assert_array_equal(causal_mask(3), np.triu(np.full((3, 3), -1e9), k=1))
-    full = causal_mask(6)
-    for cached in range(6):
-        np.testing.assert_array_equal(causal_mask(6 - cached, cached), full[cached:])
+# the search step on plain arrays
 
 
 def test_cached_rows_match_full_prefix_forward(rng):
@@ -297,44 +290,55 @@ def test_cached_rows_match_full_prefix_forward(rng):
     mem = random_memory(rng)
     seq = [BOS_ID, 5, 7, 3, 9]
     full = stack.forward([seq], mem).data[0]
-    with no_grad():
-        cache = DecoderCache()
-        rows = [stack.forward([[tok]], mem, cache=cache).data[0, 0] for tok in seq]
-        assert cache.length == len(seq)
-        np.testing.assert_allclose(rows, full, rtol=0, atol=1e-12)
-        # Two hypotheses share a cached prefix and advance in one batched step.
-        cache = DecoderCache()
-        stack.forward([seq[:3]], mem, cache=cache)
-        cache.reorder([0, 0])
-        both = stack.forward([[4], [6]], mem, cache=cache).data[:, 0]
+    step = DecoderStep(stack, mem, max_len=len(seq))
+    rows = [step([tok])[0] for tok in seq]
+    assert step.length == len(seq)
+    np.testing.assert_allclose(rows, full, rtol=0, atol=1e-12)
+    # Two hypotheses share a cached prefix and advance in one batched step.
+    step = DecoderStep(stack, mem, max_len=4)
+    for tok in seq[:3]:
+        step([tok])
+    step.reorder([0, 0])
+    both = step([4, 6])
     np.testing.assert_allclose(both[0], stack.forward([seq[:3] + [4]], mem).data[0, -1], rtol=0, atol=1e-12)
     np.testing.assert_allclose(both[1], stack.forward([seq[:3] + [6]], mem).data[0, -1], rtol=0, atol=1e-12)
 
 
-def test_cached_forward_refuses_the_tape(rng):
-    stack = micro_decoder(seed=4, vocab_size=12)
+def test_causal_mask_after_cached_rows(rng):
+    # A step sees only the rows fed so far: buffer rows past them, which
+    # the full forward's causal mask would hide, never reach its logits.
+    stack = micro_decoder(seed=4, vocab_size=12, layers=2)
     mem = random_memory(rng)
-    with pytest.raises(RuntimeError, match="no_grad"):
-        stack.forward([[BOS_ID]], mem, cache=DecoderCache())
+    seq = [BOS_ID, 5, 7, 3, 9]
+    full = stack.forward([seq], mem).data[0]
+    step = DecoderStep(stack, mem, max_len=len(seq))
+    for k, v in step.past:
+        k.fill(np.nan)
+        v.fill(np.nan)
+    for t, tok in enumerate(seq):
+        np.testing.assert_allclose(step([tok])[0], full[t], rtol=0, atol=1e-12)
+
+
+def test_cached_forward_refuses_the_tape(rng):
+    # The cached search step records nothing even with the tape on and a
+    # memory that asks for gradients: it returns a plain array.
+    stack = micro_decoder(seed=4, vocab_size=12)
+    mem = assemble_memory(Tensor(rng.normal(0, 1, (1, 3, 4)), requires_grad=True))
+    logits = DecoderStep(stack, mem, max_len=2)([BOS_ID])
+    assert type(logits) is np.ndarray and logits.shape == (1, 12)
     assert stack.forward([[BOS_ID, 5]], mem).requires_grad  # no cache: the tape records
 
 
 def test_one_row_step_needs_no_causal_mask(rng):
+    # The causal mask's last row hides nothing: the row fed last may see
+    # every row before it, so the step, which feeds one row, passes no mask.
+    np.testing.assert_array_equal(causal_mask(3), np.triu(np.full((3, 3), -1e9), k=1))
+    assert not any(causal_mask(m)[-1].any() for m in range(1, 8))
     stack = micro_decoder(seed=5, vocab_size=12, layers=2)
     mem = random_memory(rng)
-    with no_grad():
-        cache = DecoderCache()
-        stack.forward([[BOS_ID, 5, 7]], mem, cache=cache)
-        past = dict(cache.past)
-        unmasked = stack.forward([[3]], mem, cache=cache).data
-        # The same step through the layers with the one-row mask over 4 rows.
-        mask = causal_mask(1, 3)
-        x = embedding(stack.token_embedding, np.array([[3]])) + Tensor(stack.positions[3:4])
-        for i, layer in enumerate(stack.layers):
-            x, _ = layer(x, cache.memory[i], mask, 0.0, None, past[i])
-        masked = stack.out_proj(x).data
-    assert not mask.any()
-    np.testing.assert_array_equal(masked, unmasked)
+    step = DecoderStep(stack, mem, max_len=4)
+    last = [step([tok]) for tok in (BOS_ID, 5, 7, 3)][-1][0]
+    np.testing.assert_allclose(last, stack.forward([[BOS_ID, 5, 7, 3]], mem).data[0, -1], rtol=0, atol=1e-12)
 
 
 def test_decoding_matches_full_prefix_oracle_on_fixture_corpus(mini_samples, mini_vocab, providers):
@@ -379,12 +383,24 @@ def test_respond_equals_generate_response_classify_and_forward_sample(plan, mini
             np.testing.assert_array_equal(reply.per_token_nll, model.forward_sample(prep, plan).per_token_nll)
 
 
-def test_generation_records_no_tape(rng):
+def test_generation_records_no_tape(rng, monkeypatch):
     stack = micro_decoder(seed=2, vocab_size=12)
     mem = assemble_memory(Tensor(rng.normal(0, 1, (1, 3, 4)), requires_grad=True))
-    calls = []
-    forward = stack.forward
-    stack.forward = lambda *a, **k: calls.append(forward(*a, **k)) or calls[-1]
+    assert stack.forward([[BOS_ID, 5]], mem).requires_grad  # teacher forcing records
+    calls, made = [], []
+    step = DecoderStep.__call__
+    monkeypatch.setattr(DecoderStep, "__call__", lambda self, tokens: calls.append(len(tokens)) or step(self, tokens))
+    monkeypatch.setattr(DecoderStack, "forward", lambda *a, **k: made.append("forward"))
+    tensor = Tensor.__init__
+    monkeypatch.setattr(Tensor, "__init__", lambda self, *a, **k: made.append("Tensor") or tensor(self, *a, **k))
     generate(mem, stack, strategy="beam", beam_size=3, max_gen_len=6)
-    assert len(calls) == 6  # one batched call per step, and no second pass
-    assert all(not out.requires_grad and out._parents == () for out in calls)
+    assert len(calls) == 6 and calls[0] == 1  # one batched step per token, and no second pass
+    assert made == []  # no teacher-forced pass and no Tensor: nothing for a tape to keep
+
+
+def test_generate_refuses_a_beam_wider_than_the_vocabulary(rng):
+    stack = micro_decoder(vocab_size=10)
+    mem = random_memory(rng)
+    with pytest.raises(ValueError, match="beam size 11 is larger than the vocabulary's 10 tokens"):
+        generate(mem, stack, strategy="beam", beam_size=11)
+    assert len(generate(mem, stack, strategy="beam", beam_size=10, max_gen_len=2).ids) >= 1

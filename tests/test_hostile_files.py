@@ -302,6 +302,22 @@ ORIGINAL_BYTES = {reader: text_of(reader, content) for reader, (content, *_) in 
 CACHE_NEWLINE = (ORIGINAL_BYTES["cache"].index(b"\n") + 0.5) / len(ORIGINAL_BYTES["cache"])
 
 
+def keyed_bytes(raw: bytes) -> set[int]:
+    """The offsets of the cache file's ``prompt`` and ``cache_key`` values,
+    quotes included: a record's key is the SHA-256 of its prompt."""
+    offsets, start = set(), 0
+    for line in raw.splitlines(keepends=True):
+        for name in ("prompt", "cache_key"):
+            value = json.dumps(json.loads(line)[name]).encode()
+            at = start + line.index(json.dumps(name).encode() + b": " + value) + len(name) + 4
+            offsets.update(range(at, at + len(value)))
+        start += len(line)
+    return offsets
+
+
+CACHE_KEYED = keyed_bytes(ORIGINAL_BYTES["cache"])
+
+
 def differing(loaded: dict, original: dict) -> set:
     """The keys that one of the two lacks or that hold different values."""
     absent = object()
@@ -331,6 +347,8 @@ def test_a_truncated_text_file_loads_whole_records_or_is_refused(reader, at):
 @example(reader="cache", at=CACHE_NEWLINE, mask=ord("\n") ^ ord(" "))  # two records merged on one line
 @example(reader="dataset", at=0.5, mask=0x80)  # a line that is not UTF-8
 @example(reader="dialogue", at=0.5, mask=0x80)
+@example(reader="cache", at=(min(CACHE_KEYED) + 0.5) / len(ORIGINAL_BYTES["cache"]), mask=0x20)  # the first key's quote
+@example(reader="cache", at=(max(CACHE_KEYED) - 0.5) / len(ORIGINAL_BYTES["cache"]), mask=1)  # the last prompt's "t"
 def test_a_text_file_with_a_flipped_byte_changes_one_value_or_is_refused(reader, at, mask):
     raw = bytearray(ORIGINAL_BYTES[reader])
     raw[int(at * len(raw))] ^= mask
@@ -338,6 +356,9 @@ def test_a_text_file_with_a_flipped_byte_changes_one_value_or_is_refused(reader,
     # One changed record reads as one key gone and one added, or one value changed.
     original = ORIGINALS[reader]
     assert loaded is None or (len(differing(loaded, original)) <= 2 and len(original.keys() - loaded.keys()) <= 1)
+    # The cache checks each key against its prompt, so a flip in either is refused.
+    if reader == "cache" and int(at * len(raw)) in CACHE_KEYED:
+        assert loaded is None
 
 
 def text_places(content):

@@ -262,6 +262,17 @@ def test_cache_malformed_line_before_the_tail_raises(tmp_path):
         AnalysisCache(path)
 
 
+def test_cache_refuses_a_broken_last_line_that_ends_in_its_newline(tmp_path):
+    # A cut-short append has no newline, so this line was written whole.
+    path = tmp_path / "analysis_cache.jsonl"
+    query_analysis("Sentiment label: proud", EchoLlmClient(), AnalysisCache(path))
+    damaged = path.read_bytes().replace(b"proud", b"pr\x01ud")  # a control byte inside the prompt
+    path.write_bytes(damaged)
+    with pytest.raises(ValueError, match=r"analysis_cache\.jsonl:1: malformed analysis cache line: Invalid control"):
+        AnalysisCache(path)
+    assert path.read_bytes() == damaged
+
+
 def test_cache_refuses_two_records_merged_on_the_last_line_and_leaves_the_file(tmp_path):
     path = tmp_path / "analysis_cache.jsonl"
     cache = AnalysisCache(path)
@@ -288,8 +299,9 @@ RECORD = {"prompt": "p", "response": "r", "cache_key": "k", "llm_id": "echo", "c
         ("a string", "not a JSON object"),
         ({**RECORD, "cache_key": ["k"]}, "field 'cache_key' is missing or not a str"),
         ({**RECORD, "created_at": None}, "field 'created_at' is missing or not a str"),
+        (RECORD, "cache_key is not the SHA-256 of the prompt"),
     ],
-    ids=["no response", "a list", "a number", "a string", "list cache_key", "null created_at"],
+    ids=["no response", "a list", "a number", "a string", "list cache_key", "null created_at", "another's key"],
 )
 def test_cache_line_of_the_wrong_shape_is_refused_by_line(tmp_path, line, why):
     path = tmp_path / "analysis_cache.jsonl"

@@ -1,13 +1,16 @@
 """Property tests over random small samples: a padded mix of samples
 computes what each sample computes alone, its gradients pass the
-central-difference check, and any well-formed dialogue either runs
-end to end or is refused by name."""
+central-difference check, the search step computes what teacher forcing
+computes, and any well-formed dialogue either runs end to end or is
+refused by name."""
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from empgen.autodiff import Tensor
 from empgen.corpus import CLS_ID, LabelSet, build_vocab, parse_sample
+from empgen.decoder import DecoderStack, DecoderStep, assemble_memory
 from empgen.fixtures import generate_mini_corpus
 from empgen.knowledge import AnalysisCache, EchoLlmClient, TemplateCommonsenseProvider
 from empgen.model import PLANS, PreparedSample, Providers, padded_rows, prepare_sample, prepare_samples
@@ -74,6 +77,52 @@ def test_any_padded_mix_equals_each_sample_alone(preps, plan):
 def test_grad_check_passes_on_a_drawn_mix(preps):
     report = grad_check(CONFIG, preps=preps)
     assert report.passed, report.summary()
+
+
+# ----------------------------------------------------------------------
+# the search step
+
+STACK = DecoderStack(np.random.default_rng(5), VOCAB, d=8, layers=2, heads=2, ffn_mult=2, dropout=0.0)
+
+
+@st.composite
+def padded_memory(draw):
+    """One sample's memory of two streams, at least one padded, so that
+    it has a ``key_mask``; the padded rows hold values of their own."""
+    widths = draw(st.lists(st.integers(1, 5), min_size=2, max_size=2))
+    valid = [draw(st.integers(1, w)) for w in widths]
+    assume(valid != widths)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    streams = [Tensor(rng.normal(0, 1, (1, w, 8))) for w in widths]
+    return assemble_memory(*streams, lengths=[np.array([n]) for n in valid])
+
+
+@st.composite
+def searches(draw):
+    """Search steps after a first token: each keeps 1-3 hypotheses, each
+    extending a drawn parent row of the step before by a drawn token."""
+    steps, live = [], 1
+    for _ in range(draw(st.integers(0, 5))):
+        parents = draw(st.lists(st.integers(0, live - 1), min_size=1, max_size=3))
+        live = len(parents)
+        steps.append((parents, draw(st.lists(st.integers(0, VOCAB - 1), min_size=live, max_size=live))))
+    return draw(st.integers(0, VOCAB - 1)), steps
+
+
+@PROPERTY
+@given(memory=padded_memory(), search=searches())
+def test_the_step_equals_the_last_row_of_teacher_forcing(memory, search):
+    first, steps = search
+    assert memory.key_mask is not None
+    step = DecoderStep(STACK, memory, max_len=1 + len(steps))
+    prefixes, logits = [[first]], step([first])
+    for parents, tokens in steps:
+        step.reorder(parents)
+        prefixes = [prefixes[p] + [tok] for p, tok in zip(parents, tokens)]
+        logits = step(tokens)
+    assert logits.shape == (len(prefixes), VOCAB)
+    for prefix, row in zip(prefixes, logits):
+        np.testing.assert_allclose(row, STACK.forward([prefix], memory).data[0, -1], rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -784,6 +784,47 @@ def test_overlong_target_fails_the_step_by_sample_id(mini_samples, mini_vocab, l
         train(tiny_config(epochs=1), samples, mini_vocab, fresh_providers(lexicon))
 
 
+def test_a_cause_past_the_positions_keeps_its_suffix_and_is_answered(mini_vocab, labels, lexicon):
+    from empgen.corpus import encode_cause_ids, parse_sample
+    from empgen.model import prepare_sample
+
+    # Three turns of 207 tokens, each naming the gold emotion, so each is a
+    # cause turn: 623 cause tokens with the separators, where the context
+    # keeps its last 256.
+    text = "turn {} i felt so " + "alone " * 202
+    turns = [{"role": ("speaker", "listener")[i % 2], "text": text.format(i)} for i in range(3)]
+    sample = parse_sample({"id": "long-cause", "history": turns, "emotion": "lonely", "response": "oh no"}, labels)
+    plan = PLANS["full"]
+    prep = prepare_sample(sample, mini_vocab, fresh_providers(lexicon), plan)
+    whole = encode_cause_ids(list(sample.history), mini_vocab)
+    assert len(whole) == 623 and prep.cause_ids == whole[-512:]
+    model = tiny_config().build_model(len(mini_vocab))
+    [reply] = model.respond([prep], plan, mini_vocab, max_gen_len=4)
+    assert reply.response.ids and np.isfinite(reply.per_token_nll).all()
+
+
+def test_train_and_evaluate_check_every_length_before_any_work(
+    mini_samples, mini_vocab, lexicon, tmp_path, monkeypatch
+):
+    from dataclasses import replace
+
+    from empgen.evaluation import evaluate
+    from empgen.model import EmpathyModel
+
+    long_reply = replace(mini_samples[3], gold_response=" ".join(["thanks"] * 600))
+    samples = mini_samples[:3] + [long_reply]  # the long one comes last
+    worked = []
+    for name in ("forward_batch", "respond"):
+        monkeypatch.setattr(EmpathyModel, name, lambda *a, name=name, **k: worked.append(name))
+    config = tiny_config(epochs=1, batch_size=2)
+    refusal = rf"sample '{long_reply.id}': target of 601 tokens .* 512 positions"
+    with pytest.raises(ValueError, match=refusal):
+        train(config, samples, mini_vocab, fresh_providers(lexicon), log_path=tmp_path / "log.jsonl")
+    with pytest.raises(ValueError, match=refusal):
+        evaluate(config.build_model(len(mini_vocab)), config, samples, mini_vocab, fresh_providers(lexicon))
+    assert worked == [] and not (tmp_path / "log.jsonl").exists()
+
+
 def test_cause_without_word_tokens_fails_before_the_first_step(mini_samples, mini_vocab, lexicon):
     from dataclasses import replace
 
