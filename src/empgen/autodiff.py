@@ -22,8 +22,11 @@ sublayer result and no logits or log-probabilities. The forward
 arithmetic of ``linear``, ``add_norm`` and ``attention`` is written once,
 over plain arrays, in ``linear_array``, ``add_norm_array`` and
 ``attention_array``: each node calls its array function, and the decoding
-step calls them with no ``Tensor`` at all. ``softmax`` and
-``log_softmax`` work on plain arrays too.
+step (``decoder.DecoderStep``) calls them with no ``Tensor`` at all:
+``linear_array`` for its one q, k and v product and every other
+projection, ``attention_array`` for both attentions, and
+``add_norm_array``, through ``LayerNorm.array``, after each sublayer.
+``softmax`` and ``log_softmax`` work on plain arrays too.
 """
 
 from __future__ import annotations
@@ -351,14 +354,21 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, relu: bool = F
 def add_norm_array(x: np.ndarray, h: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
     """``LN(x + h)`` over the last axis: the sum normalized to zero mean
     and unit variance, scaled by ``gain`` and shifted by ``bias``. Returns
-    the output, the normalized sum and the inverse standard deviation."""
+    the output, the normalized sum and the inverse standard deviation.
+    The sum and its reductions are centered and scaled in place."""
     s = x + h
     n = s.shape[-1]
-    centered = s - np.add.reduce(s, axis=-1, keepdims=True) * (1.0 / n)
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) * (1.0 / n)
-    inv = (var + eps) ** -0.5
-    normed = centered * inv
-    return normed * gain + bias, normed, inv
+    mean = np.add.reduce(s, axis=-1, keepdims=True)
+    mean *= 1.0 / n
+    s -= mean
+    inv = np.add.reduce(s * s, axis=-1, keepdims=True)
+    inv *= 1.0 / n
+    inv += eps
+    inv **= -0.5
+    s *= inv
+    out = s * gain
+    out += bias
+    return out, s, inv
 
 
 def add_norm(

@@ -305,7 +305,6 @@ def cmd_train(args) -> int:
     vocab = Vocab.load(Path(args.data_dir) / VOCAB_FILE)
     providers = build_providers(args, config, train_samples)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result = train(
         config,
         train_samples,
@@ -390,7 +389,6 @@ def cmd_ablate(args) -> int:
     vocab = Vocab.load(Path(args.data_dir) / VOCAB_FILE)
     base_config = load_config(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     reports = []
     counter_log = {}
     for ablation in ABLATION_ORDER:

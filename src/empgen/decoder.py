@@ -4,13 +4,14 @@ generation (greedy or beam).
 
 Teacher forcing and training run ``DecoderStack.forward`` on the tape.
 Generation does not touch it: a ``DecoderStep`` runs each search step on
-plain float64 arrays, feeding one new row per hypothesis. It keeps each
-layer's cross-attention keys and values of the memory, projected and
-split by head once per reply, and preallocated self-attention key and
-value buffers, into which each step writes its new row. The step calls
+plain float64 arrays, feeding one new (B, d) row per hypothesis. Once
+per reply it projects each layer's cross-attention keys and values of
+the memory, split by head, and joins each layer's self-attention
+weights into one q, k and v product; each step writes the new key and
+value rows from that product into preallocated buffers. The step calls
 the array forwards that the fused nodes call, so its logits are those of
 the teacher-forced pass. The live beams advance together in one batched
-step.
+step, and a beam whose rows all stay in place is not copied.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, cross_entropy, embedding, log_softmax, split_heads
+from .autodiff import Tensor, attention_array, concat, cross_entropy, embedding, linear_array, log_softmax
 from .corpus import BOS_ID, EOS_ID, Vocab
 from .layers import DecoderLayer, Linear, causal_mask, pad_ids, prefixed, sinusoidal_positions
 
@@ -229,41 +230,49 @@ class DecoderStep:
 
     ``memory`` is one sample's. Its rows plus their segment embedding are
     projected to each layer's cross-attention keys and values once, split
-    by head. Each layer's self-attention keys and values of the rows fed
-    so far sit in buffers of ``max_len`` rows; a call writes its new row
-    there. A lone new row sees every row before it, so it needs no
-    causal mask.
+    by head. The self-attention q, k and v of the new (B, d) rows are one
+    product with ``[wq | wk | wv]``, joined per step object since training
+    changes the weights, and split by head with one reshape; the new keys
+    and values go from it into (B, heads, ``max_len``, d / heads) buffers.
+    A lone new row sees every row before it, so it needs no causal mask.
     """
 
     def __init__(self, stack: DecoderStack, memory: DecoderMemory, max_len: int):
         self.stack, self.length = stack, 0
         self.heads = heads = stack.layers[0].self_attn.heads
+        d = stack.positions.shape[1]
         mem = memory.values.data + stack.segment_embedding.data[memory.segment_ids]
-        self.memory = [
-            (split_heads(layer.cross_attn.wk.array(mem), heads), split_heads(layer.cross_attn.wv.array(mem), heads))
-            for layer in stack.layers
-        ]
-        mask = None if memory.key_mask is None else memory.key_mask[..., None, :]
-        self.memory_mask = mask[..., None, :, :] if mask is not None and heads > 1 else mask
-        shape = split_heads(np.empty((1, max_len, stack.positions.shape[1])), heads).shape
+        self.memory_mask = None if memory.key_mask is None else memory.key_mask[:, None, None, :]
+        self.weights = []  # per layer: the q, k and v weight and bias, and the memory's keys and values
+        for layer in stack.layers:
+            a, c = layer.self_attn, layer.cross_attn
+            qkv = np.concatenate([a.wq.weight.data, a.wk.weight.data, a.wv.weight.data], axis=1)
+            qkv_bias = np.concatenate([a.wq.bias.data, np.zeros(d), a.wv.bias.data])  # wk has no bias
+            mem_kv = [w.array(mem).reshape(1, -1, heads, d // heads).swapaxes(1, 2) for w in (c.wk, c.wv)]
+            self.weights.append((qkv, qkv_bias, *mem_kv))
+        shape = (1, heads, max_len, d // heads)
         self.past = [(np.empty(shape), np.empty(shape)) for _ in stack.layers]
 
     def reorder(self, parents) -> None:
-        """Keep, for each next hypothesis, the rows of its parent."""
-        self.past = [(k[parents], v[parents]) for k, v in self.past]
+        """Keep, for each next hypothesis, the rows of its parent. When
+        every hypothesis extends its own row, the buffers stay as they are."""
+        if len(parents) != len(self.past[0][0]) or list(parents) != list(range(len(parents))):
+            self.past = [(k[parents], v[parents]) for k, v in self.past]
 
     def __call__(self, tokens) -> np.ndarray:
-        stack, t, heads = self.stack, self.length, self.heads
-        x = stack.token_embedding.data[np.asarray(tokens, dtype=np.int64)[:, None]] + stack.positions[t : t + 1]
-        for layer, (mem_k, mem_v), (k, v) in zip(stack.layers, self.memory, self.past):
-            attn = layer.self_attn
-            k[..., t : t + 1, :] = split_heads(attn.wk.array(x), heads)
-            v[..., t : t + 1, :] = split_heads(attn.wv.array(x), heads)
-            x = layer.ln1.array(x, attn.array(x, k[..., : t + 1, :], v[..., : t + 1, :]))
-            x = layer.ln2.array(x, layer.cross_attn.array(x, mem_k, mem_v, self.memory_mask))
+        stack, t, heads, mask = self.stack, self.length, self.heads, self.memory_mask
+        x = stack.token_embedding.data[np.asarray(tokens, dtype=np.int64)] + stack.positions[t]
+        b, new = len(x), slice(t, t + 1)
+        for layer, (qkv, qkv_bias, mem_k, mem_v), (k, v) in zip(stack.layers, self.weights, self.past):
+            attn, cross = layer.self_attn, layer.cross_attn
+            q, k[:, :, new], v[:, :, new] = linear_array(x, qkv, qkv_bias).reshape(b, 3, heads, 1, -1).swapaxes(0, 1)
+            out, _ = attention_array(q, k[:, :, : t + 1], v[:, :, : t + 1], attn.scale)
+            x = layer.ln1.array(x, attn.wo.array(out.reshape(b, -1)))
+            out, _ = attention_array(cross.wq.array(x).reshape(b, heads, 1, -1), mem_k, mem_v, cross.scale, mask)
+            x = layer.ln2.array(x, cross.wo.array(out.reshape(b, -1)))
             x = layer.ln3.array(x, layer.ffn.array(x))
         self.length = t + 1
-        return stack.out_proj.array(x)[:, 0]
+        return stack.out_proj.array(x)
 
 
 def generate(

@@ -7,10 +7,7 @@ import math
 
 import numpy as np
 
-from .autodiff import (
-    Tensor, add_norm, add_norm_array, attention, attention_array, linear, linear_array, merge_heads, parameter,
-    split_heads,
-)
+from .autodiff import Tensor, add_norm, add_norm_array, attention, linear, linear_array, parameter
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -118,13 +115,6 @@ class MultiHeadAttention:
         scores."""
         k, v = self.wk(context), self.wv(context)
         return self.wo(attention(self.wq(query), k, v, self.scale, mask, heads=self.heads))
-
-    def array(self, query: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        """Attend from plain ``query`` rows over keys and values projected
-        and split by head before (``split_heads``); ``mask`` broadcasts
-        against the split (..., heads, queries, keys) scores."""
-        out, _ = attention_array(split_heads(self.wq.array(query), self.heads), k, v, self.scale, mask)
-        return self.wo.array(merge_heads(out, self.heads))
 
     def parameters(self) -> dict[str, Tensor]:
         return prefixed({"wq": self.wq, "wk": self.wk, "wv": self.wv, "wo": self.wo})

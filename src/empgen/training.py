@@ -4,6 +4,7 @@ deterministic batching and checkpointing."""
 from __future__ import annotations
 
 import json
+import os
 import time
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -117,6 +118,36 @@ class TrainConfig:
     def fingerprint(self) -> str:
         return sha256_hex(canonical_json(self.to_dict()))
 
+    def model_bytes(self, vocab_size: int, training: bool) -> dict[str, int]:
+        """Estimated bytes of ``EmpathyModel``'s arrays, by the settings that
+        size them: 8 per float64 parameter, 32 in training with its gradient
+        and Adam's two moments, and the one position table all stacks share."""
+        d, f, e, per = self.d, self.ffn_mult, self.num_emotions, 32 if training else 8
+        # Two token embeddings and the output projection grow with the
+        # vocabulary. Per layer: two encoder blocks and a decoder block; then
+        # the fusion maps, the segment embedding and the emotion classifier.
+        rest = self.layers * ((16 + 6 * f) * d * d + (29 + 3 * f) * d) + 3 * d * (d + 1) + (3 * d + 1) * e
+        return {
+            f"the vocabulary of {vocab_size} tokens": vocab_size * (3 * d + 1) * per,
+            f"d={d}, layers={self.layers} and ffn_mult={f}": rest * per,
+            f"max_context_len={self.max_context_len} and max_analysis_len={self.max_analysis_len}, "
+            f"which give {self.positions} positions": self.positions * d * 8,
+        }
+
+    def check_memory(self, vocab_size: int, training: bool) -> None:
+        """Refuse a model whose ``model_bytes`` are past the machine's
+        physical memory, before any of its arrays is allocated."""
+        parts = self.model_bytes(vocab_size, training)
+        try:
+            limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError, OSError):  # a system that does not say
+            return
+        if 0 < limit < sum(parts.values()):
+            raise ValueError(
+                f"the model needs an estimated {sum(parts.values()) / 2**30:.1f} GiB{' to train' * training}, more "
+                f"than the machine's {limit / 2**30:.1f} GiB of memory; most is for {max(parts, key=parts.get)}"
+            )
+
     def build_model(self, vocab_size: int, rng: np.random.Generator | None = None) -> EmpathyModel:
         return EmpathyModel(self, vocab_size, rng)
 
@@ -218,8 +249,9 @@ def train(
     log_path: str | Path | None = None,
     timing_path: str | Path | None = None,
 ) -> TrainResult:
-    """Run the joint objective over the samples, once every sample's
-    sequence lengths are checked against the position table.
+    """Run the joint objective over the samples, once the model's size is
+    checked against the machine's memory (``TrainConfig.check_memory``)
+    and every sample's sequence lengths against the position table.
 
     The generation loss enters the reported total as the batch sum divided
     by the batch token count. Each batch is sorted by its samples' own padded encoder
@@ -234,7 +266,9 @@ def train(
     the same bytes on every run; ``timing_path`` receives each step's wall
     time in ms and target tokens per second, which differ from run to run,
     and its real and padded encoder rows summed over the micro-batches.
+    Their directories are made after the checks.
     """
+    config.check_memory(len(vocab), training=True)
     plan = PLANS[config.ablation]
     providers = providers or Providers()
     prepared = prepare_samples(
@@ -248,6 +282,8 @@ def train(
     opt = Adam(params, config.adam_beta1, config.adam_beta2, config.adam_eps)
 
     history: list[LossBreakdown] = []
+    for path in filter(None, (log_path, timing_path)):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     timing_fh = open(timing_path, "w", encoding="utf-8") if timing_path else None
     step = 0
@@ -399,6 +435,7 @@ def load_checkpoint(path: str | Path, vocab: Vocab | None = None) -> LoadedCheck
         _check_vocab(meta, vocab)
     try:
         config = TrainConfig.from_dict(meta["config"])
+        config.check_memory(meta["vocab_size"], training=False)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {path} holds a config that is refused: {exc}") from exc
     model = config.build_model(meta["vocab_size"])

@@ -119,6 +119,20 @@ def test_config_file_generation_cap_past_the_positions_is_refused(workspace, tmp
     assert main([*args, str(fast_config(tmp_path, max_gen_len=600, max_context_len=600))]) == 0
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_model_past_physical_memory_is_refused_before_any_work(workspace, tmp_path, capsys, monkeypatch, command):
+    from empgen import training
+
+    monkeypatch.setattr(training, "prepare_samples", lambda *a: pytest.fail("the samples were prepared"))
+    monkeypatch.setattr(training, "EmpathyModel", lambda *a: pytest.fail("the model was built"))
+    run = tmp_path / "run"
+    config = fast_config(tmp_path, d=2**20, heads=1)  # about 1e15 bytes to train
+    assert main([command, "--data-dir", str(workspace / "data"), "--out", str(run), "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "GiB to train" in err and err.rstrip().endswith("most is for d=1048576, layers=1 and ffn_mult=2")
+    assert not run.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "ablate", "build-knowledge"])
 def test_config_file_emotion_count_other_than_the_labels_is_refused(workspace, tmp_path, capsys, command):
     run = tmp_path / "run"

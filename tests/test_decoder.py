@@ -304,10 +304,12 @@ def test_cached_rows_match_full_prefix_forward(rng):
     np.testing.assert_allclose(both[1], stack.forward([seq[:3] + [6]], mem).data[0, -1], rtol=0, atol=1e-12)
 
 
-def test_causal_mask_after_cached_rows(rng):
+@pytest.mark.parametrize("heads", [1, 2])
+def test_causal_mask_after_cached_rows(rng, heads):
     # A step sees only the rows fed so far: buffer rows past them, which
     # the full forward's causal mask would hide, never reach its logits.
-    stack = micro_decoder(seed=4, vocab_size=12, layers=2)
+    # With one head, the split of the q, k and v product keeps each row whole.
+    stack = micro_decoder(seed=4, vocab_size=12, layers=2, heads=heads)
     mem = random_memory(rng)
     seq = [BOS_ID, 5, 7, 3, 9]
     full = stack.forward([seq], mem).data[0]

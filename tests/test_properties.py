@@ -82,7 +82,11 @@ def test_grad_check_passes_on_a_drawn_mix(preps):
 # ----------------------------------------------------------------------
 # the search step
 
-STACK = DecoderStack(np.random.default_rng(5), VOCAB, d=8, layers=2, heads=2, ffn_mult=2, dropout=0.0)
+STACKS = {
+    (heads, layers): DecoderStack(np.random.default_rng(5), VOCAB, 8, layers, heads, ffn_mult=2, dropout=0.0)
+    for heads in (1, 2, 4)
+    for layers in (1, 2)
+}
 
 
 @st.composite
@@ -99,30 +103,40 @@ def padded_memory(draw):
 
 @st.composite
 def searches(draw):
-    """Search steps after a first token: each keeps 1-3 hypotheses, each
-    extending a drawn parent row of the step before by a drawn token."""
-    steps, live = [], 1
+    """Search steps, as ``beam_decode`` makes them: the first extends the
+    empty prefix, and each later one keeps 1-3 hypotheses, each extending
+    a parent row of the step before by a drawn token. A later step keeps
+    every row where it was, as a beam does that changes no rank, or
+    permutes the rows, or draws its parents freely."""
+    steps, live = [([0], [draw(st.integers(0, VOCAB - 1))])], 1
     for _ in range(draw(st.integers(0, 5))):
-        parents = draw(st.lists(st.integers(0, live - 1), min_size=1, max_size=3))
+        parents = draw(st.one_of(
+            st.just(list(range(live))),
+            st.permutations(range(live)),
+            st.lists(st.integers(0, live - 1), min_size=1, max_size=3),
+        ))
         live = len(parents)
         steps.append((parents, draw(st.lists(st.integers(0, VOCAB - 1), min_size=live, max_size=live))))
-    return draw(st.integers(0, VOCAB - 1)), steps
+    return steps
 
 
 @PROPERTY
-@given(memory=padded_memory(), search=searches())
-def test_the_step_equals_the_last_row_of_teacher_forcing(memory, search):
-    first, steps = search
+@given(memory=padded_memory(), steps=searches(), heads=st.sampled_from([1, 2, 4]), layers=st.integers(1, 2))
+def test_the_step_equals_the_last_row_of_teacher_forcing(memory, steps, heads, layers):
+    stack = STACKS[heads, layers]
     assert memory.key_mask is not None
-    step = DecoderStep(STACK, memory, max_len=1 + len(steps))
-    prefixes, logits = [[first]], step([first])
+    step = DecoderStep(stack, memory, max_len=len(steps))
+    prefixes = [[]]
     for parents, tokens in steps:
+        buffers = [b for pair in step.past for b in pair]
         step.reorder(parents)
+        if parents == list(range(len(prefixes))):  # no copy: the very same buffers
+            assert all(a is b for a, b in zip(buffers, (b for pair in step.past for b in pair), strict=True))
         prefixes = [prefixes[p] + [tok] for p, tok in zip(parents, tokens)]
         logits = step(tokens)
-    assert logits.shape == (len(prefixes), VOCAB)
-    for prefix, row in zip(prefixes, logits):
-        np.testing.assert_allclose(row, STACK.forward([prefix], memory).data[0, -1], rtol=0, atol=1e-12)
+        assert logits.shape == (len(prefixes), VOCAB)
+        for prefix, row in zip(prefixes, logits):
+            np.testing.assert_allclose(row, stack.forward([prefix], memory).data[0, -1], rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------------------------

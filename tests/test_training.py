@@ -884,3 +884,56 @@ def test_grad_norm_is_the_norm_before_clipping(mini_samples, mini_vocab, lexicon
     assert clipped.history[0].grad_norm == free.history[0].grad_norm
     assert clipped.history[0].grad_norm > 100 * clip
     assert abs(clipped_norms[0] - clip) <= 1e-12
+
+
+# ----------------------------------------------------------------------
+# the model's size against the machine's memory
+
+
+@pytest.mark.parametrize(
+    "fields", [{}, dict(layers=2, ffn_mult=3), dict(d=8, heads=1, num_emotions=5, max_context_len=600)]
+)
+def test_model_bytes_count_every_parameter_and_the_position_table(fields):
+    config = tiny_config(**fields)
+    model = config.build_model(30)
+    params = sum(p.data.size for p in model.named_parameters().values())
+    table = model.context_encoder.positions.size
+    assert sum(config.model_bytes(30, training=False).values()) == 8 * (params + table)
+    assert sum(config.model_bytes(30, training=True).values()) == 32 * params + 8 * table
+
+
+def test_the_memory_check_refuses_only_past_physical_memory(monkeypatch):
+    from empgen import training
+
+    config = tiny_config()
+    need = sum(config.model_bytes(10_000, training=True).values())
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need}
+    monkeypatch.setattr(training.os, "sysconf", memory.__getitem__)
+    config.check_memory(10_000, training=True)  # an exact fit
+    memory["SC_PHYS_PAGES"] = need - 1
+    refusal = r"needs an estimated 0\.0 GiB to train, .* most is for the vocabulary of 10000 tokens$"
+    with pytest.raises(ValueError, match=refusal):
+        config.check_memory(10_000, training=True)
+    config.check_memory(10_000, training=False)  # a quarter of the bytes per parameter
+
+    def unknown(name):  # as os.sysconf on a system that does not say: nothing is refused
+        raise ValueError("unrecognized configuration name")
+
+    monkeypatch.setattr(training.os, "sysconf", unknown)
+    config.check_memory(10**12, training=True)
+
+
+def test_a_checkpoint_whose_model_is_past_physical_memory_is_refused_unbuilt(tmp_path, mini_vocab, monkeypatch):
+    from empgen import training
+
+    config = tiny_config()
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, config.build_model(len(mini_vocab)), config, mini_vocab)
+    with np.load(path, allow_pickle=False) as archive:
+        data = dict(archive)
+    data["meta"] = np.array(json.dumps({**json.loads(str(data["meta"])), "vocab_size": 10**12}))
+    np.savez(path, **data)
+    monkeypatch.setattr(training, "EmpathyModel", lambda *a: pytest.fail("the model was built"))
+    refusal = rf"^checkpoint {re.escape(str(path))} holds a config that is refused: .* the vocabulary of {10**12} tokens$"
+    with pytest.raises(CheckpointError, match=refusal):
+        load_checkpoint(path)
