@@ -17,8 +17,10 @@ ops would record 2 (3 with ``linear``'s ReLU), 14 (dropout, residual add
 and 12 for LayerNorm), 6 (14 with attention's head split and merge) and
 3 (log-softmax, pick and negation; 4 with a padding mask). Their forward
 and backward passes do the composed ops' float operations in the same
-order; they keep a dropout mask as booleans, no ReLU pre-activation, no
-sublayer result and no logits or log-probabilities. The forward
+order, but attention scales the queries and divides its output by the
+softmax sums, and normalises its weights only for a backward pass or
+when asked; they keep a dropout mask as booleans, no ReLU pre-activation,
+no sublayer result and no logits or log-probabilities. The forward
 arithmetic of ``linear``, ``add_norm`` and ``attention`` is written once,
 over plain arrays, in ``linear_array``, ``add_norm_array`` and
 ``attention_array``: each node calls its array function, and the decoding
@@ -97,8 +99,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax over ``axis`` of a plain array, computed in place in ``x``
-    and returned: pass a fresh array that nothing else reads (attention's
-    scores can be megabytes)."""
+    and returned: pass a fresh array that nothing else reads."""
     x -= np.maximum.reduce(x, axis=axis, keepdims=True)
     np.exp(x, out=x)
     x /= np.add.reduce(x, axis=axis, keepdims=True)
@@ -322,7 +323,7 @@ def linear_array(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = No
     if bias is not None:
         y += bias
     if relu:
-        y *= y > 0
+        np.maximum(y, 0.0, out=y)
     return y.reshape(*x.shape[:-1], m)
 
 
@@ -417,16 +418,20 @@ def merge_heads(x: np.ndarray, heads: int) -> np.ndarray:
 
 
 def attention_array(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, mask: np.ndarray | None = None):
-    """``softmax(q kᵀ * scale + mask) v`` over the last two axes, and the
-    weights; leading axes broadcast, and ``mask`` is additive (-1e9 hides
-    a key)."""
-    # One scores array, changed in place: it can be megabytes.
-    p = q @ k.swapaxes(-1, -2)
-    p *= scale
+    """``softmax(q kᵀ * scale + mask) v`` over the last two axes; leading
+    axes broadcast, and ``mask`` is additive (-1e9 hides a key). Returns
+    the output, the weights unnormalised and their row sums (each ≥ 1)."""
+    # One scores array, changed in place: it can be megabytes. The queries
+    # take the scale and the output the softmax division, not the scores.
+    e = (q * scale) @ k.swapaxes(-1, -2)
     if mask is not None:
-        p += mask
-    softmax(p)
-    return p @ v, p
+        e += mask
+    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    sums = np.add.reduce(e, axis=-1, keepdims=True)
+    out = e @ v
+    out /= sums
+    return out, e, sums
 
 
 def attention(
@@ -446,10 +451,14 @@ def attention(
     qs, ks, vs = (split_heads(t.data, heads) for t in (q, k, v))
     if mask is not None and heads > 1 and mask.ndim > 1:
         mask = mask[..., None, :, :]
-    out, p = attention_array(qs, ks, vs, scale, mask)
+    out, p, sums = attention_array(qs, ks, vs, scale, mask)
+    if return_weights:
+        p /= sums
     parents = q_node, k_node, v_node = q.node, k.node, v.node
 
     def backward(g):
+        if not return_weights:  # the weights, normalised in place only for this pass
+            np.divide(p, sums, out=p)
         g = split_heads(g, heads)
         if v_node.requires_grad:
             v_node.accumulate(merge_heads(_unbroadcast(p.swapaxes(-1, -2) @ g, vs.shape), heads), owned=True)

@@ -266,9 +266,9 @@ class DecoderStep:
         for layer, (qkv, qkv_bias, mem_k, mem_v), (k, v) in zip(stack.layers, self.weights, self.past):
             attn, cross = layer.self_attn, layer.cross_attn
             q, k[:, :, new], v[:, :, new] = linear_array(x, qkv, qkv_bias).reshape(b, 3, heads, 1, -1).swapaxes(0, 1)
-            out, _ = attention_array(q, k[:, :, : t + 1], v[:, :, : t + 1], attn.scale)
+            out = attention_array(q, k[:, :, : t + 1], v[:, :, : t + 1], attn.scale)[0]
             x = layer.ln1.array(x, attn.wo.array(out.reshape(b, -1)))
-            out, _ = attention_array(cross.wq.array(x).reshape(b, heads, 1, -1), mem_k, mem_v, cross.scale, mask)
+            out = attention_array(cross.wq.array(x).reshape(b, heads, 1, -1), mem_k, mem_v, cross.scale, mask)[0]
             x = layer.ln2.array(x, cross.wo.array(out.reshape(b, -1)))
             x = layer.ln3.array(x, layer.ffn.array(x))
         self.length = t + 1

@@ -244,10 +244,10 @@ def test_fused_nodes_match_composed_ops_and_differences():
         centered = s - s.sum(axis=-1, keepdims=True) * (1.0 / 5)
         var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / 5)
         h = centered * (var + 1e-5) ** -0.5 * gain.data + shift.data
-        scores = h @ k.data.swapaxes(-1, -2) * 0.7 + mask
+        # Attention scales the queries and divides its output by the sums.
+        scores = (h * 0.7) @ k.data.swapaxes(-1, -2) + mask
         weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        weights /= weights.sum(axis=-1, keepdims=True)
-        return ((weights @ v.data) * probe).sum()
+        return ((weights @ v.data) / weights.sum(axis=-1, keepdims=True) * probe).sum()
 
     assert float(fused().data) == float(composed())
     fused().backward()

@@ -1,23 +1,26 @@
 """Property tests over random small samples: a padded mix of samples
 computes what each sample computes alone, its gradients pass the
-central-difference check, the search step computes what teacher forcing
-computes, and any well-formed dialogue either runs end to end or is
-refused by name."""
+central-difference check, attention computes the same bits with or
+without the tape or its weights, the search step computes what teacher
+forcing computes, any well-formed dialogue either runs end to end or is
+refused by name, and a cause past the position table keeps its last ids
+and is answered."""
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from empgen.autodiff import Tensor
-from empgen.corpus import CLS_ID, LabelSet, build_vocab, parse_sample
+from empgen.autodiff import Tensor, attention, no_grad, parameter
+from empgen.corpus import CLS_ID, LabelSet, build_vocab, encode_cause_ids, parse_sample
 from empgen.decoder import DecoderStack, DecoderStep, assemble_memory
+from empgen.evaluation import evaluate
 from empgen.fixtures import generate_mini_corpus
 from empgen.knowledge import AnalysisCache, EchoLlmClient, TemplateCommonsenseProvider
 from empgen.model import PLANS, PreparedSample, Providers, padded_rows, prepare_sample, prepare_samples
 from empgen.selectors import HeuristicCauseDetector, OracleSentimentPredictor, load_lexicon
 from empgen.training import TrainConfig
 
-from .oracles import grad_check
+from .oracles import grad_check, reference
 
 VOCAB = 24
 LABELS = 5
@@ -77,6 +80,45 @@ def test_any_padded_mix_equals_each_sample_alone(preps, plan):
 def test_grad_check_passes_on_a_drawn_mix(preps):
     report = grad_check(CONFIG, preps=preps)
     assert report.passed, report.summary()
+
+
+# ----------------------------------------------------------------------
+# attention
+
+
+@st.composite
+def attention_inputs(draw):
+    """q (B, queries, 8), k and v (B, keys, 8), and an additive key mask
+    (B, 1, keys) that hides any keys of each sample but one at least."""
+    batch, queries, keys = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    hidden = [draw(st.lists(st.booleans(), min_size=keys, max_size=keys)) for _ in range(batch)]
+    for row in hidden:
+        row[draw(st.integers(0, keys - 1))] = False
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    q, k, v = (rng.normal(0, 1, (batch, rows, 8)) for rows in (queries, keys, keys))
+    return q, k, v, np.where(hidden, -1e9, 0.0)[:, None, :]
+
+
+@PROPERTY
+@given(inputs=attention_inputs(), heads=st.sampled_from([1, 2, 4]), scale=st.sampled_from([0.5, 0.3, 1.7]))
+def test_attention_output_is_the_same_with_or_without_the_tape_or_weights(inputs, heads, scale):
+    q, k, v, mask = inputs
+    recorded = attention(*map(parameter, (q, k, v)), scale, mask, heads=heads)
+    assert recorded.requires_grad
+    with no_grad():
+        bare = attention(*map(parameter, (q, k, v)), scale, mask, heads=heads)
+    out, weights = attention(*map(parameter, (q, k, v)), scale, mask, return_weights=True, heads=heads)
+    np.testing.assert_array_equal(recorded.data, bare.data)
+    np.testing.assert_array_equal(recorded.data, out.data)
+    weights = weights.data.reshape(len(q), heads, q.shape[1], k.shape[1])
+    assert np.abs(weights.sum(axis=-1) - 1.0).max() <= 1e-15 * k.shape[1]
+    assert not weights[np.broadcast_to(mask[:, None] < 0, weights.shape)].any()
+    # Each head against the reference softmax, one sample at a time.
+    split = [x.reshape(*x.shape[:2], heads, -1).swapaxes(1, 2) for x in (q, k, v, recorded.data)]
+    for b, (qb, kb, vb, got) in enumerate(zip(*split)):
+        for h in range(heads):
+            want = reference.softmax_rows(scale * qb[h] @ kb[h].T + mask[b]) @ vb[h]
+            np.testing.assert_allclose(got[h], want, rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +188,8 @@ LABEL_SET = LabelSet.default()
 LEXICON = load_lexicon(LABEL_SET)
 CORPUS = [parse_sample(r, LABEL_SET) for r in generate_mini_corpus(seed=7, size=32)]
 DIALOGUE_VOCAB = build_vocab(CORPUS)
-DIALOGUE_MODEL = TrainConfig(seed=3, d=16, layers=1, heads=2, ffn_mult=2, dropout=0.0).build_model(len(DIALOGUE_VOCAB))
+DIALOGUE_CONFIG = TrainConfig(seed=3, d=16, layers=1, heads=2, ffn_mult=2, dropout=0.0)
+DIALOGUE_MODEL = DIALOGUE_CONFIG.build_model(len(DIALOGUE_VOCAB))
 
 
 def dialogue_providers():
@@ -210,3 +253,37 @@ def test_any_dialogue_runs_end_to_end_or_is_refused_by_name(record, mates, at):
         assert all(np.isfinite(nll).all() for nll in batch.per_token_nll)
         for reply in replies:
             assert reply.response.ids and all(0 <= i < len(DIALOGUE_VOCAB) for i in reply.response.ids)
+
+
+CUES = {name: sorted(w for w, names in LEXICON.items() if name in names) for name in LABEL_SET.names}
+
+
+@st.composite
+def long_dialogue(draw):
+    """5 or 7 turns of 110-300 words, each holding a cue word of the gold
+    emotion, so that every turn is a cause turn and, joined, they pass the
+    position table."""
+    emotion = draw(st.sampled_from([name for name, cues in CUES.items() if cues]))
+    turns = []
+    for _ in range(draw(st.sampled_from([5, 7]))):
+        words = draw(st.lists(WORDS, min_size=1, max_size=6))
+        turn = [words[i % len(words)] for i in range(draw(st.integers(110, 300)))]
+        turn.insert(draw(st.integers(0, len(turn))), draw(st.sampled_from(CUES[emotion])))
+        turns.append(" ".join(turn))
+    history = [{"role": ("speaker", "listener")[i % 2], "text": t} for i, t in enumerate(turns)]
+    return parse_sample({"id": "long", "history": history, "emotion": emotion, "response": draw(SHORT)}, LABEL_SET)
+
+
+@settings(PROPERTY, max_examples=4)
+@given(sample=long_dialogue())
+def test_a_cause_past_the_position_table_keeps_its_last_ids_and_is_answered(sample):
+    plan = PLANS[DIALOGUE_CONFIG.ablation]
+    cause = encode_cause_ids(sample.history, DIALOGUE_VOCAB)
+    assert len(cause) > DIALOGUE_CONFIG.positions
+    prep = prepare_sample(sample, DIALOGUE_VOCAB, dialogue_providers(), plan)
+    assert prep.cause_ids == cause[-DIALOGUE_CONFIG.positions :]
+    for strategy in ("greedy", "beam"):
+        reply = DIALOGUE_MODEL.respond([prep], plan, DIALOGUE_VOCAB, strategy, beam_size=2, max_gen_len=6)[0]
+        assert reply.response.ids and all(0 <= i < len(DIALOGUE_VOCAB) for i in reply.response.ids)
+    report = evaluate(DIALOGUE_MODEL, DIALOGUE_CONFIG, [CORPUS[0], sample], DIALOGUE_VOCAB, dialogue_providers())
+    assert report.sample_count == 2 and np.isfinite(report.ppl)
