@@ -66,6 +66,14 @@ def _load_split(data_dir: str | Path, split: str):
     return load_dataset(_split_path(data_dir, split), LABELS)
 
 
+def _samples(data_dir: str | Path, split: str):
+    """The split's samples to train on or evaluate, refused by the file when it holds none."""
+    samples = _load_split(data_dir, split)
+    if not samples:
+        raise ValueError(f"split file {_split_path(data_dir, split)} holds no samples")
+    return samples
+
+
 def write_manifest(args, config: dict, seed: int) -> None:
     """``run_manifest.json`` in ``args.out``, for the command ``args`` runs."""
     manifest = {
@@ -301,7 +309,7 @@ def _load_trained(args):
 
 def cmd_train(args) -> int:
     config = load_config(args)
-    train_samples = _load_split(args.data_dir, "train")
+    train_samples = _samples(args.data_dir, "train")
     vocab = Vocab.load(Path(args.data_dir) / VOCAB_FILE)
     providers = build_providers(args, config, train_samples)
     out = Path(args.out)
@@ -338,7 +346,7 @@ def cmd_evaluate(args) -> int:
             file=sys.stderr,
         )
         return 2
-    samples = _load_split(args.data_dir, args.split)
+    samples = _samples(args.data_dir, args.split)
     report = evaluate(
         loaded.model,
         config,
@@ -384,8 +392,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    train_samples = _load_split(args.data_dir, "train")
-    test_samples = _load_split(args.data_dir, args.split)
+    train_samples = _samples(args.data_dir, "train")
+    test_samples = _samples(args.data_dir, args.split)
     vocab = Vocab.load(Path(args.data_dir) / VOCAB_FILE)
     base_config = load_config(args)
     out = Path(args.out)

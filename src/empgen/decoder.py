@@ -6,12 +6,12 @@ Teacher forcing and training run ``DecoderStack.forward`` on the tape.
 Generation does not touch it: a ``DecoderStep`` runs each search step on
 plain float64 arrays, feeding one new (B, d) row per hypothesis. Once
 per reply it projects each layer's cross-attention keys and values of
-the memory, split by head, and joins each layer's self-attention
-weights into one q, k and v product; each step writes the new key and
-value rows from that product into preallocated buffers. The step calls
-the array forwards that the fused nodes call, so its logits are those of
-the teacher-forced pass. The live beams advance together in one batched
-step, and a beam whose rows all stay in place is not copied.
+the memory head first, for one product per head over all hypotheses,
+and joins each layer's self-attention weights into one q, k and v
+product, whose new key and value rows each step writes into
+preallocated buffers. The step calls the array forwards of the fused
+nodes, so its logits are those of the teacher-forced pass. The live
+beams advance together in one step; a beam whose rows stay is not copied.
 """
 
 from __future__ import annotations
@@ -229,8 +229,10 @@ class DecoderStep:
     whole prefix. No ``Tensor`` is made, so nothing is recorded.
 
     ``memory`` is one sample's. Its rows plus their segment embedding are
-    projected to each layer's cross-attention keys and values once, split
-    by head. The self-attention q, k and v of the new (B, d) rows are one
+    projected to each layer's cross-attention keys and values once, head
+    first and C-contiguous: keys (heads, d / heads, rows), values (heads,
+    rows, d / heads), one GEMM per head over the (heads, B, d / heads)
+    queries. The self-attention q, k and v of the new (B, d) rows are one
     product with ``[wq | wk | wv]``, joined per step object since training
     changes the weights, and split by head with one reshape; the new keys
     and values go from it into (B, heads, ``max_len``, d / heads) buffers.
@@ -242,14 +244,15 @@ class DecoderStep:
         self.heads = heads = stack.layers[0].self_attn.heads
         d = stack.positions.shape[1]
         mem = memory.values.data + stack.segment_embedding.data[memory.segment_ids]
-        self.memory_mask = None if memory.key_mask is None else memory.key_mask[:, None, None, :]
+        self.memory_mask = None if memory.key_mask is None else memory.key_mask[:, None, :]
         self.weights = []  # per layer: the q, k and v weight and bias, and the memory's keys and values
         for layer in stack.layers:
             a, c = layer.self_attn, layer.cross_attn
             qkv = np.concatenate([a.wq.weight.data, a.wk.weight.data, a.wv.weight.data], axis=1)
             qkv_bias = np.concatenate([a.wq.bias.data, np.zeros(d), a.wv.bias.data])  # wk has no bias
-            mem_kv = [w.array(mem).reshape(1, -1, heads, d // heads).swapaxes(1, 2) for w in (c.wk, c.wv)]
-            self.weights.append((qkv, qkv_bias, *mem_kv))
+            k, v = (w.array(mem).reshape(-1, heads, d // heads).swapaxes(0, 1) for w in (c.wk, c.wv))
+            k = np.ascontiguousarray(k.swapaxes(1, 2)).swapaxes(1, 2)  # kᵀ is C-contiguous (heads, d/heads, rows)
+            self.weights.append((qkv, qkv_bias, k, np.ascontiguousarray(v)))
         shape = (1, heads, max_len, d // heads)
         self.past = [(np.empty(shape), np.empty(shape)) for _ in stack.layers]
 
@@ -268,11 +271,28 @@ class DecoderStep:
             q, k[:, :, new], v[:, :, new] = linear_array(x, qkv, qkv_bias).reshape(b, 3, heads, 1, -1).swapaxes(0, 1)
             out = attention_array(q, k[:, :, : t + 1], v[:, :, : t + 1], attn.scale)[0]
             x = layer.ln1.array(x, attn.wo.array(out.reshape(b, -1)))
-            out = attention_array(cross.wq.array(x).reshape(b, heads, 1, -1), mem_k, mem_v, cross.scale, mask)[0]
-            x = layer.ln2.array(x, cross.wo.array(out.reshape(b, -1)))
+            q = cross.wq.array(x).reshape(b, heads, -1).swapaxes(0, 1)
+            out = attention_array(q, mem_k, mem_v, cross.scale, mask)[0]
+            x = layer.ln2.array(x, cross.wo.array(out.swapaxes(0, 1).reshape(b, -1)))
             x = layer.ln3.array(x, layer.ffn.array(x))
         self.length = t + 1
         return stack.out_proj.array(x)
+
+
+def check_search(stack: DecoderStack, strategy: str, beam_size: int, max_gen_len: int) -> None:
+    """Refuse a search ``stack`` cannot run: an unknown strategy, a beam
+    wider than the vocabulary or narrower than 1, or a reply longer than
+    the position table or shorter than 1 token."""
+    if strategy not in ("greedy", "beam"):
+        raise ValueError(f"unknown decoding strategy {strategy!r}")
+    vocab_size = stack.out_proj.weight.shape[1]
+    if strategy == "beam" and beam_size > vocab_size:
+        raise ValueError(f"beam size {beam_size} is larger than the vocabulary's {vocab_size} tokens")
+    if strategy == "beam" and beam_size < 1:
+        raise ValueError("beam size must be >= 1")
+    positions = len(stack.positions)
+    if not 1 <= max_gen_len <= positions:
+        raise ValueError(f"max_gen_len must be from 1 to the decoder's {positions} positions, got {max_gen_len}")
 
 
 def generate(
@@ -283,13 +303,9 @@ def generate(
     beam_size: int = 3,
     max_gen_len: int = DEFAULT_MAX_GEN_LEN,
 ) -> GeneratedResponse:
-    """One reply over one sample's memory, searched with ``DecoderStep``.
-    A beam may not be wider than the vocabulary."""
-    if strategy not in ("greedy", "beam"):
-        raise ValueError(f"unknown decoding strategy {strategy!r}")
-    vocab_size = stack.out_proj.weight.shape[1]
-    if strategy == "beam" and beam_size > vocab_size:
-        raise ValueError(f"beam size {beam_size} is larger than the vocabulary's {vocab_size} tokens")
+    """One reply over one sample's memory, searched with ``DecoderStep``
+    once ``check_search`` allows it."""
+    check_search(stack, strategy, beam_size, max_gen_len)
     step = DecoderStep(stack, memory, max_gen_len)
 
     def step_fn(prefixes, parents=None) -> np.ndarray:

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import DialogueSample, Vocab, tokenize
+from .decoder import check_search
 from .model import PLANS, EmpathyModel, Providers, prepare_samples
 from .training import TrainConfig
 from .util import write_file
@@ -187,10 +188,14 @@ def evaluate(
 ) -> MetricReport:
     """Generate, score, and classify the given split.
 
-    Required providers, and every sample's sequence lengths, are checked
-    against the checkpoint's ablation plan and positions before any work
-    starts.
+    The sample list may not be empty and ``check_search`` must allow the
+    search. Required providers, and every sample's sequence lengths, are
+    checked against the checkpoint's ablation plan and positions before
+    any work starts.
     """
+    if not samples:
+        raise ValueError("evaluate needs samples, got an empty sample list")
+    check_search(model.decoder, strategy, beam_size, config.max_gen_len)
     plan = PLANS[config.ablation]
     prepared = prepare_samples(
         samples, vocab, providers, plan, config.max_context_len, config.max_analysis_len

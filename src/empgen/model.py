@@ -27,7 +27,7 @@ from .corpus import (
     encode_dialogue,
     encode_response_ids,
 )
-from .decoder import DecoderMemory, DecoderStack, GeneratedResponse, assemble_memory, generate, nll_loss
+from .decoder import DecoderMemory, DecoderStack, GeneratedResponse, assemble_memory, check_search, generate, nll_loss
 from .emotion import classify_emotion, emotion_nll, fuse_features, pool_knowledge
 from .encoder import (
     EncoderStack,
@@ -329,7 +329,9 @@ class EmpathyModel:
         """Each sample's reply, emotion probabilities and per-token NLL, all
         from one encoding of the sample without the tape. A sample with no
         target gets an empty NLL and no teacher-forced pass. The samples
-        run one at a time, each as a batch of one."""
+        run one at a time, each as a batch of one, once ``check_search``
+        allows the search."""
+        check_search(self.decoder, strategy, beam_size, max_gen_len)
         replies = []
         with no_grad():
             for prep in preps:

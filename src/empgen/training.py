@@ -249,9 +249,10 @@ def train(
     log_path: str | Path | None = None,
     timing_path: str | Path | None = None,
 ) -> TrainResult:
-    """Run the joint objective over the samples, once the model's size is
-    checked against the machine's memory (``TrainConfig.check_memory``)
-    and every sample's sequence lengths against the position table.
+    """Run the joint objective over the samples, once the sample list is
+    found not empty, the model's size is checked against the machine's
+    memory (``TrainConfig.check_memory``) and every sample's sequence
+    lengths against the position table.
 
     The generation loss enters the reported total as the batch sum divided
     by the batch token count. Each batch is sorted by its samples' own padded encoder
@@ -268,6 +269,8 @@ def train(
     and its real and padded encoder rows summed over the micro-batches.
     Their directories are made after the checks.
     """
+    if not samples:
+        raise ValueError("train needs samples, got an empty sample list")
     config.check_memory(len(vocab), training=True)
     plan = PLANS[config.ablation]
     providers = providers or Providers()

@@ -758,3 +758,25 @@ def test_an_interrupted_write_leaves_the_previous_file(workspace, tmp_path, monk
     monkeypatch.undo()
     assert (out / name).read_bytes() == b"previous\n"
     assert [p.name for p in out.iterdir() if name in p.name] == [name]
+
+
+@pytest.mark.parametrize("content", ["", "\n  \n"])
+@pytest.mark.parametrize("command, split", [("train", "train"), ("evaluate", "test"), ("ablate", "test")])
+def test_an_empty_split_file_is_refused_by_its_path_before_any_output(
+    workspace, tmp_path, capsys, command, split, content
+):
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    (data / f"{split}.jsonl").write_text(content, encoding="utf-8")
+    run = tmp_path / "run"
+    args = [command, "--data-dir", str(data), "--out", str(run)]
+    if command == "evaluate":
+        args += ["--checkpoint", str(untrained_checkpoint(data, tmp_path)[0])]
+    else:
+        args += ["--config", str(fast_config(tmp_path))]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr() == ("", f"error: split file {data / f'{split}.jsonl'} holds no samples\n")
+    assert not run.exists()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -406,3 +407,32 @@ def test_generate_refuses_a_beam_wider_than_the_vocabulary(rng):
     with pytest.raises(ValueError, match="beam size 11 is larger than the vocabulary's 10 tokens"):
         generate(mem, stack, strategy="beam", beam_size=11)
     assert len(generate(mem, stack, strategy="beam", beam_size=10, max_gen_len=2).ids) >= 1
+
+
+@pytest.mark.parametrize(
+    "strategy, beam_size, max_gen_len, message",
+    [
+        ("greedy", 3, 40, "max_gen_len must be from 1 to the decoder's 16 positions, got 40"),
+        ("beam", 3, 40, "max_gen_len must be from 1 to the decoder's 16 positions, got 40"),
+        ("greedy", 3, 0, "max_gen_len must be from 1 to the decoder's 16 positions, got 0"),
+        ("nucleus", 3, 8, "unknown decoding strategy 'nucleus'"),
+        ("beam", 0, 8, "beam size must be >= 1"),
+    ],
+)
+def test_a_search_the_decoder_cannot_run_is_refused_before_a_step(
+    rng, monkeypatch, strategy, beam_size, max_gen_len, message
+):
+    # A 16-row position table: a 40-token reply would fail at its 17th step.
+    stack = DecoderStack(np.random.default_rng(0), 10, 4, 1, 2, ffn_mult=2, dropout=0.0, max_len=16)
+    mem = random_memory(rng)
+    monkeypatch.setattr(DecoderStep, "__init__", lambda *a: pytest.fail("a search step was made"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate(mem, stack, strategy=strategy, beam_size=beam_size, max_gen_len=max_gen_len)
+
+
+def test_a_reply_as_long_as_the_position_table_is_searched(rng):
+    stack = DecoderStack(np.random.default_rng(0), 10, 4, 1, 2, ffn_mult=2, dropout=0.0, max_len=16)
+    stack.out_proj.bias.data[EOS_ID] = -1e3  # never ends early: every position is used
+    mem = random_memory(rng)
+    for strategy in ("greedy", "beam"):
+        assert len(generate(mem, stack, strategy=strategy, beam_size=2, max_gen_len=16).ids) == 16

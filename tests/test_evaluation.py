@@ -324,3 +324,34 @@ def test_identity_hypotheses_give_bleu_one(mini_samples):
     refs = [tokenize(s.gold_response) for s in mini_samples[:6]]
     hyps = [list(r) for r in refs]
     assert abs(bleu_n(hyps, refs, 1) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "strategy, beam_size, message",
+    [("nucleus", 3, "unknown decoding strategy 'nucleus'"), ("beam", 10**6, "beam size 1000000 is larger than")],
+)
+def test_evaluate_and_respond_refuse_a_search_before_any_sample_is_prepared(
+    trained, mini_samples, mini_vocab, lexicon, monkeypatch, strategy, beam_size, message
+):
+    from empgen import evaluation
+    from empgen.model import PLANS
+
+    config, result = trained
+    providers = eval_providers(lexicon)
+    monkeypatch.setattr(evaluation, "prepare_samples", lambda *a: pytest.fail("the samples were prepared"))
+    monkeypatch.setattr(result.model, "encode_batch", lambda *a: pytest.fail("a sample was encoded"))
+    with pytest.raises(ValueError, match=message):
+        evaluate(result.model, config, mini_samples[24:32], mini_vocab, providers, strategy, beam_size)
+    assert not any(providers.call_counts().values())  # no provider or LLM call
+    prep = object()  # never read: the search is refused first
+    with pytest.raises(ValueError, match=message):
+        result.model.respond([prep], PLANS[config.ablation], mini_vocab, strategy, beam_size, config.max_gen_len)
+
+
+def test_evaluate_and_train_refuse_an_empty_sample_list(trained, mini_vocab, lexicon, recwarn):
+    config, result = trained
+    with pytest.raises(ValueError, match="^evaluate needs samples, got an empty sample list$"):
+        evaluate(result.model, config, [], mini_vocab, eval_providers(lexicon))
+    with pytest.raises(ValueError, match="^train needs samples, got an empty sample list$"):
+        train(config, [], mini_vocab, eval_providers(lexicon))
+    assert not recwarn.list  # no numpy warning from a mean of nothing

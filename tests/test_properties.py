@@ -131,22 +131,28 @@ STACKS = {
 }
 
 
-@st.composite
-def padded_memory(draw):
-    """One sample's memory of two streams, at least one padded, so that
-    it has a ``key_mask``; the padded rows hold values of their own."""
-    widths = draw(st.lists(st.integers(1, 5), min_size=2, max_size=2))
-    valid = [draw(st.integers(1, w)) for w in widths]
-    assume(valid != widths)
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+def two_streams(widths, valid, seed):
+    """One sample's memory of two streams of ``widths`` rows, of which the
+    first ``valid`` are real; the padded rows hold values of their own."""
+    rng = np.random.default_rng(seed)
     streams = [Tensor(rng.normal(0, 1, (1, w, 8))) for w in widths]
     return assemble_memory(*streams, lengths=[np.array([n]) for n in valid])
 
 
 @st.composite
+def padded_memory(draw):
+    """``two_streams`` of up to 64 rows each, at least one padded, so that
+    the memory has a ``key_mask``."""
+    widths = draw(st.lists(st.integers(1, 64), min_size=2, max_size=2))
+    valid = [draw(st.integers(1, w)) for w in widths]
+    assume(valid != widths)
+    return two_streams(widths, valid, draw(st.integers(0, 2**16)))
+
+
+@st.composite
 def searches(draw):
     """Search steps, as ``beam_decode`` makes them: the first extends the
-    empty prefix, and each later one keeps 1-3 hypotheses, each extending
+    empty prefix, and each later one keeps 1-5 hypotheses, each extending
     a parent row of the step before by a drawn token. A later step keeps
     every row where it was, as a beam does that changes no rank, or
     permutes the rows, or draws its parents freely."""
@@ -155,15 +161,21 @@ def searches(draw):
         parents = draw(st.one_of(
             st.just(list(range(live))),
             st.permutations(range(live)),
-            st.lists(st.integers(0, live - 1), min_size=1, max_size=3),
+            st.lists(st.integers(0, live - 1), min_size=1, max_size=5),
         ))
         live = len(parents)
         steps.append((parents, draw(st.lists(st.integers(0, VOCAB - 1), min_size=live, max_size=live))))
     return steps
 
 
+# The widest search, over the widest memory: 5 hypotheses from the second step on.
+WIDEST = [([0], [3]), ([0] * 5, [1, 2, 4, 5, 6]), ([4, 3, 2, 1, 0], [7, 8, 9, 10, 11]), ([0, 1, 2, 3, 4], [12] * 5)]
+
+
 @PROPERTY
 @given(memory=padded_memory(), steps=searches(), heads=st.sampled_from([1, 2, 4]), layers=st.integers(1, 2))
+@example(memory=two_streams([64, 64], [64, 40], 0), steps=WIDEST, heads=4, layers=2)
+@example(memory=two_streams([64, 64], [17, 64], 1), steps=WIDEST, heads=1, layers=1)
 def test_the_step_equals_the_last_row_of_teacher_forcing(memory, steps, heads, layers):
     stack = STACKS[heads, layers]
     assert memory.key_mask is not None
