@@ -17,16 +17,17 @@ ops would record 2 (3 with ``linear``'s ReLU), 14 (dropout, residual add
 and 12 for LayerNorm), 6 (14 with attention's head split and merge) and
 3 (log-softmax, pick and negation; 4 with a padding mask). Their forward
 and backward passes do the composed ops' float operations in the same
-order, but attention scales the queries and divides its output by the
-softmax sums, and normalises its weights only for a backward pass or
-when asked; they keep a dropout mask as booleans, no ReLU pre-activation,
-no sublayer result and no logits or log-probabilities. The forward
-arithmetic of ``linear``, ``add_norm`` and ``attention`` is written once,
-over plain arrays, in ``linear_array``, ``add_norm_array`` and
-``attention_array``: each node calls its array function, and the decoding
-step (``decoder.DecoderStep``) calls them with no ``Tensor`` at all:
-``linear_array`` for its one q, k and v product and every other
-projection, ``attention_array`` for both attentions, and
+order, but attention scales the queries, skips the row-max shift where a
+norm bound rules out overflow (four passes over the scores, not six),
+divides its output by the softmax sums, and normalises its weights only
+for a backward pass or when asked; they keep a dropout mask as booleans,
+no ReLU pre-activation, no sublayer result and no logits or
+log-probabilities. The forward arithmetic of ``linear``, ``add_norm`` and
+``attention`` is written once, over plain arrays, in ``linear_array``,
+``add_norm_array`` and ``attention_array``: each node calls its array
+function, and the decoding step (``decoder.DecoderStep``) calls them with
+no ``Tensor`` at all: ``linear_array`` for its one q, k and v product and
+every other projection, ``attention_array`` for both attentions, and
 ``add_norm_array``, through ``LayerNorm.array``, after each sublayer.
 ``softmax`` and ``log_softmax`` work on plain arrays too.
 """
@@ -417,16 +418,25 @@ def merge_heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.swapaxes(-3, -2).reshape(*x.shape[:-3], x.shape[-2], -1) if heads > 1 else x
 
 
-def attention_array(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, mask: np.ndarray | None = None):
+def attention_array(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, mask: np.ndarray | None = None, always_shift=False
+):
     """``softmax(q kᵀ * scale + mask) v`` over the last two axes; leading
     axes broadcast, and ``mask`` is additive (-1e9 hides a key). Returns
-    the output, the weights unnormalised and their row sums (each ≥ 1)."""
+    the output, the weights unnormalised and their row sums: in [1, keys]
+    where rows are shifted by their max, with ``always_shift`` or unless
+    ``scale · max‖q_i‖ · max‖k_j‖`` plus the largest |row max| of ``mask``,
+    a bound on the scores, is below 300; else in [e^-300, keys · e^300]."""
     # One scores array, changed in place: it can be megabytes. The queries
     # take the scale and the output the softmax division, not the scores.
     e = (q * scale) @ k.swapaxes(-1, -2)
     if mask is not None:
         e += mask
-    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
+    if not always_shift:  # Cauchy–Schwarz: |q_i · k_j| ≤ ‖q_i‖ ‖k_j‖; a NaN or inf bound shifts
+        bound = scale * (np.einsum("...i,...i->...", q, q).max() * np.einsum("...i,...i->...", k, k).max()) ** 0.5
+        always_shift = not bound + (0.0 if mask is None else np.abs(np.maximum.reduce(mask, axis=-1)).max()) < 300.0
+    if always_shift:
+        e -= np.maximum.reduce(e, axis=-1, keepdims=True)
     np.exp(e, out=e)
     sums = np.add.reduce(e, axis=-1, keepdims=True)
     out = e @ v

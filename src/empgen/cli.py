@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 import traceback
 from dataclasses import replace
@@ -74,9 +75,23 @@ def _samples(data_dir: str | Path, split: str):
     return samples
 
 
+def numpy_build() -> dict:
+    """The Python and numpy versions and the name and version of numpy's
+    BLAS, "unknown" where numpy does not say, which set a run's round-off."""
+    blas = {}
+    try:  # numpy before 1.26 has no mode="dicts"
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        pass
+    blas = {key: str(blas.get(key, "unknown")) for key in ("name", "version")}
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas}
+
+
 def write_manifest(args, config: dict, seed: int) -> None:
-    """``run_manifest.json`` in ``args.out``, for the command ``args`` runs."""
+    """``run_manifest.json`` in ``args.out``, for the command ``args`` runs,
+    with the ``numpy_build`` that ran it."""
     manifest = {
+        **numpy_build(),
         "command": args.command,
         "config": config,
         "config_hash": sha256_hex(canonical_json(config)),

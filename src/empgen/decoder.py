@@ -230,13 +230,15 @@ class DecoderStep:
 
     ``memory`` is one sample's. Its rows plus their segment embedding are
     projected to each layer's cross-attention keys and values once, head
-    first and C-contiguous: keys (heads, d / heads, rows), values (heads,
-    rows, d / heads), one GEMM per head over the (heads, B, d / heads)
-    queries. The self-attention q, k and v of the new (B, d) rows are one
-    product with ``[wq | wk | wv]``, joined per step object since training
-    changes the weights, and split by head with one reshape; the new keys
-    and values go from it into (B, heads, ``max_len``, d / heads) buffers.
-    A lone new row sees every row before it, so it needs no causal mask.
+    first and C-contiguous: keys (heads, d / heads, rows), made as one
+    product ``wkᵀ memᵀ``, values (heads, rows, d / heads), one GEMM per
+    head over the (heads, B, d / heads) queries. The self-attention q, k
+    and v of the new (B, d) rows are one product with ``[wq | wk | wv]``,
+    joined per step object since training changes the weights, and split
+    by head with one reshape; the new keys and values go from it into (B,
+    heads, ``max_len``, d / heads) buffers. A lone new row sees every row
+    before it, so it needs no causal mask. Both attentions keep the
+    row-max shift, as norms to skip it would cost a step more calls.
     """
 
     def __init__(self, stack: DecoderStack, memory: DecoderMemory, max_len: int):
@@ -250,9 +252,9 @@ class DecoderStep:
             a, c = layer.self_attn, layer.cross_attn
             qkv = np.concatenate([a.wq.weight.data, a.wk.weight.data, a.wv.weight.data], axis=1)
             qkv_bias = np.concatenate([a.wq.bias.data, np.zeros(d), a.wv.bias.data])  # wk has no bias
-            k, v = (w.array(mem).reshape(-1, heads, d // heads).swapaxes(0, 1) for w in (c.wk, c.wv))
-            k = np.ascontiguousarray(k.swapaxes(1, 2)).swapaxes(1, 2)  # kᵀ is C-contiguous (heads, d/heads, rows)
-            self.weights.append((qkv, qkv_bias, k, np.ascontiguousarray(v)))
+            kt = (c.wk.weight.data.T @ mem.reshape(-1, d).T).reshape(heads, d // heads, -1)  # wk has no bias
+            v = c.wv.array(mem).reshape(-1, heads, d // heads).swapaxes(0, 1)
+            self.weights.append((qkv, qkv_bias, kt.swapaxes(1, 2), np.ascontiguousarray(v)))
         shape = (1, heads, max_len, d // heads)
         self.past = [(np.empty(shape), np.empty(shape)) for _ in stack.layers]
 
@@ -269,10 +271,10 @@ class DecoderStep:
         for layer, (qkv, qkv_bias, mem_k, mem_v), (k, v) in zip(stack.layers, self.weights, self.past):
             attn, cross = layer.self_attn, layer.cross_attn
             q, k[:, :, new], v[:, :, new] = linear_array(x, qkv, qkv_bias).reshape(b, 3, heads, 1, -1).swapaxes(0, 1)
-            out = attention_array(q, k[:, :, : t + 1], v[:, :, : t + 1], attn.scale)[0]
+            out = attention_array(q, k[:, :, : t + 1], v[:, :, : t + 1], attn.scale, always_shift=True)[0]
             x = layer.ln1.array(x, attn.wo.array(out.reshape(b, -1)))
             q = cross.wq.array(x).reshape(b, heads, -1).swapaxes(0, 1)
-            out = attention_array(q, mem_k, mem_v, cross.scale, mask)[0]
+            out = attention_array(q, mem_k, mem_v, cross.scale, mask, always_shift=True)[0]
             x = layer.ln2.array(x, cross.wo.array(out.swapaxes(0, 1).reshape(b, -1)))
             x = layer.ln3.array(x, layer.ffn.array(x))
         self.length = t + 1

@@ -6,6 +6,7 @@ from empgen.autodiff import (
     Tensor,
     add_norm,
     attention,
+    attention_array,
     concat,
     cross_entropy,
     embedding,
@@ -222,40 +223,59 @@ def test_no_grad_holds_only_in_its_own_thread():
 
 def test_fused_nodes_match_composed_ops_and_differences():
     rng = np.random.default_rng(8)
-    x = parameter(rng.normal(0, 1, (2, 3, 4)))
-    w = parameter(rng.normal(0, 1, (4, 5)))
-    b = parameter(rng.normal(0, 1, (5,)))
-    r = parameter(rng.normal(0, 1, (2, 3, 5)))  # the sublayer's input
-    gain = parameter(rng.normal(1, 0.3, (5,)))
-    shift = parameter(rng.normal(0, 1, (5,)))
-    k = parameter(rng.normal(0, 1, (2, 6, 5)))
-    v = parameter(rng.normal(0, 1, (2, 6, 5)))
     mask = np.where(np.arange(6) < np.array([[4], [6]]), 0.0, -1e9)[:, None, :]
-    probe = rng.normal(0, 1, (2, 3, 5))
-    leaves = dict(zip("xwbrgskv", (x, w, b, r, gain, shift, k, v)))
+    # Attention skips the row-max shift where its Cauchy–Schwarz bound,
+    # 0.7 · max‖h_i‖ · max‖k_j‖, is below 300; keys 60 times larger take
+    # the shifted order. Each case is checked the same way.
+    for size, shifted in ((1.0, False), (60.0, True)):
+        x = parameter(rng.normal(0, 1, (2, 3, 4)))
+        w = parameter(rng.normal(0, 1, (4, 5)))
+        b = parameter(rng.normal(0, 1, (5,)))
+        r = parameter(rng.normal(0, 1, (2, 3, 5)))  # the sublayer's input
+        gain = parameter(rng.normal(1, 0.3, (5,)))
+        shift = parameter(rng.normal(0, 1, (5,)))
+        k = parameter(rng.normal(0, size, (2, 6, 5)))
+        v = parameter(rng.normal(0, 1, (2, 6, 5)))
+        probe = rng.normal(0, 1, (2, 3, 5))
+        leaves = dict(zip("xwbrgskv", (x, w, b, r, gain, shift, k, v)))
 
-    def fused():
-        h = add_norm(r, linear(x, w, b), gain, shift, 1e-5, 0.3, np.random.default_rng(5))
-        return (attention(h, k, v, 0.7, mask) * Tensor(probe)).sum()
+        def fused():
+            h = add_norm(r, linear(x, w, b), gain, shift, 1e-5, 0.3, np.random.default_rng(5))
+            return (attention(h, k, v, 0.7, mask) * Tensor(probe)).sum()
 
-    def composed():  # the same float operations, in numpy
-        h = (x.data.reshape(-1, 4) @ w.data + b.data).reshape(2, 3, 5)
-        s = r.data + h * ((np.random.default_rng(5).random(h.shape) >= 0.3) / (1.0 - 0.3))
-        centered = s - s.sum(axis=-1, keepdims=True) * (1.0 / 5)
-        var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / 5)
-        h = centered * (var + 1e-5) ** -0.5 * gain.data + shift.data
-        # Attention scales the queries and divides its output by the sums.
-        scores = (h * 0.7) @ k.data.swapaxes(-1, -2) + mask
-        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        return ((weights @ v.data) / weights.sum(axis=-1, keepdims=True) * probe).sum()
+        def normed():  # add_norm's float operations, in numpy
+            h = (x.data.reshape(-1, 4) @ w.data + b.data).reshape(2, 3, 5)
+            s = r.data + h * ((np.random.default_rng(5).random(h.shape) >= 0.3) / (1.0 - 0.3))
+            centered = s - s.sum(axis=-1, keepdims=True) * (1.0 / 5)
+            var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / 5)
+            return centered * (var + 1e-5) ** -0.5 * gain.data + shift.data
 
-    assert float(fused().data) == float(composed())
-    fused().backward()
-    for name, t in leaves.items():
-        fd = fd_gradient(lambda: float(fused().data), t.data, h=1e-5)
-        assert rel_err(t.grad, fd) < 1e-5, name
-    # Padded keys get no gradient at all.
-    assert not k.grad[0, 4:].any() and not v.grad[0, 4:].any()
+        def composed():  # the same float operations, in numpy
+            # Attention scales the queries and divides its output by the sums.
+            scores = (normed() * 0.7) @ k.data.swapaxes(-1, -2) + mask
+            weights = np.exp(scores - scores.max(axis=-1, keepdims=True) if shifted else scores)
+            return ((weights @ v.data) / weights.sum(axis=-1, keepdims=True) * probe).sum()
+
+        bound = 0.7 * np.linalg.norm(normed(), axis=-1).max() * np.linalg.norm(k.data, axis=-1).max()
+        assert (bound >= 300) == shifted
+        assert float(fused().data) == float(composed())
+        fused().backward()
+        for name, t in leaves.items():
+            fd = fd_gradient(lambda: float(fused().data), t.data, h=1e-5)
+            assert rel_err(t.grad, fd) < 1e-5, (size, name)
+        # Padded keys get no gradient at all.
+        assert not k.grad[0, 4:].any() and not v.grad[0, 4:].any()
+
+
+def test_a_row_with_every_key_hidden_stays_finite():
+    # Unshifted, such a row would sum to exp(-1e9) = 0 and give 0 / 0; the
+    # bound counts the mask's row maxima, so it takes the shifted path.
+    rng = np.random.default_rng(4)
+    q, k, v = (rng.normal(0, 1, (2, 3, 4)) for _ in range(3))
+    mask = np.array([[0.0, 0.0, -1e9], [-1e9, -1e9, -1e9]])[:, None, :]
+    out, _, sums = attention_array(q, k, v, 0.5, mask)
+    assert np.isfinite(out).all() and (sums >= 1).all()
+    np.testing.assert_array_equal(out[:1], attention_array(q[:1], k[:1], v[:1], 0.5, mask[:1], always_shift=True)[0])
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.4])

@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -385,6 +386,21 @@ def test_manifest_contents(workspace):
     assert manifest["seed"] == 0
     assert len(manifest["config_hash"]) == 64
     assert manifest["code_version"] == empgen.__version__
+    # The build that made the run's round-off.
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+
+
+def test_numpy_build_says_unknown_where_numpy_does_not_say(monkeypatch):
+    from empgen.cli import numpy_build
+
+    def old_show_config():  # numpy before 1.26 takes no mode
+        return None
+
+    monkeypatch.setattr(np, "show_config", old_show_config)
+    assert numpy_build()["blas"] == {"name": "unknown", "version": "unknown"}
 
 
 def test_fixture_manifest_records_checksums(workspace):

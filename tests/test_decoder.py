@@ -401,6 +401,18 @@ def test_generation_records_no_tape(rng, monkeypatch):
     assert made == []  # no teacher-forced pass and no Tensor: nothing for a tape to keep
 
 
+def test_a_search_step_computes_no_norms(rng, monkeypatch):
+    # A step costs its numpy calls, so its attentions keep the row-max
+    # shift rather than compute the norms of the bound that would skip it.
+    stack = micro_decoder(seed=2, vocab_size=12)
+    streams = [Tensor(rng.normal(0, 1, (1, rows, 4))) for rows in (3, 2)]
+    mem = assemble_memory(*streams, lengths=[np.array([3]), np.array([1])])
+    assert mem.key_mask is not None
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: pytest.fail("a search step computed a norm"))
+    for strategy in ("greedy", "beam"):
+        assert generate(mem, stack, strategy=strategy, beam_size=3, max_gen_len=6).ids
+
+
 def test_generate_refuses_a_beam_wider_than_the_vocabulary(rng):
     stack = micro_decoder(vocab_size=10)
     mem = random_memory(rng)

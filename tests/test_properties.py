@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from empgen.autodiff import Tensor, attention, no_grad, parameter
+from empgen.autodiff import Tensor, attention, attention_array, no_grad, parameter
 from empgen.corpus import CLS_ID, LabelSet, build_vocab, encode_cause_ids, parse_sample
 from empgen.decoder import DecoderStack, DecoderStep, assemble_memory
 from empgen.evaluation import evaluate
@@ -89,18 +89,42 @@ def test_grad_check_passes_on_a_drawn_mix(preps):
 @st.composite
 def attention_inputs(draw):
     """q (B, queries, 8), k and v (B, keys, 8), and an additive key mask
-    (B, 1, keys) that hides any keys of each sample but one at least."""
+    (B, 1, keys) that hides any keys of each sample but one at least. q
+    and k are drawn at a size of 1, whose scores stay under the bound
+    that lets attention skip the row-max shift, or of 30, past it."""
     batch, queries, keys = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
     hidden = [draw(st.lists(st.booleans(), min_size=keys, max_size=keys)) for _ in range(batch)]
     for row in hidden:
         row[draw(st.integers(0, keys - 1))] = False
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     q, k, v = (rng.normal(0, 1, (batch, rows, 8)) for rows in (queries, keys, keys))
-    return q, k, v, np.where(hidden, -1e9, 0.0)[:, None, :]
+    size = draw(st.sampled_from([1.0, 30.0]))
+    return q * size, k * size, v, np.where(hidden, -1e9, 0.0)[:, None, :]
+
+
+def pinned(q, k, hidden=()):
+    """``attention_inputs`` of one sample with the given q and k rows,
+    fixed values and the keys at ``hidden`` masked."""
+    q, k = np.array([q], dtype=float), np.array([k], dtype=float)
+    v = np.random.default_rng(0).normal(0, 1, k.shape)
+    return q, k, v, np.where(np.isin(np.arange(k.shape[1]), hidden), -1e9, 0.0)[None, None, :]
+
+
+def unit(*xs):
+    return [*xs, *[0.0] * (8 - len(xs))]
+
+
+LIMIT = 299.0**0.5  # q and k rows of this norm at scale 1 score at most 299
 
 
 @PROPERTY
 @given(inputs=attention_inputs(), heads=st.sampled_from([1, 2, 4]), scale=st.sampled_from([0.5, 0.3, 1.7]))
+# Scores of ±1e4: only the shifted path is finite.
+@example(inputs=pinned([unit(100), unit(-100)], [unit(100), unit(99, 5), unit(-100)], hidden=[1]), heads=2, scale=1.0)
+# Scores of ±299, just under the bound: unshifted, sums from about e^-269 to e^299.
+@example(inputs=pinned([unit(LIMIT), unit(-LIMIT)], [unit(LIMIT), unit(0.9 * LIMIT, 0.3 * LIMIT), unit(0.5)], hidden=[2]), heads=1, scale=1.0)
+# q·q overflows to an inf bound; the scores, near ±1e160, are finite.
+@example(inputs=pinned([unit(1e160), unit(1.0)], [unit(1.0, 2.0), unit(-2.0), unit(3.0)]), heads=1, scale=0.5)
 def test_attention_output_is_the_same_with_or_without_the_tape_or_weights(inputs, heads, scale):
     q, k, v, mask = inputs
     recorded = attention(*map(parameter, (q, k, v)), scale, mask, heads=heads)
@@ -110,6 +134,7 @@ def test_attention_output_is_the_same_with_or_without_the_tape_or_weights(inputs
     out, weights = attention(*map(parameter, (q, k, v)), scale, mask, return_weights=True, heads=heads)
     np.testing.assert_array_equal(recorded.data, bare.data)
     np.testing.assert_array_equal(recorded.data, out.data)
+    assert np.isfinite(recorded.data).all()
     weights = weights.data.reshape(len(q), heads, q.shape[1], k.shape[1])
     assert np.abs(weights.sum(axis=-1) - 1.0).max() <= 1e-15 * k.shape[1]
     assert not weights[np.broadcast_to(mask[:, None] < 0, weights.shape)].any()
@@ -119,6 +144,16 @@ def test_attention_output_is_the_same_with_or_without_the_tape_or_weights(inputs
         for h in range(heads):
             want = reference.softmax_rows(scale * qb[h] @ kb[h].T + mask[b]) @ vb[h]
             np.testing.assert_allclose(got[h], want, rtol=0, atol=1e-12)
+    # The path: unshifted row sums are those of exp(scores) as they are.
+    qs, ks, vs = split[:3]
+    with np.errstate(over="ignore"):
+        bound = scale * np.linalg.norm(qs, axis=-1).max() * np.linalg.norm(ks, axis=-1).max()
+        scores = (qs * scale) @ ks.swapaxes(-1, -2) + mask[:, None]
+    if bound < 300:
+        sums = attention_array(qs, ks, vs, scale, mask[:, None])[2]
+        np.testing.assert_array_equal(sums, np.exp(scores).sum(axis=-1, keepdims=True))
+    else:
+        assert (attention_array(qs, ks, vs, scale, mask[:, None])[2] >= 1).all()
 
 
 # ----------------------------------------------------------------------
