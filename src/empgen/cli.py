@@ -22,6 +22,7 @@ from . import __version__, fixtures
 from .corpus import (
     LabelSet, Vocab, build_vocab, dialogue_sample, load_dataset, read_dialogue, sample_to_record, split_dataset
 )
+from .decoder import DEFAULT_BEAM_SIZE
 from .evaluation import METRIC_COLUMNS, evaluate, format_table, write_report
 from .knowledge import (
     ANALYSIS_CACHE,
@@ -213,7 +214,7 @@ SHARED_FLAGS = {
     "--checkpoint": {"required": True},
     "--split": {"default": "test", "choices": SPLITS},
     "--strategy": {"default": "greedy", "choices": ["greedy", "beam"]},
-    "--beam-size": {"type": int, "default": 3},
+    "--beam-size": {"type": int, "default": DEFAULT_BEAM_SIZE},
     "--config": {"default": None, "help": "JSON file of training settings"},
     "--seed": {"type": int, "default": None},
     "--ablation": {"default": None, "choices": ABLATION_ORDER},

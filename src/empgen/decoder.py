@@ -28,6 +28,7 @@ SEGMENT_CONTEXT, SEGMENT_KNOWLEDGE, SEGMENT_ANALYSIS = 0, 1, 2
 NUM_SEGMENTS = 3
 
 DEFAULT_MAX_GEN_LEN = 32
+DEFAULT_BEAM_SIZE = 3
 
 
 @dataclass
@@ -44,10 +45,6 @@ class DecoderMemory:
     values: Tensor
     segment_ids: np.ndarray
     key_mask: np.ndarray | None = None
-
-    def segment_histogram(self) -> dict[int, int]:
-        ids, counts = np.unique(self.segment_ids, return_counts=True)
-        return {int(i): int(c) for i, c in zip(ids, counts)}
 
 
 def assemble_memory(
@@ -88,8 +85,8 @@ class DecoderStack:
         d: int,
         layers: int,
         heads: int,
-        ffn_mult: int = 4,
-        dropout: float = 0.1,
+        ffn_mult: int,
+        dropout: float,
         max_len: int = 512,
         token_embedding: Tensor | None = None,
     ):
@@ -237,8 +234,8 @@ class DecoderStep:
     joined per step object since training changes the weights, and split
     by head with one reshape; the new keys and values go from it into (B,
     heads, ``max_len``, d / heads) buffers. A lone new row sees every row
-    before it, so it needs no causal mask. Both attentions keep the
-    row-max shift, as norms to skip it would cost a step more calls.
+    before it, so it needs no causal mask. One query row per hypothesis
+    and a beam narrower than d / heads make both attentions shift.
     """
 
     def __init__(self, stack: DecoderStack, memory: DecoderMemory, max_len: int):
@@ -271,10 +268,10 @@ class DecoderStep:
         for layer, (qkv, qkv_bias, mem_k, mem_v), (k, v) in zip(stack.layers, self.weights, self.past):
             attn, cross = layer.self_attn, layer.cross_attn
             q, k[:, :, new], v[:, :, new] = linear_array(x, qkv, qkv_bias).reshape(b, 3, heads, 1, -1).swapaxes(0, 1)
-            out = attention_array(q, k[:, :, : t + 1], v[:, :, : t + 1], attn.scale, always_shift=True)[0]
+            out = attention_array(q, k[:, :, : t + 1], v[:, :, : t + 1], attn.scale)[0]
             x = layer.ln1.array(x, attn.wo.array(out.reshape(b, -1)))
             q = cross.wq.array(x).reshape(b, heads, -1).swapaxes(0, 1)
-            out = attention_array(q, mem_k, mem_v, cross.scale, mask, always_shift=True)[0]
+            out = attention_array(q, mem_k, mem_v, cross.scale, mask)[0]
             x = layer.ln2.array(x, cross.wo.array(out.swapaxes(0, 1).reshape(b, -1)))
             x = layer.ln3.array(x, layer.ffn.array(x))
         self.length = t + 1
@@ -302,7 +299,7 @@ def generate(
     stack: DecoderStack,
     vocab: Vocab | None = None,
     strategy: str = "greedy",
-    beam_size: int = 3,
+    beam_size: int = DEFAULT_BEAM_SIZE,
     max_gen_len: int = DEFAULT_MAX_GEN_LEN,
 ) -> GeneratedResponse:
     """One reply over one sample's memory, searched with ``DecoderStep``

@@ -19,22 +19,15 @@ def pool_knowledge(knowledge_rep: Tensor, lengths: np.ndarray) -> Tensor:
     return (knowledge_rep * Tensor(valid[..., None])).sum(axis=1) * Tensor(1.0 / lengths[:, None])
 
 
-def fuse_features(
-    context_rep: Tensor,
-    analysis_rep: Tensor | None,
-    pooled: Tensor | None,
-    d: int | None = None,
-) -> Tensor:
+def fuse_features(context_rep: Tensor, analysis_rep: Tensor | None, pooled: Tensor | None) -> Tensor:
     """Concatenate each sample's context row 0, analysis row 0 and pooled
-    knowledge vector: a batch of B samples gives (B, 3d).
+    knowledge vector: a batch of B samples gives (B, 3d), d the width of
+    the context rows.
 
     Streams disabled by the ablation config contribute zeros so the
     classifier shape is identical across configs.
     """
-    d = d if d is not None else context_rep.shape[-1]
-    if context_rep.shape[-1] != d:
-        raise ValueError(f"width mismatch: context {context_rep.shape[-1]} vs {d}")
-    batch = context_rep.shape[0]
+    batch, d = context_rep.shape[0], context_rep.shape[-1]
     parts = [slice_rows(context_rep, 0, 1).reshape(batch, d)]
     for rep, take_row in ((analysis_rep, True), (pooled, False)):
         if rep is None:

@@ -50,8 +50,8 @@ class EncoderStack:
         d: int,
         layers: int,
         heads: int,
-        ffn_mult: int = 4,
-        dropout: float = 0.1,
+        ffn_mult: int,
+        dropout: float,
         max_len: int = 512,
     ):
         self.vocab_size = vocab_size

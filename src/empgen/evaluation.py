@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import DialogueSample, Vocab, tokenize
-from .decoder import check_search
+from .decoder import DEFAULT_BEAM_SIZE, check_search
 from .model import PLANS, EmpathyModel, Providers, prepare_samples
 from .training import TrainConfig
 from .util import write_file
@@ -183,7 +183,7 @@ def evaluate(
     vocab: Vocab,
     providers: Providers,
     strategy: str = "greedy",
-    beam_size: int = 3,
+    beam_size: int = DEFAULT_BEAM_SIZE,
     row_label: str = "",
 ) -> MetricReport:
     """Generate, score, and classify the given split.

@@ -21,15 +21,20 @@ import numpy as np
 
 from .autodiff import Tensor, no_grad
 from .corpus import (
+    DEFAULT_MAX_CONTEXT_LEN,
     DialogueSample,
     Vocab,
     encode_cause_ids,
     encode_dialogue,
     encode_response_ids,
 )
-from .decoder import DecoderMemory, DecoderStack, GeneratedResponse, assemble_memory, check_search, generate, nll_loss
+from .decoder import (
+    DEFAULT_BEAM_SIZE, DEFAULT_MAX_GEN_LEN, DecoderMemory, DecoderStack, GeneratedResponse, assemble_memory,
+    check_search, generate, nll_loss,
+)
 from .emotion import classify_emotion, emotion_nll, fuse_features, pool_knowledge
 from .encoder import (
+    DEFAULT_MAX_ANALYSIS_LEN,
     EncoderStack,
     FusionParams,
     analysis_token_ids,
@@ -128,8 +133,8 @@ def prepare_sample(
     vocab: Vocab,
     providers: Providers,
     plan: AblationPlan,
-    max_context_len: int = 256,
-    max_analysis_len: int = 128,
+    max_context_len: int = DEFAULT_MAX_CONTEXT_LEN,
+    max_analysis_len: int = DEFAULT_MAX_ANALYSIS_LEN,
 ) -> PreparedSample:
     """Run the text-level pipeline for one sample: selection, knowledge,
     analysis. No model parameters are involved, so this happens once per
@@ -158,12 +163,11 @@ def prepare_sample(
     return prep
 
 
-def prepare_samples(samples, vocab, providers, plan, max_context_len=256, max_analysis_len=128):
+def prepare_samples(samples, vocab, providers, plan, *caps):
+    """``prepare_sample`` of each sample with the same length ``caps``, or
+    its defaults, once the plan's providers are checked."""
     providers.require(plan)
-    return [
-        prepare_sample(s, vocab, providers, plan, max_context_len, max_analysis_len)
-        for s in samples
-    ]
+    return [prepare_sample(s, vocab, providers, plan, *caps) for s in samples]
 
 
 def stream_ids(prep: PreparedSample, plan: AblationPlan) -> dict[str, list]:
@@ -219,7 +223,7 @@ class EmpathyModel:
 
     def __init__(self, config: TrainConfig, vocab_size: int, rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(config.seed)
-        self.d = d = config.d
+        d = config.d
         stack_args = (d, config.layers, config.heads, config.ffn_mult, config.dropout, config.positions)
         self.context_encoder = EncoderStack(rng, vocab_size, *stack_args)
         self.relation_encoder = EncoderStack(rng, vocab_size, *stack_args)
@@ -291,7 +295,7 @@ class EmpathyModel:
         analysis = analysis_len = None
         if plan.use_analysis:
             analysis, analysis_len = encode([p.analysis_ids for p in preps])
-        feature = fuse_features(context, analysis, pooled, self.d)
+        feature = fuse_features(context, analysis, pooled)
         lengths = (context_len, knowledge_len, analysis_len)
         return assemble_memory(context, knowledge, analysis, lengths), feature
 
@@ -323,8 +327,8 @@ class EmpathyModel:
         plan: AblationPlan,
         vocab: Vocab,
         strategy: str = "greedy",
-        beam_size: int = 3,
-        max_gen_len: int = 32,
+        beam_size: int = DEFAULT_BEAM_SIZE,
+        max_gen_len: int = DEFAULT_MAX_GEN_LEN,
     ) -> list[Reply]:
         """Each sample's reply, emotion probabilities and per-token NLL, all
         from one encoding of the sample without the tape. A sample with no
@@ -350,8 +354,8 @@ class EmpathyModel:
         plan: AblationPlan,
         vocab: Vocab,
         strategy: str = "greedy",
-        beam_size: int = 3,
-        max_gen_len: int = 32,
+        beam_size: int = DEFAULT_BEAM_SIZE,
+        max_gen_len: int = DEFAULT_MAX_GEN_LEN,
     ):
         with no_grad():
             memory, _ = self.encode_batch([prep], plan)

@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .corpus import Vocab
+from .corpus import DEFAULT_MAX_CONTEXT_LEN, Vocab
+from .decoder import DEFAULT_MAX_GEN_LEN
+from .encoder import DEFAULT_MAX_ANALYSIS_LEN
 from .model import (
     PLANS, AblationPlan, EmpathyModel, PreparedSample, Providers, padded_rows, position_count, prepare_samples
 )
@@ -29,7 +31,8 @@ MICRO_BATCH_ROWS = 768
 
 # Settings that are gone, each with the value the code now always uses. Old
 # checkpoints and config files hold them and load when they hold that value.
-RETIRED_SETTINGS = {"strict_sum": False, "share_relation_encoder": False, "classifier_bias": True}
+RETIRED_SETTINGS = {"strict_sum": False, "share_relation_encoder": False, "classifier_bias": True,
+                    "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8}
 
 
 # What a field of each annotated type accepts, named for a refusal. A bool
@@ -57,14 +60,11 @@ class TrainConfig:
     learning_rate: float = 5e-5
     epochs: int = 5
     batch_size: int = 16
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     grad_clip: float | None = None
     ablation: str = "full"
-    max_context_len: int = 256
-    max_analysis_len: int = 128
-    max_gen_len: int = 32
+    max_context_len: int = DEFAULT_MAX_CONTEXT_LEN
+    max_analysis_len: int = DEFAULT_MAX_ANALYSIS_LEN
+    max_gen_len: int = DEFAULT_MAX_GEN_LEN
     num_emotions: int = 32
 
     def __post_init__(self):
@@ -173,9 +173,10 @@ class LossBreakdown:
 class Adam:
     """Adam with bias correction; state is held per named parameter."""
 
-    def __init__(self, params: dict[str, Tensor], beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -186,19 +187,19 @@ class Adam:
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - self.BETA1**self.t
+        b2c = 1.0 - self.BETA2**self.t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            p.data -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.EPS)
 
 
 def gradient_norm(params: dict[str, Tensor]) -> float:
@@ -282,7 +283,7 @@ def train(
     model.check_lengths(prepared, plan)
     params = model.named_parameters()
     own_rows = [padded_rows([p], plan) for p in prepared]
-    opt = Adam(params, config.adam_beta1, config.adam_beta2, config.adam_eps)
+    opt = Adam(params)
 
     history: list[LossBreakdown] = []
     for path in filter(None, (log_path, timing_path)):

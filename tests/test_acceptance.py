@@ -298,7 +298,7 @@ def test_criterion_structural_fidelity(tmp_path):
         ctx = Tensor(rng.normal(0, 1, (1, 3, d)))
         analysis = Tensor(rng.normal(0, 1, (1, 4, d)))
         pooled = pool_knowledge(Tensor(rng.normal(0, 1, (1, 6, d))), np.array([6]))
-        fused = fuse_features(ctx, analysis, pooled, d)
+        fused = fuse_features(ctx, analysis, pooled)
         assert fused.shape == (1, 3 * d)
         assert np.array_equal(fused.data[0, :d], ctx.data[0, 0])
         assert np.array_equal(fused.data[0, d : 2 * d], analysis.data[0, 0])
@@ -309,7 +309,7 @@ def test_criterion_structural_fidelity(tmp_path):
             Tensor(rng.normal(0, 1, (1, 20, d))),
             Tensor(rng.normal(0, 1, (1, 10, d))),
         )
-        assert mem.segment_histogram() == {0: 4, 1: 20, 2: 10}
+        assert np.bincount(mem.segment_ids).tolist() == [4, 20, 10]
         # golden prompt bytes
         sample = case_sample(labels)
         prompt = build_analysis_prompt(sample, sample.gold_emotion)

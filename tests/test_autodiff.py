@@ -223,28 +223,33 @@ def test_no_grad_holds_only_in_its_own_thread():
 
 def test_fused_nodes_match_composed_ops_and_differences():
     rng = np.random.default_rng(8)
-    mask = np.where(np.arange(6) < np.array([[4], [6]]), 0.0, -1e9)[:, None, :]
-    # Attention skips the row-max shift where its Cauchy–Schwarz bound,
-    # 0.7 · max‖h_i‖ · max‖k_j‖, is below 300; keys 60 times larger take
-    # the shifted order. Each case is checked the same way.
-    for size, shifted in ((1.0, False), (60.0, True)):
-        x = parameter(rng.normal(0, 1, (2, 3, 4)))
+    # Attention skips the row-max shift where it has more scores than
+    # query and key entries and its Cauchy–Schwarz bound, 0.7 · max‖h_i‖ ·
+    # max‖k_j‖, is below 300. Three queries over 6 keys make too few
+    # scores, 12 over 12 or 8 over 14 enough, and keys 60 times larger
+    # pass the bound. Each case is checked the same way.
+    for rows, keys, size, shifted in ((3, 6, 1.0, True), (12, 12, 1.0, False), (8, 14, 60.0, True)):
+        mask = np.where(np.arange(keys) < np.array([[4], [keys]]), 0.0, -1e9)[:, None, :]
+        x = parameter(rng.normal(0, 1, (2, rows, 4)))
         w = parameter(rng.normal(0, 1, (4, 5)))
         b = parameter(rng.normal(0, 1, (5,)))
-        r = parameter(rng.normal(0, 1, (2, 3, 5)))  # the sublayer's input
+        r = parameter(rng.normal(0, 1, (2, rows, 5)))  # the sublayer's input
         gain = parameter(rng.normal(1, 0.3, (5,)))
         shift = parameter(rng.normal(0, 1, (5,)))
-        k = parameter(rng.normal(0, size, (2, 6, 5)))
-        v = parameter(rng.normal(0, 1, (2, 6, 5)))
-        probe = rng.normal(0, 1, (2, 3, 5))
+        k = parameter(rng.normal(0, size, (2, keys, 5)))
+        v = parameter(rng.normal(0, 1, (2, keys, 5)))
+        probe = rng.normal(0, 1, (2, rows, 5))
         leaves = dict(zip("xwbrgskv", (x, w, b, r, gain, shift, k, v)))
 
-        def fused():
+        def attended():
             h = add_norm(r, linear(x, w, b), gain, shift, 1e-5, 0.3, np.random.default_rng(5))
-            return (attention(h, k, v, 0.7, mask) * Tensor(probe)).sum()
+            return attention(h, k, v, 0.7, mask)
+
+        def fused():
+            return (attended() * Tensor(probe)).sum()
 
         def normed():  # add_norm's float operations, in numpy
-            h = (x.data.reshape(-1, 4) @ w.data + b.data).reshape(2, 3, 5)
+            h = (x.data.reshape(-1, 4) @ w.data + b.data).reshape(2, rows, 5)
             s = r.data + h * ((np.random.default_rng(5).random(h.shape) >= 0.3) / (1.0 - 0.3))
             centered = s - s.sum(axis=-1, keepdims=True) * (1.0 / 5)
             var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / 5)
@@ -254,28 +259,32 @@ def test_fused_nodes_match_composed_ops_and_differences():
             # Attention scales the queries and divides its output by the sums.
             scores = (normed() * 0.7) @ k.data.swapaxes(-1, -2) + mask
             weights = np.exp(scores - scores.max(axis=-1, keepdims=True) if shifted else scores)
-            return ((weights @ v.data) / weights.sum(axis=-1, keepdims=True) * probe).sum()
+            return (weights @ v.data) / weights.sum(axis=-1, keepdims=True)
 
         bound = 0.7 * np.linalg.norm(normed(), axis=-1).max() * np.linalg.norm(k.data, axis=-1).max()
-        assert (bound >= 300) == shifted
-        assert float(fused().data) == float(composed())
+        assert (rows * keys <= 5 * (rows + keys) or bound >= 300) == shifted
+        np.testing.assert_array_equal(attended().data, composed())
+        assert float(fused().data) == float((composed() * probe).sum())
         fused().backward()
         for name, t in leaves.items():
             fd = fd_gradient(lambda: float(fused().data), t.data, h=1e-5)
-            assert rel_err(t.grad, fd) < 1e-5, (size, name)
+            assert rel_err(t.grad, fd) < 1e-5, (rows, size, name)
         # Padded keys get no gradient at all.
         assert not k.grad[0, 4:].any() and not v.grad[0, 4:].any()
 
 
 def test_a_row_with_every_key_hidden_stays_finite():
     # Unshifted, such a row would sum to exp(-1e9) = 0 and give 0 / 0; the
-    # bound counts the mask's row maxima, so it takes the shifted path.
+    # bound counts the mask's row maxima, so it takes the shifted path,
+    # though the scores outnumber the entries of q and k.
     rng = np.random.default_rng(4)
-    q, k, v = (rng.normal(0, 1, (2, 3, 4)) for _ in range(3))
-    mask = np.array([[0.0, 0.0, -1e9], [-1e9, -1e9, -1e9]])[:, None, :]
+    q, k, v = (rng.normal(0, 1, (2, 12, 4)) for _ in range(3))
+    mask = np.where(np.arange(12) < np.array([[10], [0]]), 0.0, -1e9)[:, None, :]
     out, _, sums = attention_array(q, k, v, 0.5, mask)
     assert np.isfinite(out).all() and (sums >= 1).all()
-    np.testing.assert_array_equal(out[:1], attention_array(q[:1], k[:1], v[:1], 0.5, mask[:1], always_shift=True)[0])
+    e = (q[:1] * 0.5) @ k[:1].swapaxes(-1, -2) + mask[:1]  # the shifted path's float operations
+    e = np.exp(e - e.max(axis=-1, keepdims=True))
+    np.testing.assert_array_equal(out[:1], (e @ v[:1]) / e.sum(axis=-1, keepdims=True))
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.4])

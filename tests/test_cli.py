@@ -101,6 +101,9 @@ def test_config_file_setting_min_freq_is_refused(workspace, tmp_path, capsys):
         ({"strict_sum": True}, "strict_sum is no longer a setting"),
         ({"share_relation_encoder": True}, "share_relation_encoder is no longer a setting"),
         ({"classifier_bias": False}, "classifier_bias is no longer a setting"),
+        ({"adam_beta1": 0.8}, "adam_beta1 is no longer a setting"),
+        ({"adam_beta2": 0.99}, "adam_beta2 is no longer a setting"),
+        ({"adam_eps": 1e-6}, "adam_eps is no longer a setting"),
     ]
     for overrides, message in refusals:
         config = fast_config(tmp_path, **overrides)

@@ -48,7 +48,7 @@ def test_fuse_concatenation_order():
     ctx = Tensor(np.array([[[1.0, 2.0], [9.0, 9.0]]]))
     an = Tensor(np.array([[[3.0, 4.0]]]))
     pooled = Tensor(np.array([[5.0, 6.0]]))
-    fused = fuse_features(ctx, an, pooled, 2)
+    fused = fuse_features(ctx, an, pooled)
     np.testing.assert_array_equal(fused.data, [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
 
 
@@ -57,12 +57,12 @@ def test_fuse_length_is_3d(rng):
         ctx = Tensor(rng.normal(0, 1, (1, 3, d)))
         an = Tensor(rng.normal(0, 1, (1, 2, d)))
         pooled = Tensor(rng.normal(0, 1, (1, d)))
-        assert fuse_features(ctx, an, pooled, d).shape == (1, 3 * d)
+        assert fuse_features(ctx, an, pooled).shape == (1, 3 * d)
 
 
 def test_fuse_zero_fills_missing_streams(rng):
     ctx = Tensor(rng.normal(0, 1, (1, 3, 4)))
-    fused = fuse_features(ctx, None, None, 4)
+    fused = fuse_features(ctx, None, None)
     np.testing.assert_array_equal(fused.data[0, :4], ctx.data[0, 0])
     np.testing.assert_array_equal(fused.data[0, 4:], np.zeros(8))
 
@@ -72,7 +72,7 @@ def test_fuse_zero_fills_analysis_slot_only(rng):
     # two slices untouched.
     ctx = Tensor(rng.normal(0, 1, (1, 3, 4)))
     pooled = Tensor(rng.normal(0, 1, (1, 4)))
-    fused = fuse_features(ctx, None, pooled, 4)
+    fused = fuse_features(ctx, None, pooled)
     np.testing.assert_array_equal(fused.data[0, :4], ctx.data[0, 0])
     np.testing.assert_array_equal(fused.data[0, 4:8], np.zeros(4))
     np.testing.assert_array_equal(fused.data[0, 8:], pooled.data[0])
@@ -82,7 +82,7 @@ def test_fuse_round_trip_bit_exact(rng):
     ctx = Tensor(rng.normal(0, 1, (1, 3, 4)))
     an = Tensor(rng.normal(0, 1, (1, 2, 4)))
     pooled = pool_one(rng.normal(0, 1, (5, 4)))
-    fused = fuse_features(ctx, an, pooled, 4).data[0]
+    fused = fuse_features(ctx, an, pooled).data[0]
     assert np.array_equal(fused[:4], ctx.data[0, 0])
     assert np.array_equal(fused[4:8], an.data[0, 0])
     assert np.array_equal(fused[8:], pooled.data[0])
@@ -90,7 +90,7 @@ def test_fuse_round_trip_bit_exact(rng):
 
 def test_fuse_width_mismatch(rng):
     with pytest.raises(ValueError, match="width"):
-        fuse_features(Tensor(np.zeros((1, 1, 4))), Tensor(np.zeros((1, 1, 6))), None, 4)
+        fuse_features(Tensor(np.zeros((1, 1, 4))), Tensor(np.zeros((1, 1, 6))), None)
 
 
 def test_zero_classifier_gives_uniform_over_32(rng):

@@ -91,8 +91,10 @@ def attention_inputs(draw):
     """q (B, queries, 8), k and v (B, keys, 8), and an additive key mask
     (B, 1, keys) that hides any keys of each sample but one at least. q
     and k are drawn at a size of 1, whose scores stay under the bound
-    that lets attention skip the row-max shift, or of 30, past it."""
-    batch, queries, keys = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    that lets attention skip the row-max shift, or of 30, past it; the
+    skip also needs more scores than q and k entries, as many queries
+    and keys over 2 or 4 heads make."""
+    batch, queries, keys = draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(1, 16))
     hidden = [draw(st.lists(st.booleans(), min_size=keys, max_size=keys)) for _ in range(batch)]
     for row in hidden:
         row[draw(st.integers(0, keys - 1))] = False
@@ -121,8 +123,12 @@ LIMIT = 299.0**0.5  # q and k rows of this norm at scale 1 score at most 299
 @given(inputs=attention_inputs(), heads=st.sampled_from([1, 2, 4]), scale=st.sampled_from([0.5, 0.3, 1.7]))
 # Scores of ±1e4: only the shifted path is finite.
 @example(inputs=pinned([unit(100), unit(-100)], [unit(100), unit(99, 5), unit(-100)], hidden=[1]), heads=2, scale=1.0)
-# Scores of ±299, just under the bound: unshifted, sums from about e^-269 to e^299.
-@example(inputs=pinned([unit(LIMIT), unit(-LIMIT)], [unit(LIMIT), unit(0.9 * LIMIT, 0.3 * LIMIT), unit(0.5)], hidden=[2]), heads=1, scale=1.0)
+# Scores of ±299, just under the bound, and enough of them: unshifted, sums from about e^-267 to e^301.
+@example(inputs=pinned([unit(LIMIT), unit(-LIMIT)] * 9, [unit(LIMIT), unit(0.9 * LIMIT, 0.3 * LIMIT), unit(0.5)] * 6, hidden=range(2, 18, 3)), heads=1, scale=1.0)
+# As many scores as q and k entries: shifted, though the bound is small.
+@example(inputs=pinned([unit(1.0)] * 16, [unit(0.5, 1.0)] * 16), heads=1, scale=1.0)
+# A search step's shape, one query row over 400 keys: shifted.
+@example(inputs=pinned([unit(1.0, -1.0)], np.random.default_rng(1).normal(0, 0.3, (400, 8)).tolist()), heads=4, scale=0.5)
 # q·q overflows to an inf bound; the scores, near ±1e160, are finite.
 @example(inputs=pinned([unit(1e160), unit(1.0)], [unit(1.0, 2.0), unit(-2.0), unit(3.0)]), heads=1, scale=0.5)
 def test_attention_output_is_the_same_with_or_without_the_tape_or_weights(inputs, heads, scale):
@@ -144,16 +150,17 @@ def test_attention_output_is_the_same_with_or_without_the_tape_or_weights(inputs
         for h in range(heads):
             want = reference.softmax_rows(scale * qb[h] @ kb[h].T + mask[b]) @ vb[h]
             np.testing.assert_allclose(got[h], want, rtol=0, atol=1e-12)
-    # The path: unshifted row sums are those of exp(scores) as they are.
+    # The path: row sums are those of exp(scores), shifted by the row max
+    # unless the scores outnumber the q and k entries and the bound is small.
     qs, ks, vs = split[:3]
     with np.errstate(over="ignore"):
         bound = scale * np.linalg.norm(qs, axis=-1).max() * np.linalg.norm(ks, axis=-1).max()
         scores = (qs * scale) @ ks.swapaxes(-1, -2) + mask[:, None]
-    if bound < 300:
-        sums = attention_array(qs, ks, vs, scale, mask[:, None])[2]
-        np.testing.assert_array_equal(sums, np.exp(scores).sum(axis=-1, keepdims=True))
+    if scores.size > q.size + k.size and bound < 300:
+        want = np.exp(scores).sum(axis=-1, keepdims=True)
     else:
-        assert (attention_array(qs, ks, vs, scale, mask[:, None])[2] >= 1).all()
+        want = np.exp(scores - scores.max(axis=-1, keepdims=True)).sum(axis=-1, keepdims=True)
+    np.testing.assert_array_equal(attention_array(qs, ks, vs, scale, mask[:, None])[2], want)
 
 
 # ----------------------------------------------------------------------

@@ -340,12 +340,19 @@ def test_checkpoint_whose_config_holds_min_freq_loads(tmp_path, mini_vocab):
         return load_checkpoint(path, mini_vocab)
 
     # As every checkpoint saved before these fields went: each at its default.
-    old_defaults = dict(min_freq=1, strict_sum=False, share_relation_encoder=False, classifier_bias=True)
+    old_defaults = dict(
+        min_freq=1, strict_sum=False, share_relation_encoder=False, classifier_bias=True,
+        adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8,
+    )
     loaded = load_with(**old_defaults)
     assert loaded.config == config
     for name, p in config.build_model(len(mini_vocab)).named_parameters().items():
         np.testing.assert_array_equal(loaded.model.named_parameters()[name].data, p.data)
-    for name, value in (("strict_sum", True), ("share_relation_encoder", True), ("classifier_bias", False)):
+    retired = (
+        ("strict_sum", True), ("share_relation_encoder", True), ("classifier_bias", False),
+        ("adam_beta1", 0.8), ("adam_beta2", 0.99), ("adam_eps", 1e-6),
+    )
+    for name, value in retired:
         with pytest.raises(CheckpointError, match=rf"config that is refused: {name} is no longer a setting"):
             load_with(**{**old_defaults, name: value})
 
@@ -536,7 +543,7 @@ def reference_train(config, prepared, vocab_size):
     rng = np.random.default_rng(config.seed)
     model = config.build_model(vocab_size, rng)
     params = model.named_parameters()
-    opt = Adam(params, config.adam_beta1, config.adam_beta2, config.adam_eps)
+    opt = Adam(params)
     history, grads, step = [], [], 0
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(prepared))
