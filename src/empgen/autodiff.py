@@ -26,10 +26,10 @@ log-probabilities. The forward arithmetic of ``linear``, ``add_norm`` and
 ``attention`` is written once, over plain arrays, in ``linear_array``,
 ``add_norm_array`` and ``attention_array``: each node calls its array
 function, and the decoding step (``decoder.DecoderStep``) calls them with
-no ``Tensor`` at all: ``linear_array`` for its one q, k and v product and
-every other projection, ``attention_array`` for both attentions, and
-``add_norm_array``, through ``LayerNorm.array``, after each sublayer.
-``softmax`` and ``log_softmax`` work on plain arrays too.
+no ``Tensor`` at all, on arrays it binds once per reply: ``linear_array``
+for its one q, k and v product and every other projection,
+``attention_array`` for both attentions, and ``add_norm_array`` after
+each sublayer. ``softmax`` and ``log_softmax`` work on plain arrays too.
 """
 
 from __future__ import annotations
@@ -319,13 +319,13 @@ def slice_rows(t: Tensor, start: int, stop: int) -> Tensor:
 def linear_array(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None, relu: bool = False):
     """``x @ weight + bias`` for ``x`` (..., k) and a (k, m) weight, as one
     2-D GEMM over all rows, rectified with ``relu``."""
-    k, m = weight.shape
-    y = x.reshape(-1, k) @ weight
+    flat = x.ndim == 2  # multiplied as it is; other shapes are reshaped around the GEMM
+    y = x @ weight if flat else x.reshape(-1, weight.shape[0]) @ weight
     if bias is not None:
         y += bias
     if relu:
         np.maximum(y, 0.0, out=y)
-    return y.reshape(*x.shape[:-1], m)
+    return y if flat else y.reshape(*x.shape[:-1], weight.shape[1])
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, relu: bool = False) -> Tensor:

@@ -5,13 +5,13 @@ generation (greedy or beam).
 Teacher forcing and training run ``DecoderStack.forward`` on the tape.
 Generation does not touch it: a ``DecoderStep`` runs each search step on
 plain float64 arrays, feeding one new (B, d) row per hypothesis. Once
-per reply it projects each layer's cross-attention keys and values of
-the memory head first, for one product per head over all hypotheses,
-and joins each layer's self-attention weights into one q, k and v
-product, whose new key and value rows each step writes into
-preallocated buffers. The step calls the array forwards of the fused
-nodes, so its logits are those of the teacher-forced pass. The live
-beams advance together in one step; a beam whose rows stay is not copied.
+per reply it binds every array a step reads, projects each layer's
+cross-attention keys and values of the memory head first, for one
+product per head over all hypotheses, and joins each layer's
+self-attention weights into one q, k and v product, whose new key and
+value rows each step writes into preallocated buffers. Its logits are
+the teacher-forced pass's, from the fused nodes' array forwards. Live
+beams advance together; a beam whose rows stay is not copied.
 """
 
 from __future__ import annotations
@@ -20,9 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, attention_array, concat, cross_entropy, embedding, linear_array, log_softmax
+from .autodiff import (
+    Tensor, add_norm_array, attention_array, concat, cross_entropy, embedding, linear_array, log_softmax
+)
 from .corpus import BOS_ID, EOS_ID, Vocab
-from .layers import DecoderLayer, Linear, causal_mask, pad_ids, prefixed, sinusoidal_positions
+from .layers import DecoderLayer, LayerNorm, Linear, causal_mask, pad_ids, prefixed, sinusoidal_positions
 
 SEGMENT_CONTEXT, SEGMENT_KNOWLEDGE, SEGMENT_ANALYSIS = 0, 1, 2
 NUM_SEGMENTS = 3
@@ -225,13 +227,14 @@ class DecoderStep:
     (B, vocab), those of the last row of ``DecoderStack.forward`` on its
     whole prefix. No ``Tensor`` is made, so nothing is recorded.
 
-    ``memory`` is one sample's. Its rows plus their segment embedding are
-    projected to each layer's cross-attention keys and values once, head
-    first and C-contiguous: keys (heads, d / heads, rows), made as one
-    product ``wkᵀ memᵀ``, values (heads, rows, d / heads), one GEMM per
-    head over the (heads, B, d / heads) queries. The self-attention q, k
-    and v of the new (B, d) rows are one product with ``[wq | wk | wv]``,
-    joined per step object since training changes the weights, and split
+    Once per reply it binds every array a step reads, so that a step runs
+    ``linear_array``, ``add_norm_array`` and ``attention_array`` on them
+    with no method or attribute hop. ``memory`` is one sample's. Its rows
+    plus their segment embedding are projected to each layer's
+    cross-attention keys, (heads, d / heads, rows) as one product ``wkᵀ
+    memᵀ``, and values, (heads, rows, d / heads), for one GEMM per head
+    over the (heads, B, d / heads) queries. The self-attention q, k and v
+    of the new (B, d) rows are one product with ``[wq | wk | wv]``, split
     by head with one reshape; the new keys and values go from it into (B,
     heads, ``max_len``, d / heads) buffers. A lone new row sees every row
     before it, so it needs no causal mask. One query row per hypothesis
@@ -239,19 +242,23 @@ class DecoderStep:
     """
 
     def __init__(self, stack: DecoderStack, memory: DecoderMemory, max_len: int):
-        self.stack, self.length = stack, 0
+        self.length, self.scale, self.eps = 0, stack.layers[0].self_attn.scale, LayerNorm.EPS
         self.heads = heads = stack.layers[0].self_attn.heads
+        self.embedding, self.positions = stack.token_embedding.data, stack.positions
+        self.out_proj = stack.out_proj.weight.data, stack.out_proj.bias.data
         d = stack.positions.shape[1]
         mem = memory.values.data + stack.segment_embedding.data[memory.segment_ids]
         self.memory_mask = None if memory.key_mask is None else memory.key_mask[:, None, :]
-        self.weights = []  # per layer: the q, k and v weight and bias, and the memory's keys and values
+        self.layers = []  # per layer, the arrays a step reads, in the order it reads them
         for layer in stack.layers:
             a, c = layer.self_attn, layer.cross_attn
             qkv = np.concatenate([a.wq.weight.data, a.wk.weight.data, a.wv.weight.data], axis=1)
             qkv_bias = np.concatenate([a.wq.bias.data, np.zeros(d), a.wv.bias.data])  # wk has no bias
             kt = (c.wk.weight.data.T @ mem.reshape(-1, d).T).reshape(heads, d // heads, -1)  # wk has no bias
-            v = c.wv.array(mem).reshape(-1, heads, d // heads).swapaxes(0, 1)
-            self.weights.append((qkv, qkv_bias, kt.swapaxes(1, 2), np.ascontiguousarray(v)))
+            v = linear_array(mem, c.wv.weight.data, c.wv.bias.data).reshape(-1, heads, d // heads).swapaxes(0, 1)
+            parts = (a.wo, layer.ln1, c.wq, c.wo, layer.ln2, layer.ffn.lin1, layer.ffn.lin2, layer.ln3)
+            arrays = [tuple(p.data for p in part.parameters().values()) for part in parts]  # (weight or gain, bias)
+            self.layers.append(((qkv, qkv_bias), (kt.swapaxes(1, 2), np.ascontiguousarray(v)), *arrays))
         shape = (1, heads, max_len, d // heads)
         self.past = [(np.empty(shape), np.empty(shape)) for _ in stack.layers]
 
@@ -262,20 +269,19 @@ class DecoderStep:
             self.past = [(k[parents], v[parents]) for k, v in self.past]
 
     def __call__(self, tokens) -> np.ndarray:
-        stack, t, heads, mask = self.stack, self.length, self.heads, self.memory_mask
-        x = stack.token_embedding.data[np.asarray(tokens, dtype=np.int64)] + stack.positions[t]
+        t, heads, scale, eps, mask = self.length, self.heads, self.scale, self.eps, self.memory_mask
+        x = self.embedding[np.asarray(tokens, dtype=np.int64)] + self.positions[t]
         b, new = len(x), slice(t, t + 1)
-        for layer, (qkv, qkv_bias, mem_k, mem_v), (k, v) in zip(stack.layers, self.weights, self.past):
-            attn, cross = layer.self_attn, layer.cross_attn
-            q, k[:, :, new], v[:, :, new] = linear_array(x, qkv, qkv_bias).reshape(b, 3, heads, 1, -1).swapaxes(0, 1)
-            out = attention_array(q, k[:, :, : t + 1], v[:, :, : t + 1], attn.scale)[0]
-            x = layer.ln1.array(x, attn.wo.array(out.reshape(b, -1)))
-            q = cross.wq.array(x).reshape(b, heads, -1).swapaxes(0, 1)
-            out = attention_array(q, mem_k, mem_v, cross.scale, mask)[0]
-            x = layer.ln2.array(x, cross.wo.array(out.swapaxes(0, 1).reshape(b, -1)))
-            x = layer.ln3.array(x, layer.ffn.array(x))
+        for (qkv, mem, self_wo, ln1, cross_wq, cross_wo, ln2, lin1, lin2, ln3), (k, v) in zip(self.layers, self.past):
+            q, k[:, :, new], v[:, :, new] = linear_array(x, *qkv).reshape(b, 3, heads, 1, -1).swapaxes(0, 1)
+            out = attention_array(q, k[:, :, : t + 1], v[:, :, : t + 1], scale)[0]
+            x = add_norm_array(x, linear_array(out.reshape(b, -1), *self_wo), *ln1, eps)[0]
+            q = linear_array(x, *cross_wq).reshape(b, heads, -1).swapaxes(0, 1)
+            out = attention_array(q, *mem, scale, mask)[0]
+            x = add_norm_array(x, linear_array(out.swapaxes(0, 1).reshape(b, -1), *cross_wo), *ln2, eps)[0]
+            x = add_norm_array(x, linear_array(linear_array(x, *lin1, True), *lin2), *ln3, eps)[0]
         self.length = t + 1
-        return stack.out_proj.array(x)
+        return linear_array(x, *self.out_proj)
 
 
 def check_search(stack: DecoderStack, strategy: str, beam_size: int, max_gen_len: int) -> None:

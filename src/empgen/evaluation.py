@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -31,8 +31,14 @@ class MetricError(ValueError):
     pass
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+# A hypothesis–reference pair's counts at one n-gram order, all that the similarity metrics read: the
+# hypothesis n-grams the reference holds, clipped to its counts, each side's total and the hypothesis n-grams.
+NGramCounts = namedtuple("NGramCounts", "matches hyp_total ref_total hyp_grams")
+
+
+def ngram_counts(hypothesis: list[str], reference: list[str], n: int) -> NGramCounts:
+    hc, rc = (Counter(zip(*[tokens[i:] for i in range(n)])) for tokens in (hypothesis, reference))
+    return NGramCounts(sum(min(c, rc[g]) for g, c in hc.items() if g in rc), sum(hc.values()), sum(rc.values()), hc)
 
 
 def perplexity(per_token_nll) -> float:
@@ -41,6 +47,21 @@ def perplexity(per_token_nll) -> float:
     if values.size == 0:
         raise MetricError("perplexity needs at least one token")
     return float(np.exp(values.mean()))
+
+
+def _bleu(orders: list[list[NGramCounts]]) -> float:
+    """Corpus BLEU over orders 1..len(``orders``), from each order's pair counts."""
+    hyp_len, ref_len = sum(c.hyp_total for c in orders[0]), sum(c.ref_total for c in orders[0])
+    if hyp_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for pairs in orders:
+        matches = sum(c.matches for c in pairs)
+        total = sum(c.hyp_total for c in pairs)
+        p = matches / total if total > 0 and matches > 0 else BLEU_EPSILON
+        log_sum += math.log(p)
+    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return bp * math.exp(log_sum / len(orders))
 
 
 def bleu_n(
@@ -55,71 +76,71 @@ def bleu_n(
         raise MetricError("hypothesis/reference count mismatch")
     if not 1 <= max_n <= 4:
         raise MetricError("max_n must be in 1..4")
-    hyp_len = sum(len(h) for h in hypotheses)
-    ref_len = sum(len(r) for r in references)
-    if hyp_len == 0:
+    return _bleu(_counts(hypotheses, references, range(1, max_n + 1)))
+
+
+def _rouge(c: NGramCounts) -> float:
+    if c.hyp_total == 0 or c.ref_total == 0:
         return 0.0
-    log_sum = 0.0
-    for n in range(1, max_n + 1):
-        matches = 0
-        total = 0
-        for hyp, ref in zip(hypotheses, references):
-            hc = _ngrams(hyp, n)
-            rc = _ngrams(ref, n)
-            matches += sum(min(c, rc[g]) for g, c in hc.items())
-            total += sum(hc.values())
-        p = matches / total if total > 0 and matches > 0 else BLEU_EPSILON
-        log_sum += math.log(p)
-    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return bp * math.exp(log_sum / max_n)
+    precision = c.matches / c.hyp_total
+    recall = c.matches / c.ref_total
+    if precision + recall == 0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
 
 
 def rouge_n(hypothesis: list[str], reference: list[str], n: int) -> float:
     """Sentence-level n-gram F1 with clipped overlap."""
     if n not in (1, 2):
         raise MetricError("rouge order must be 1 or 2")
-    hc = _ngrams(hypothesis, n)
-    rc = _ngrams(reference, n)
-    h_total = sum(hc.values())
-    r_total = sum(rc.values())
-    if h_total == 0 or r_total == 0:
-        return 0.0
-    overlap = sum(min(c, rc[g]) for g, c in hc.items())
-    precision = overlap / h_total
-    recall = overlap / r_total
-    if precision + recall == 0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    return _rouge(ngram_counts(hypothesis, reference, n))
+
+
+def _rouge_mean(pairs: list[NGramCounts]) -> tuple[float, int]:
+    """Mean sentence-level score; a reference with no n-gram of the order scores 0 and is counted."""
+    return float(np.mean([_rouge(c) for c in pairs])), sum(c.ref_total == 0 for c in pairs)
 
 
 def rouge_n_corpus(hypotheses: list[list[str]], references: list[list[str]], n: int) -> tuple[float, int]:
     """Mean sentence-level score; empty references score 0 and are counted."""
-    if len(hypotheses) != len(references):
-        raise MetricError("hypothesis/reference count mismatch")
-    scores = []
-    warnings = 0
-    for hyp, ref in zip(hypotheses, references):
-        if len(ref) < n:
-            warnings += 1
-            scores.append(0.0)
-            continue
-        scores.append(rouge_n(hyp, ref, n))
-    return float(np.mean(scores)), warnings
+    (pairs,) = _counts(hypotheses, references, [n])
+    if n not in (1, 2) and any(len(r) >= n for r in references):
+        raise MetricError("rouge order must be 1 or 2")
+    return _rouge_mean(pairs)
+
+
+def _dist(pairs: list[NGramCounts]) -> float:
+    """Distinct over total hypothesis n-grams; 0.0 where there are none."""
+    total = sum(c.hyp_total for c in pairs)
+    return len(set().union(*(c.hyp_grams for c in pairs))) / total if total else 0.0
 
 
 def dist_n(hypotheses: list[list[str]], n: int) -> float:
     """Distinct n-grams over total n-grams across the whole corpus."""
     if not hypotheses:
         raise MetricError("empty corpus")
-    seen: set[tuple[str, ...]] = set()
-    total = 0
-    for hyp in hypotheses:
-        for i in range(len(hyp) - n + 1):
-            seen.add(tuple(hyp[i : i + n]))
-            total += 1
-    if total == 0:
+    if all(len(h) < n for h in hypotheses):
         raise MetricError(f"no hypothesis holds an n-gram of order {n}")
-    return len(seen) / total
+    return _dist([ngram_counts(h, [], n) for h in hypotheses])
+
+
+def _counts(hypotheses: list[list[str]], references: list[list[str]], orders) -> list[list[NGramCounts]]:
+    """Each pair's counts at each of ``orders``, each order counted once."""
+    if len(hypotheses) != len(references):
+        raise MetricError("hypothesis/reference count mismatch")
+    return [[ngram_counts(h, r, n) for h, r in zip(hypotheses, references)] for n in orders]
+
+
+def text_metrics(hypotheses: list[list[str]], references: list[list[str]]) -> dict:
+    """BLEU-1..4, ROUGE-1/2, Dist-1/2 and the empty-reference warnings of a
+    corpus, from one count of each order per pair. Dist-n reads 0.0 where no
+    hypothesis reaches the order: such a corpus holds no distinct n-grams."""
+    orders = _counts(hypotheses, references, (1, 2, 3, 4))
+    (rouge1, warn1), (rouge2, warn2) = _rouge_mean(orders[0]), _rouge_mean(orders[1])
+    return dict(
+        bleu=[_bleu(orders[:n]) for n in (1, 2, 3, 4)], rouge1=rouge1, rouge2=rouge2,
+        dist1=_dist(orders[0]), dist2=_dist(orders[1]), empty_reference_warnings=warn1 + warn2,
+    )
 
 
 def accuracy(predicted: list[int], gold: list[int]) -> float:
@@ -216,19 +237,12 @@ def evaluate(
         }
         for sample, prep, reply, label in zip(samples, prepared, replies, predicted)
     ]
-    rouge1, warn1 = rouge_n_corpus(hyps, refs, 1)
-    rouge2, warn2 = rouge_n_corpus(hyps, refs, 2)
     return MetricReport(
         ppl=perplexity(nll for reply in replies for nll in reply.per_token_nll),
-        bleu=[bleu_n(hyps, refs, n) for n in (1, 2, 3, 4)],
-        rouge1=rouge1,
-        rouge2=rouge2,
-        dist1=dist_n(hyps, 1),
-        dist2=dist_n(hyps, 2),
+        **text_metrics(hyps, refs),
         acc=accuracy(predicted, gold),
         sample_count=len(samples),
         config_fingerprint=config.fingerprint(),
-        empty_reference_warnings=warn1 + warn2,
         row_label=row_label,
         generations=generations,
     )

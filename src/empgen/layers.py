@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor, add_norm, add_norm_array, attention, linear, linear_array, parameter
+from .autodiff import Tensor, add_norm, attention, linear, parameter
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -64,9 +64,6 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
 
-    def array(self, x: np.ndarray, relu: bool = False) -> np.ndarray:
-        return linear_array(x, self.weight.data, None if self.bias is None else self.bias.data, relu)
-
     def parameters(self) -> dict[str, Tensor]:
         out = {"weight": self.weight}
         if self.bias is not None:
@@ -85,10 +82,6 @@ class LayerNorm:
         """``LN(x + dropout(h))`` of a post-norm sublayer with input ``x``
         and result ``h``, as one ``add_norm`` node."""
         return add_norm(x, h, self.gain, self.bias, self.EPS, drop, rng)
-
-    def array(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """``LN(x + h)`` of plain arrays, with no dropout."""
-        return add_norm_array(x, h, self.gain.data, self.bias.data, self.EPS)[0]
 
     def parameters(self) -> dict[str, Tensor]:
         return {"gain": self.gain, "bias": self.bias}
@@ -127,9 +120,6 @@ class FeedForward:
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.lin2(linear(x, self.lin1.weight, self.lin1.bias, relu=True))
-
-    def array(self, x: np.ndarray) -> np.ndarray:
-        return self.lin2.array(self.lin1.array(x, relu=True))
 
     def parameters(self) -> dict[str, Tensor]:
         return prefixed({"lin1": self.lin1, "lin2": self.lin2})

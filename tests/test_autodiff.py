@@ -11,6 +11,7 @@ from empgen.autodiff import (
     cross_entropy,
     embedding,
     linear,
+    linear_array,
     log_softmax,
     no_grad,
     parameter,
@@ -102,6 +103,19 @@ def test_sum_grads():
     check_unary(lambda x: x.sum(axis=0).sum(), (3, 4))
     check_unary(lambda x: (x.sum(axis=-1, keepdims=True) * x).sum(), (3, 4))
     check_unary(lambda x: (x.sum(axis=(0, 2)) * Tensor([1.0, -2.0, 0.5])).sum(), (2, 3, 4))
+
+
+@pytest.mark.parametrize("bias, relu", [(False, False), (True, False), (False, True), (True, True)])
+def test_linear_array_gives_2d_rows_the_bits_of_their_reshaped_path(bias, relu):
+    # A (B, d) input is multiplied as it is, with no reshape pair around
+    # the GEMM; the same rows as (1, B, d) or (B, 1, d) go through it.
+    rng = np.random.default_rng(16)
+    x, w = rng.normal(0, 1, (5, 8)), rng.normal(0, 1, (8, 6))
+    b = rng.normal(0, 1, 6) if bias else None
+    rows = linear_array(x, w, b, relu)
+    assert rows.shape == (5, 6)
+    assert np.array_equal(rows, linear_array(x[None], w, b, relu)[0])
+    assert np.array_equal(rows, linear_array(x[:, None], w, b, relu)[:, 0])
 
 
 def test_relu_linear_gradients_away_from_the_kink():

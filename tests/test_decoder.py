@@ -305,6 +305,20 @@ def test_cached_rows_match_full_prefix_forward(rng):
     np.testing.assert_allclose(both[1], stack.forward([seq[:3] + [6]], mem).data[0, -1], rtol=0, atol=1e-12)
 
 
+def test_the_step_reads_each_part_of_each_layer(rng):
+    # Fresh LayerNorms are all alike (gain 1, bias 0), so a step that bound
+    # one LayerNorm's arrays in another's place would match an untrained
+    # stack: draw every parameter.
+    stack = micro_decoder(seed=6, vocab_size=12, layers=2)
+    for p in stack.parameters().values():
+        p.data[...] = rng.normal(0, 0.5, p.shape)
+    mem = random_memory(rng)
+    seq = [BOS_ID, 5, 7, 3]
+    step = DecoderStep(stack, mem, max_len=len(seq))
+    rows = [step([tok])[0] for tok in seq]
+    np.testing.assert_allclose(rows, stack.forward([seq], mem).data[0], rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("heads", [1, 2])
 def test_causal_mask_after_cached_rows(rng, heads):
     # A step sees only the rows fed so far: buffer rows past them, which

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from empgen.evaluation import (
     MetricError,
@@ -14,6 +16,7 @@ from empgen.evaluation import (
     perplexity,
     rouge_n,
     rouge_n_corpus,
+    text_metrics,
     write_report,
 )
 from empgen.knowledge import AnalysisCache, EchoLlmClient, TemplateCommonsenseProvider
@@ -153,6 +156,38 @@ def test_dist_bounds_property(rng):
 def test_dist_error_when_all_too_short():
     with pytest.raises(MetricError):
         dist_n([["a"], ["b"]], 2)
+
+
+# ----------------------------------------------------------------------
+# every similarity metric from one count
+
+
+words = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=6)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(pairs=st.lists(st.tuples(words, words), min_size=1, max_size=5))
+@example(pairs=[(["a"], ["a", "b"]), (["b"], ["b"]), ([], ["c"])])  # no reply reaches order 2
+@example(pairs=[([], ["a"]), ([], [])])  # nor order 1
+def test_one_count_metrics_equal_the_separate_oracles(pairs):
+    # The draws hold empty hypotheses, empty references and hypotheses
+    # shorter than the order, and every value must be the oracle's own.
+    hyps, refs = [h for h, _ in pairs], [r for _, r in pairs]
+    got = text_metrics(hyps, refs)
+    assert got["bleu"] == [reference.bleu(hyps, refs, n) for n in (1, 2, 3, 4)]
+    for n in (1, 2):
+        assert got[f"rouge{n}"] == float(np.mean([reference.rouge_f1(h, r, n) for h, r in pairs]))
+        reached = any(len(h) >= n for h in hyps)
+        assert got[f"dist{n}"] == (reference.dist(hyps, n) if reached else 0.0)
+    assert got["empty_reference_warnings"] == sum(len(r) < n for r in refs for n in (1, 2))
+    assert got == {
+        "bleu": [bleu_n(hyps, refs, n) for n in (1, 2, 3, 4)],
+        "rouge1": rouge_n_corpus(hyps, refs, 1)[0],
+        "rouge2": rouge_n_corpus(hyps, refs, 2)[0],
+        "dist1": dist_n(hyps, 1) if any(hyps) else 0.0,
+        "dist2": dist_n(hyps, 2) if any(len(h) > 1 for h in hyps) else 0.0,
+        "empty_reference_warnings": rouge_n_corpus(hyps, refs, 1)[1] + rouge_n_corpus(hyps, refs, 2)[1],
+    }
 
 
 # ----------------------------------------------------------------------
@@ -308,6 +343,20 @@ def test_evaluate_equals_the_per_stage_reference(trained, mini_samples, mini_voc
         100 * reference.accuracy(predicted, [p.emotion_index for p in prepared]),
     ]
     np.testing.assert_allclose(report.row_values(), expected, rtol=1e-9, atol=1e-9)
+
+
+def test_evaluate_scores_replies_that_end_at_once(mini_samples, mini_vocab, lexicon):
+    # With <eos> far ahead of every other token, every reply is empty: no
+    # reply holds an n-gram, which reads as no distinct n-grams, not an error.
+    from empgen.corpus import EOS_ID
+
+    config = TrainConfig(seed=3, d=16, layers=2, heads=2, ffn_mult=2)
+    model = config.build_model(len(mini_vocab))
+    model.decoder.out_proj.bias.data[EOS_ID] += 100
+    report = evaluate(model, config, mini_samples[24:26], mini_vocab, eval_providers(lexicon))
+    assert [g["response"] for g in report.generations] == ["", ""]
+    assert (report.dist1, report.dist2, report.bleu, report.rouge1, report.rouge2) == (0.0, 0.0, [0.0] * 4, 0.0, 0.0)
+    assert report.sample_count == 2 and math.isfinite(report.ppl)
 
 
 def test_evaluate_provider_mismatch_errors(trained, mini_samples, mini_vocab):
