@@ -104,12 +104,6 @@ def write_manifest(args, config: dict, seed: int) -> None:
     write_file(Path(args.out) / "run_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _check_emotions(config: TrainConfig, where: str) -> None:
-    """Refuse ``config``, by ``where``, unless its emotion head has one output per label."""
-    if config.num_emotions != len(LABELS):
-        raise ValueError(f"{where}: num_emotions must be the {len(LABELS)} emotion labels, got {config.num_emotions}")
-
-
 def load_config(args) -> TrainConfig:
     """The ``--config`` file's settings, refused by the file's path, then
     the ``--seed``, ``--ablation`` and ``--epochs`` flags over them,
@@ -123,7 +117,6 @@ def load_config(args) -> TrainConfig:
             config = TrainConfig.from_dict(data)
         except ValueError as exc:
             raise ValueError(f"config {args.config}: {exc}") from exc
-        _check_emotions(config, f"config {args.config}")
     for name in ("seed", "ablation", "epochs"):
         value = getattr(args, name, None)
         if value is not None:
@@ -318,7 +311,6 @@ def _load_trained(args):
     if not 1 <= args.beam_size <= len(vocab):
         raise ValueError(f"--beam-size must be from 1 to the vocabulary's {len(vocab)} tokens, got {args.beam_size}")
     loaded = load_checkpoint(args.checkpoint, vocab)
-    _check_emotions(loaded.config, f"checkpoint {args.checkpoint}")
     providers = build_providers(args, loaded.config, _load_split(args.data_dir, "train"))
     return vocab, loaded, providers
 

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Tensor, add_norm_array, attention_array, concat, cross_entropy, embedding, linear_array, log_softmax
+    Tensor, add_norm_array, attention_array, concat, cross_entropy, embedding, linear_array, log_softmax, parameter
 )
 from .corpus import BOS_ID, EOS_ID, Vocab
-from .layers import DecoderLayer, LayerNorm, Linear, causal_mask, pad_ids, prefixed, sinusoidal_positions
+from .layers import DecoderLayer, LayerNorm, Linear, causal_mask, pad_ids, prefixed, sinusoidal_positions, unpadded
 
 SEGMENT_CONTEXT, SEGMENT_KNOWLEDGE, SEGMENT_ANALYSIS = 0, 1, 2
 NUM_SEGMENTS = 3
@@ -70,7 +70,7 @@ def assemble_memory(
         parts.append(rep)
         segments.append(np.full(rep.shape[-2], seg, dtype=np.int64))
         if n is not None:
-            valid.append(np.arange(rep.shape[-2]) < n[:, None])
+            valid.append(unpadded(n, rep.shape[-2]))
     values = concat(parts, axis=-2) if len(parts) > 1 else parts[0]
     valid = np.concatenate(valid, axis=-1) if valid else None
     key_mask = None if valid is None or valid.all() else np.where(valid, 0.0, -1e9)
@@ -78,28 +78,22 @@ def assemble_memory(
 
 
 class DecoderStack:
-    """Masked self-attention plus cross-attention over the segment-tagged memory."""
+    """Masked self-attention plus cross-attention over the segment-tagged memory, on ``max_len``
+    positions and the (vocabulary, d) ``token_embedding`` it is given, whose shape sizes the stack."""
 
     def __init__(
         self,
         rng: np.random.Generator,
-        vocab_size: int,
-        d: int,
+        token_embedding: Tensor,
         layers: int,
         heads: int,
         ffn_mult: int,
         dropout: float,
-        max_len: int = 512,
-        token_embedding: Tensor | None = None,
+        max_len: int,
     ):
-        from .autodiff import parameter
-
+        vocab_size, d = token_embedding.shape
         self.dropout = dropout
-        self.token_embedding = (
-            token_embedding
-            if token_embedding is not None
-            else parameter(rng.normal(0.0, 0.02, (vocab_size, d)))
-        )
+        self.token_embedding = token_embedding
         self.segment_embedding = parameter(rng.normal(0.0, 0.02, (NUM_SEGMENTS, d)))
         self.positions = sinusoidal_positions(max_len, d)
         self.layers = [DecoderLayer(rng, d, heads, ffn_mult) for _ in range(layers)]
@@ -112,14 +106,13 @@ class DecoderStack:
         ids = np.asarray(input_ids, dtype=np.int64)
         if ids.size == 0:
             raise ValueError("decoder needs at least one input token")
-        drop = self.dropout if rng is not None else 0.0
         m = ids.shape[-1]
         x = embedding(self.token_embedding, ids) + Tensor(self.positions[:m])
         mem = memory.values + embedding(self.segment_embedding, memory.segment_ids)
         mask = causal_mask(m)
         memory_mask = None if memory.key_mask is None else memory.key_mask[..., None, :]
         for layer in self.layers:
-            x = layer(x, mem, mask, drop, rng, memory_mask)
+            x = layer(x, mem, mask, self.dropout, rng, memory_mask)
         return self.out_proj(x)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -145,8 +138,7 @@ def nll_loss(
         raise ValueError("empty target")
     targets, lengths = pad_ids(target_ids)
     input_ids = np.concatenate([np.full((len(targets), 1), BOS_ID), targets[:, :-1]], axis=1)
-    valid = np.arange(targets.shape[1]) < lengths[:, None]
-    nll = cross_entropy(stack.forward(input_ids, memory, rng), targets, valid)
+    nll = cross_entropy(stack.forward(input_ids, memory, rng), targets, unpadded(lengths, targets.shape[1]))
     return nll.sum(axis=1), [row[:n].copy() for row, n in zip(nll.data, lengths)]
 
 
@@ -169,7 +161,7 @@ def greedy_decode(step_fn, eos_id: int, max_len: int):
     log_probs: list[float] = []
     while len(ids) < max_len:
         lp = step_fn([[BOS_ID] + ids])[0]
-        tok = int(np.argmax(lp))
+        tok = int(lp.argmax())
         ids.append(tok)
         log_probs.append(float(lp[tok]))
         if tok == eos_id:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, concat, cross_entropy, slice_rows, softmax
-from .layers import Linear
+from .layers import Linear, unpadded
 
 
 def pool_knowledge(knowledge_rep: Tensor, lengths: np.ndarray) -> Tensor:
@@ -15,7 +15,7 @@ def pool_knowledge(knowledge_rep: Tensor, lengths: np.ndarray) -> Tensor:
     that sample's rows only."""
     if knowledge_rep.shape[-2] < 1:
         raise ValueError("cannot pool an empty matrix")
-    valid = np.arange(knowledge_rep.shape[-2]) < lengths[:, None]
+    valid = unpadded(lengths, knowledge_rep.shape[-2])
     return (knowledge_rep * Tensor(valid[..., None])).sum(axis=1) * Tensor(1.0 / lengths[:, None])
 
 

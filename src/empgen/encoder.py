@@ -41,7 +41,7 @@ class FusionParams:
 
 
 class EncoderStack:
-    """Token embeddings, fixed sinusoidal positions, post-norm layers."""
+    """Its own token embeddings, ``max_len`` fixed sinusoidal positions, post-norm layers."""
 
     def __init__(
         self,
@@ -52,7 +52,7 @@ class EncoderStack:
         heads: int,
         ffn_mult: int,
         dropout: float,
-        max_len: int = 512,
+        max_len: int,
     ):
         self.vocab_size = vocab_size
         self.d = d
@@ -83,10 +83,9 @@ class EncoderStack:
             )
         mask = padding_mask(lengths, ids.shape[-1])
         mask = None if mask is None else mask[:, None, :]
-        drop = self.dropout if rng is not None else 0.0
         x = embedding(self.token_embedding, ids) + Tensor(self.positions[: ids.shape[-1]])
         for layer in self.layers:
-            x = layer(x, drop, rng, mask)
+            x = layer(x, self.dropout, rng, mask)
         return x
 
     def parameters(self) -> dict[str, Tensor]:

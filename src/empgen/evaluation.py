@@ -104,6 +104,8 @@ def _rouge_mean(pairs: list[NGramCounts]) -> tuple[float, int]:
 def rouge_n_corpus(hypotheses: list[list[str]], references: list[list[str]], n: int) -> tuple[float, int]:
     """Mean sentence-level score; empty references score 0 and are counted."""
     (pairs,) = _counts(hypotheses, references, [n])
+    if not pairs:
+        raise MetricError("empty corpus")
     if n not in (1, 2) and any(len(r) >= n for r in references):
         raise MetricError("rouge order must be 1 or 2")
     return _rouge_mean(pairs)

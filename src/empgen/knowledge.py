@@ -225,11 +225,7 @@ class HttpLlmConfig:
     base_url: str
     model_id: str
     auth_env: str = "EMPGEN_LLM_TOKEN"
-    temperature: float = 0.8
-    top_p: float = 0.95
     timeout: float = 30.0
-    retries: int = 3
-    backoff: float = 1.0
 
 
 class HttpLlmClient(LlmClient):
@@ -237,11 +233,12 @@ class HttpLlmClient(LlmClient):
 
     A custom transport callable can be injected for tests; the default
     posts JSON with urllib, which it imports on its first post, so only
-    a process that posts loads the HTTP stack. Retries use exponential
-    backoff starting at ``config.backoff`` seconds.
+    a process that posts loads the HTTP stack. It makes up to ``ATTEMPTS``
+    posts, with exponential backoff starting at ``BACKOFF_S`` seconds.
     """
 
     deterministic = False
+    TEMPERATURE, TOP_P, ATTEMPTS, BACKOFF_S = 0.8, 0.95, 3, 1.0
 
     def __init__(self, config: HttpLlmConfig, transport=None, sleep=time.sleep):
         super().__init__()
@@ -270,20 +267,20 @@ class HttpLlmClient(LlmClient):
         payload = {
             "model": self.config.model_id,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.config.temperature,
-            "top_p": self.config.top_p,
+            "temperature": self.TEMPERATURE,
+            "top_p": self.TOP_P,
         }
         last_error = None
-        for attempt in range(self.config.retries):
+        for attempt in range(self.ATTEMPTS):
             try:
                 body = self._transport(payload)
                 return body["choices"][0]["message"]["content"]
             except (OSError, KeyError, ValueError) as exc:
                 last_error = exc
-                if attempt + 1 < self.config.retries:
-                    self._sleep(self.config.backoff * (2**attempt))
+                if attempt + 1 < self.ATTEMPTS:
+                    self._sleep(self.BACKOFF_S * (2**attempt))
         raise LlmError(
-            f"llm backend failed after {self.config.retries} attempts "
+            f"llm backend failed after {self.ATTEMPTS} attempts "
             f"(cache_key={prompt_cache_key(prompt)}): {last_error}"
         )
 

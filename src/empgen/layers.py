@@ -43,12 +43,17 @@ def pad_ids(seqs) -> tuple[np.ndarray, np.ndarray]:
     return ids, lengths
 
 
+def unpadded(lengths: np.ndarray, width: int) -> np.ndarray:
+    """(B, width) booleans, True on each row's first ``lengths[b]`` entries."""
+    return np.arange(width) < lengths[:, None]
+
+
 def padding_mask(lengths: np.ndarray | None, width: int) -> np.ndarray | None:
     """Additive key mask (B, width): 0 on each row's first ``lengths[b]``
     keys, -1e9 on its padding. None when nothing is padded."""
     if lengths is None or np.all(lengths == width):
         return None
-    return np.where(np.arange(width) < lengths[:, None], 0.0, -1e9)
+    return np.where(unpadded(lengths, width), 0.0, -1e9)
 
 
 def prefixed(parts: dict) -> dict[str, Tensor]:

@@ -23,6 +23,7 @@ from .autodiff import Tensor, no_grad
 from .corpus import (
     DEFAULT_MAX_CONTEXT_LEN,
     DialogueSample,
+    LabelSet,
     Vocab,
     encode_cause_ids,
     encode_dialogue,
@@ -224,12 +225,12 @@ class EmpathyModel:
     def __init__(self, config: TrainConfig, vocab_size: int, rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(config.seed)
         d = config.d
-        stack_args = (d, config.layers, config.heads, config.ffn_mult, config.dropout, config.positions)
-        self.context_encoder = EncoderStack(rng, vocab_size, *stack_args)
-        self.relation_encoder = EncoderStack(rng, vocab_size, *stack_args)
+        stack_args = (config.layers, config.heads, config.ffn_mult, config.dropout, config.positions)
+        self.context_encoder = EncoderStack(rng, vocab_size, d, *stack_args)
+        self.relation_encoder = EncoderStack(rng, vocab_size, d, *stack_args)
         self.fusion = FusionParams.create(rng, d)
-        self.decoder = DecoderStack(rng, vocab_size, *stack_args, token_embedding=self.context_encoder.token_embedding)
-        self.classifier = Linear(rng, 3 * d, config.num_emotions)
+        self.decoder = DecoderStack(rng, self.context_encoder.token_embedding, *stack_args)
+        self.classifier = Linear(rng, 3 * d, len(LabelSet.default()))
 
     def named_parameters(self) -> dict[str, Tensor]:
         """Flat name->tensor map; shared tensors appear exactly once."""

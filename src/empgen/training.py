@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .corpus import DEFAULT_MAX_CONTEXT_LEN, Vocab
+from .corpus import DEFAULT_MAX_CONTEXT_LEN, LabelSet, Vocab
 from .decoder import DEFAULT_MAX_GEN_LEN
 from .encoder import DEFAULT_MAX_ANALYSIS_LEN
 from .model import (
@@ -32,7 +32,7 @@ MICRO_BATCH_ROWS = 768
 # Settings that are gone, each with the value the code now always uses. Old
 # checkpoints and config files hold them and load when they hold that value.
 RETIRED_SETTINGS = {"strict_sum": False, "share_relation_encoder": False, "classifier_bias": True,
-                    "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8}
+                    "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8, "num_emotions": 32}
 
 
 # What a field of each annotated type accepts, named for a refusal. A bool
@@ -65,7 +65,6 @@ class TrainConfig:
     max_context_len: int = DEFAULT_MAX_CONTEXT_LEN
     max_analysis_len: int = DEFAULT_MAX_ANALYSIS_LEN
     max_gen_len: int = DEFAULT_MAX_GEN_LEN
-    num_emotions: int = 32
 
     def __post_init__(self):
         for f in fields(self):
@@ -75,7 +74,7 @@ class TrainConfig:
                 raise ValueError(f"{f.name} must be {noun}, got {value!r}")
         positive = (
             "d", "layers", "heads", "ffn_mult", "learning_rate", "epochs", "batch_size",
-            "max_context_len", "max_analysis_len", "max_gen_len", "num_emotions",
+            "max_context_len", "max_analysis_len", "max_gen_len",
         )
         for name in positive:
             value = getattr(self, name)
@@ -122,7 +121,7 @@ class TrainConfig:
         """Estimated bytes of ``EmpathyModel``'s arrays, by the settings that
         size them: 8 per float64 parameter, 32 in training with its gradient
         and Adam's two moments, and the one position table all stacks share."""
-        d, f, e, per = self.d, self.ffn_mult, self.num_emotions, 32 if training else 8
+        d, f, e, per = self.d, self.ffn_mult, len(LabelSet.default()), 32 if training else 8
         # Two token embeddings and the output projection grow with the
         # vocabulary. Per layer: two encoder blocks and a decoder block; then
         # the fusion maps, the segment embedding and the emotion classifier.
@@ -303,10 +302,9 @@ def train(
                 batch_tokens = sum(len(p.target_ids) for p in batch)
                 nll_sum_total = 0.0
                 emo_total = 0.0
-                drop_rng = rng if config.dropout > 0 else None
                 micros = micro_batches(batch, plan)
                 for micro in micros:
-                    fwd = model.forward_batch(micro, plan, drop_rng)
+                    fwd = model.forward_batch(micro, plan, rng)
                     loss = fwd.nll_sum.sum() * (1.0 / batch_tokens) + fwd.emo_nll.sum() * (1.0 / len(batch))
                     loss.backward()
                     for nll_value, emo_value in zip(fwd.nll_sum.data, fwd.emo_nll.data):

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
+from empgen.autodiff import parameter
 from empgen.corpus import LabelSet, parse_sample
+from empgen.decoder import DecoderStack
 from empgen.knowledge import build_analysis_prompt
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -89,6 +91,14 @@ def tape_of(loss, params: dict) -> tuple[list, list[np.ndarray]]:
             if id(a) not in shared:
                 buffers[id(a)] = a
     return nodes, list(buffers.values())
+
+
+def decoder_stack(rng, vocab_size: int, d: int, layers: int, heads: int, max_len: int) -> DecoderStack:
+    """A standalone ``DecoderStack`` at ``ffn_mult`` 2 without dropout, over
+    a (vocab_size, d) token table of its own, drawn from ``rng`` before the
+    stack's own parameters."""
+    table = parameter(rng.normal(0.0, 0.02, (vocab_size, d)))
+    return DecoderStack(rng, table, layers, heads, ffn_mult=2, dropout=0.0, max_len=max_len)
 
 
 def encode_one(stack, ids) -> np.ndarray:

@@ -234,7 +234,7 @@ def grad_check(
     layer, tiny vocab) through the full joint loss of ``preps`` as one
     padded batch (default: the one micro sample)."""
     config = config or TrainConfig(
-        seed=3, d=8, layers=1, heads=2, ffn_mult=2, dropout=0.0, num_emotions=5, ablation="full"
+        seed=3, d=8, layers=1, heads=2, ffn_mult=2, dropout=0.0, ablation="full"
     )
     vocab_size = 24
     plan = PLANS[config.ablation]

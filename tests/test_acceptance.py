@@ -36,7 +36,7 @@ from empgen.model import PLANS, Providers
 from empgen.selectors import HeuristicCauseDetector, OracleSentimentPredictor, load_lexicon
 from empgen.training import TrainConfig, train
 
-from .helpers import GOLDEN_PROMPT_PATH, case_sample, emotion_loss, epoch_mean_total
+from .helpers import GOLDEN_PROMPT_PATH, case_sample, decoder_stack, emotion_loss, epoch_mean_total
 from .oracles import grad_check, reference
 
 
@@ -128,10 +128,8 @@ def test_criterion_loss_algebra(corpus_200):
             assert record.total == record.nll + record.emo
         # uniform decoder: nll = m_y * ln |V|
         rng = np.random.default_rng(0)
-        from empgen.decoder import DecoderStack
-
         vocab_size = 10
-        stack = DecoderStack(rng, vocab_size, 4, 1, 2, ffn_mult=2, dropout=0.0)
+        stack = decoder_stack(rng, vocab_size, 4, 1, 2, max_len=512)
         stack.out_proj.weight.data[:] = 0.0
         stack.out_proj.bias.data[:] = 0.0
         memory = assemble_memory(Tensor(rng.normal(0, 1, (1, 3, 4))))
@@ -287,7 +285,7 @@ def test_criterion_structural_fidelity(tmp_path):
             ]
             bundle = KnowledgeBundle(dict(zip(RELATIONS, texts)))
             token_lists = relation_token_ids(bundle, vocab)
-            stack = EncoderStack(rng, len(vocab), 4, 1, 2, ffn_mult=2, dropout=0.0)
+            stack = EncoderStack(rng, len(vocab), 4, 1, 2, ffn_mult=2, dropout=0.0, max_len=512)
             total = sum(len(ids) for ids in token_lists)
             from empgen.encoder import encode_relations
 

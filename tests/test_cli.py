@@ -111,6 +111,11 @@ def test_config_file_setting_min_freq_is_refused(workspace, tmp_path, capsys):
         err = capsys.readouterr().err
         assert next(iter(overrides)) in err and message in err
         assert not run.exists()
+    # Each retired setting at the one value the model runs as loads, as from an old config file.
+    old = dict(strict_sum=False, share_relation_encoder=False, classifier_bias=True,
+               adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8, num_emotions=32)
+    loaded = cli.load_config(argparse.Namespace(config=str(fast_config(tmp_path, **old))))
+    assert loaded == cli.load_config(argparse.Namespace(config=str(fast_config(tmp_path))))
 
 
 def test_config_file_generation_cap_past_the_positions_is_refused(workspace, tmp_path, capsys):
@@ -143,7 +148,8 @@ def test_config_file_emotion_count_other_than_the_labels_is_refused(workspace, t
     for count in (5, 400):
         config = fast_config(tmp_path, num_emotions=count)
         assert main([command, "--data-dir", str(workspace / "data"), "--out", str(run), "--config", str(config)]) == 1
-        assert f"config {config}: num_emotions must be the 32 emotion labels, got {count}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config {config}: num_emotions is no longer a setting: the model always runs as num_emotions=32" in err
         assert not run.exists()
 
 
@@ -159,13 +165,18 @@ def test_checkpoint_emotion_count_other_than_the_labels_is_refused(workspace, tm
     out = tmp_path / "eval"
     extra = {"evaluate": ["--out", str(out)], "generate": ["--dialogue", str(dialogue)]}[command]
     monkeypatch.setattr(cli, "build_providers", lambda *_: pytest.fail("the providers were built"))
+    config = TrainConfig(seed=3, d=16, layers=1, heads=2, ffn_mult=2)
+    checkpoint = tmp_path / "checkpoint.npz"
+    save_checkpoint(checkpoint, config.build_model(len(vocab)), config, vocab)
+    with np.load(checkpoint, allow_pickle=False) as archive:
+        arrays = dict(archive)
+    meta = json.loads(str(arrays["meta"]))
     for count in (5, 400):
-        config = TrainConfig(seed=3, d=16, layers=1, heads=2, ffn_mult=2, num_emotions=count)
-        checkpoint = tmp_path / "checkpoint.npz"
-        save_checkpoint(checkpoint, config.build_model(len(vocab)), config, vocab)
+        arrays["meta"] = np.array(json.dumps({**meta, "config": {**meta["config"], "num_emotions": count}}))
+        np.savez(checkpoint, **arrays)
         assert main([command, "--checkpoint", str(checkpoint), "--data-dir", str(data), *extra]) == 1
         err = capsys.readouterr().err
-        assert f"checkpoint {checkpoint}: num_emotions must be the 32 emotion labels, got {count}" in err
+        assert f"checkpoint {checkpoint} holds a config that is refused: num_emotions is no longer a setting" in err
         assert not out.exists()
 
 

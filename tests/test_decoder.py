@@ -23,13 +23,12 @@ from empgen.layers import causal_mask
 from empgen.model import PLANS, prepare_samples
 from empgen.training import TrainConfig
 
-from .helpers import memory_rows_of
+from .helpers import decoder_stack, memory_rows_of
 from .oracles import beam_oracle, greedy_oracle, reference
 
 
 def micro_decoder(seed=0, vocab_size=10, d=4, layers=1, heads=2):
-    rng = np.random.default_rng(seed)
-    return DecoderStack(rng, vocab_size, d, layers, heads, ffn_mult=2, dropout=0.0)
+    return decoder_stack(np.random.default_rng(seed), vocab_size, d, layers, heads, max_len=512)
 
 
 def random_memory(rng, rows=3, d=4):
@@ -449,7 +448,7 @@ def test_a_search_the_decoder_cannot_run_is_refused_before_a_step(
     rng, monkeypatch, strategy, beam_size, max_gen_len, message
 ):
     # A 16-row position table: a 40-token reply would fail at its 17th step.
-    stack = DecoderStack(np.random.default_rng(0), 10, 4, 1, 2, ffn_mult=2, dropout=0.0, max_len=16)
+    stack = decoder_stack(np.random.default_rng(0), 10, 4, 1, 2, max_len=16)
     mem = random_memory(rng)
     monkeypatch.setattr(DecoderStep, "__init__", lambda *a: pytest.fail("a search step was made"))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -457,7 +456,7 @@ def test_a_search_the_decoder_cannot_run_is_refused_before_a_step(
 
 
 def test_a_reply_as_long_as_the_position_table_is_searched(rng):
-    stack = DecoderStack(np.random.default_rng(0), 10, 4, 1, 2, ffn_mult=2, dropout=0.0, max_len=16)
+    stack = decoder_stack(np.random.default_rng(0), 10, 4, 1, 2, max_len=16)
     stack.out_proj.bias.data[EOS_ID] = -1e3  # never ends early: every position is used
     mem = random_memory(rng)
     for strategy in ("greedy", "beam"):

@@ -35,7 +35,7 @@ FUSION_CASE_ATTENTION = np.array(
 
 def micro_stack(seed=0, vocab_size=16, d=4, layers=1, heads=2):
     rng = np.random.default_rng(seed)
-    return EncoderStack(rng, vocab_size, d, layers, heads, ffn_mult=2, dropout=0.0)
+    return EncoderStack(rng, vocab_size, d, layers, heads, ffn_mult=2, dropout=0.0, max_len=512)
 
 
 def test_encode_shape_and_determinism():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,15 @@ def test_rouge_empty_reference_scores_zero_with_warning():
     mean, warnings = rouge_n_corpus([["a"]], [[]], 1)
     assert mean == 0.0
     assert warnings == 1
+
+
+def test_an_empty_corpus_is_refused_without_a_warning():
+    # rouge_n_corpus once took numpy's mean over no pairs: nan, with a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for metric in (lambda: rouge_n_corpus([], [], 1), lambda: rouge_n_corpus([], [], 2), lambda: dist_n([], 1)):
+            with pytest.raises(MetricError, match="^empty corpus$"):
+                metric()
 
 
 def test_rouge_randomized_vs_oracle(rng):

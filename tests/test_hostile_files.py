@@ -34,7 +34,7 @@ from empgen.training import CheckpointError, TrainConfig, load_checkpoint, save_
 HOSTILE = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 VOCAB = Vocab({tok: i for i, tok in enumerate([*RESERVED_TOKENS, *(f"w{i}" for i in range(18))])})
-CONFIG = TrainConfig(seed=3, d=8, layers=1, heads=2, ffn_mult=2, dropout=0.0, num_emotions=5)
+CONFIG = TrainConfig(seed=3, d=8, layers=1, heads=2, ffn_mult=2, dropout=0.0)
 MODEL = CONFIG.build_model(len(VOCAB))
 
 

@@ -158,23 +158,27 @@ def test_http_client_retries_then_succeeds():
             raise OSError("connection reset")
         return {"choices": [{"message": {"content": "analysis text"}}]}
 
+    sleeps = []
     client = HttpLlmClient(
-        HttpLlmConfig("http://example.invalid", "test-model"), transport=transport, sleep=lambda s: None
+        HttpLlmConfig("http://example.invalid", "test-model"), transport=transport, sleep=sleeps.append
     )
     assert client.complete("Sentiment label: sad") == "analysis text"
     assert len(attempts) == 3
+    assert sleeps == [1.0, 2.0]  # the backoff starts at 1 s and doubles
 
 
 def test_http_client_fails_with_cache_key():
+    attempts = []
+
     def transport(payload):
+        attempts.append(payload)
         raise OSError("down")
 
-    client = HttpLlmClient(
-        HttpLlmConfig("http://example.invalid", "m", retries=2), transport=transport, sleep=lambda s: None
-    )
+    client = HttpLlmClient(HttpLlmConfig("http://example.invalid", "m"), transport=transport, sleep=lambda s: None)
     key = prompt_cache_key("prompt body")
-    with pytest.raises(LlmError, match=key):
+    with pytest.raises(LlmError, match=f"after {HttpLlmClient.ATTEMPTS} attempts .*{key}"):
         client.complete("prompt body")
+    assert len(attempts) == HttpLlmClient.ATTEMPTS
 
 
 def test_default_transport_posts_the_json_body_with_the_bearer_token(monkeypatch):

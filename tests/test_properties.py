@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from empgen.autodiff import Tensor, attention, attention_array, no_grad, parameter
 from empgen.corpus import CLS_ID, LabelSet, build_vocab, encode_cause_ids, parse_sample
-from empgen.decoder import DecoderStack, DecoderStep, assemble_memory
+from empgen.decoder import DecoderStep, assemble_memory
 from empgen.evaluation import evaluate
 from empgen.fixtures import generate_mini_corpus
 from empgen.knowledge import AnalysisCache, EchoLlmClient, TemplateCommonsenseProvider
@@ -20,11 +20,12 @@ from empgen.model import PLANS, PreparedSample, Providers, padded_rows, prepare_
 from empgen.selectors import HeuristicCauseDetector, OracleSentimentPredictor, load_lexicon
 from empgen.training import TrainConfig
 
+from .helpers import decoder_stack
 from .oracles import grad_check, reference
 
 VOCAB = 24
-LABELS = 5
-CONFIG = TrainConfig(seed=3, d=8, layers=1, heads=2, ffn_mult=2, dropout=0.0, num_emotions=LABELS)
+LABELS = len(LabelSet.default())
+CONFIG = TrainConfig(seed=3, d=8, layers=1, heads=2, ffn_mult=2, dropout=0.0)
 MODEL = CONFIG.build_model(VOCAB)
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -167,7 +168,7 @@ def test_attention_output_is_the_same_with_or_without_the_tape_or_weights(inputs
 # the search step
 
 STACKS = {
-    (heads, layers): DecoderStack(np.random.default_rng(5), VOCAB, 8, layers, heads, ffn_mult=2, dropout=0.0)
+    (heads, layers): decoder_stack(np.random.default_rng(5), VOCAB, 8, layers, heads, max_len=512)
     for heads in (1, 2, 4)
     for layers in (1, 2)
 }

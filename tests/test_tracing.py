@@ -1,6 +1,12 @@
+import json
+import subprocess
+import sys
+
+import pytest
+
 from empgen.training import TrainConfig, train
 
-from .helpers import load_perfbench
+from .helpers import PERFBENCH_DIR, load_perfbench
 
 
 def load_tracer():
@@ -31,3 +37,18 @@ def test_benchmark_tracer_counts_the_tape_nodes_of_a_training_step(mini_samples,
         tracer.uninstall()
     assert len(result.history) == 1
     assert tracer.counts["tape_nodes"] > 0
+
+
+@pytest.mark.parametrize("workload", ["train", "evaluate", "generate_long"])
+def test_each_benchmark_workload_runs_correct_at_a_tiny_size(workload):
+    # The workloads build their models through TrainConfig and build_model,
+    # so a changed setting or constructor would otherwise first show as a
+    # failed benchmark run.
+    args = ["--workload", workload, "--seed", "1", "--seconds", "0.1", "--trace", "0", "--tiny"]
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH_DIR / "run.py"), *args],
+        cwd=PERFBENCH_DIR.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0) and result["attempted"] >= 1

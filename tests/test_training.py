@@ -46,7 +46,6 @@ def fresh_providers(lexicon):
         ("max_context_len", 0),
         ("max_analysis_len", 0),
         ("max_gen_len", 0),
-        ("num_emotions", 0),
     ],
 )
 def test_bad_config_values_are_refused_by_name(field, value, tmp_path, capsys):
@@ -209,8 +208,7 @@ def test_grad_check_passes_micro_model():
 
 
 def test_grad_check_detects_corruption():
-    config = TrainConfig(seed=3, d=8, layers=1, heads=2, ffn_mult=2, dropout=0.0,
-                         num_emotions=5, ablation="full")
+    config = TrainConfig(seed=3, d=8, layers=1, heads=2, ffn_mult=2, dropout=0.0, ablation="full")
     prep = micro_prepared_sample()
     model = config.build_model(24)
     plan = PLANS["full"]
@@ -342,7 +340,7 @@ def test_checkpoint_whose_config_holds_min_freq_loads(tmp_path, mini_vocab):
     # As every checkpoint saved before these fields went: each at its default.
     old_defaults = dict(
         min_freq=1, strict_sum=False, share_relation_encoder=False, classifier_bias=True,
-        adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8,
+        adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8, num_emotions=32,
     )
     loaded = load_with(**old_defaults)
     assert loaded.config == config
@@ -350,7 +348,7 @@ def test_checkpoint_whose_config_holds_min_freq_loads(tmp_path, mini_vocab):
         np.testing.assert_array_equal(loaded.model.named_parameters()[name].data, p.data)
     retired = (
         ("strict_sum", True), ("share_relation_encoder", True), ("classifier_bias", False),
-        ("adam_beta1", 0.8), ("adam_beta2", 0.99), ("adam_eps", 1e-6),
+        ("adam_beta1", 0.8), ("adam_beta2", 0.99), ("adam_eps", 1e-6), ("num_emotions", 5), ("num_emotions", 400),
     )
     for name, value in retired:
         with pytest.raises(CheckpointError, match=rf"config that is refused: {name} is no longer a setting"):
@@ -504,7 +502,7 @@ def test_grad_check_passes_on_a_padded_pair():
     from empgen.training import TrainConfig as Config
 
     preps = padded_micro_pair()
-    config = Config(seed=3, d=8, layers=1, heads=2, ffn_mult=2, dropout=0.0, num_emotions=5)
+    config = Config(seed=3, d=8, layers=1, heads=2, ffn_mult=2, dropout=0.0)
     memory, _ = config.build_model(24).encode_batch(preps, PLANS["full"])
     # Padding shows in every memory stream: context, knowledge and analysis.
     hidden = memory.key_mask < 0
@@ -520,7 +518,7 @@ def test_padded_batch_equals_each_sample_alone():
     from empgen.model import PLANS
 
     preps = padded_micro_pair()
-    model = TrainConfig(seed=3, d=8, layers=1, heads=2, ffn_mult=2, dropout=0.0, num_emotions=5).build_model(24)
+    model = TrainConfig(seed=3, d=8, layers=1, heads=2, ffn_mult=2, dropout=0.0).build_model(24)
     for plan in PLANS.values():
         batch = model.forward_batch(preps, plan)
         for i, prep in enumerate(preps):
@@ -898,7 +896,7 @@ def test_grad_norm_is_the_norm_before_clipping(mini_samples, mini_vocab, lexicon
 
 
 @pytest.mark.parametrize(
-    "fields", [{}, dict(layers=2, ffn_mult=3), dict(d=8, heads=1, num_emotions=5, max_context_len=600)]
+    "fields", [{}, dict(layers=2, ffn_mult=3), dict(d=8, heads=1, max_context_len=600)]
 )
 def test_model_bytes_count_every_parameter_and_the_position_table(fields):
     config = tiny_config(**fields)
