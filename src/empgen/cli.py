@@ -38,7 +38,7 @@ from .knowledge import (
     build_analysis_prompt,
     query_analysis,
 )
-from .model import ABLATION_ORDER, ABLATION_ROW_LABELS, PLANS, Providers, plan_providers, prepare_sample
+from .model import ABLATION_ORDER, ABLATION_ROW_LABELS, PLANS, Providers, plan_providers, prepare_samples
 from .selectors import (
     FileCauseDetector,
     FixtureSentimentPredictor,
@@ -269,19 +269,15 @@ def cmd_build_knowledge(args) -> int:
     out = Path(args.out)
     args.knowledge_dir = args.knowledge_dir or str(out)
     providers = build_providers(args, config, splits[0])
-    commonsense_rows = {}
+    bundles = []
     built = 0
     failures = 0
     for split in splits:
         for sample in split:
             try:
                 if plan.use_knowledge:
-                    bundle = providers.commonsense.generate(sample.last_utterance.text)
-                    h = FixtureCommonsenseProvider.utterance_hash(sample.last_utterance.text)
-                    commonsense_rows.setdefault(
-                        h,
-                        {"hash": h, "utterance": sample.last_utterance.text, "relations": bundle.relations},
-                    )
+                    text = sample.last_utterance.text
+                    bundles.append((text, providers.commonsense.generate(text)))
                 if plan.use_analysis:
                     label = providers.sentiment.predict(sample)
                     prompt = build_analysis_prompt(sample, label)
@@ -293,7 +289,7 @@ def cmd_build_knowledge(args) -> int:
                 if not args.continue_on_error:
                     raise
     if plan.use_knowledge:
-        write_jsonl(out / COMMONSENSE_FIXTURE, list(commonsense_rows.values()))
+        FixtureCommonsenseProvider.write(out / COMMONSENSE_FIXTURE, bundles)
     manifest = {"ablation": config.ablation, "data_dir": str(Path(args.data_dir)), "built": built, "failures": failures}
     write_manifest(args, manifest, config.seed)
     print(
@@ -383,8 +379,7 @@ def _reply(sample, args, vocab: Vocab, loaded, providers: Providers):
     is not used: it goes with no target."""
     config, model = loaded.config, loaded.model
     plan = PLANS[config.ablation]
-    providers.require(plan)
-    prep = prepare_sample(sample, vocab, providers, plan, config.max_context_len, config.max_analysis_len)
+    [prep] = prepare_samples([sample], vocab, providers, plan, config.max_context_len, config.max_analysis_len)
     prep.target_ids = []
     [reply] = model.respond([prep], plan, vocab, args.strategy, args.beam_size, config.max_gen_len)
     return reply.response, LABELS.by_index(int(np.argmax(reply.emotion_probs))).name

@@ -24,7 +24,7 @@ from .autodiff import (
     Tensor, add_norm_array, attention_array, concat, cross_entropy, embedding, linear_array, log_softmax, parameter
 )
 from .corpus import BOS_ID, EOS_ID, Vocab
-from .layers import DecoderLayer, LayerNorm, Linear, causal_mask, pad_ids, prefixed, sinusoidal_positions, unpadded
+from .layers import DecoderLayer, LayerNorm, Linear, causal_mask, key_mask, pad_ids, sinusoidal_positions, unpadded
 
 SEGMENT_CONTEXT, SEGMENT_KNOWLEDGE, SEGMENT_ANALYSIS = 0, 1, 2
 NUM_SEGMENTS = 3
@@ -72,9 +72,8 @@ def assemble_memory(
         if n is not None:
             valid.append(unpadded(n, rep.shape[-2]))
     values = concat(parts, axis=-2) if len(parts) > 1 else parts[0]
-    valid = np.concatenate(valid, axis=-1) if valid else None
-    key_mask = None if valid is None or valid.all() else np.where(valid, 0.0, -1e9)
-    return DecoderMemory(values, np.concatenate(segments), key_mask)
+    mask = key_mask(np.concatenate(valid, axis=-1)) if valid else None
+    return DecoderMemory(values, np.concatenate(segments), mask)
 
 
 class DecoderStack:
@@ -114,11 +113,6 @@ class DecoderStack:
         for layer in self.layers:
             x = layer(x, mem, mask, self.dropout, rng, memory_mask)
         return self.out_proj(x)
-
-    def parameters(self) -> dict[str, Tensor]:
-        layers = {f"layers.{i}": layer for i, layer in enumerate(self.layers)}
-        named = prefixed({**layers, "out_proj": self.out_proj})
-        return {"token_embedding": self.token_embedding, "segment_embedding": self.segment_embedding, **named}
 
 
 def nll_loss(
@@ -241,16 +235,16 @@ class DecoderStep:
         d = stack.positions.shape[1]
         mem = memory.values.data + stack.segment_embedding.data[memory.segment_ids]
         self.memory_mask = None if memory.key_mask is None else memory.key_mask[:, None, :]
-        self.layers = []  # per layer, the arrays a step reads, in the order it reads them
+        self.layers = []  # per layer, the arrays a step reads: its fused and memory ones, Linears, LayerNorms
         for layer in stack.layers:
             a, c = layer.self_attn, layer.cross_attn
             qkv = np.concatenate([a.wq.weight.data, a.wk.weight.data, a.wv.weight.data], axis=1)
             qkv_bias = np.concatenate([a.wq.bias.data, np.zeros(d), a.wv.bias.data])  # wk has no bias
             kt = (c.wk.weight.data.T @ mem.reshape(-1, d).T).reshape(heads, d // heads, -1)  # wk has no bias
             v = linear_array(mem, c.wv.weight.data, c.wv.bias.data).reshape(-1, heads, d // heads).swapaxes(0, 1)
-            parts = (a.wo, layer.ln1, c.wq, c.wo, layer.ln2, layer.ffn.lin1, layer.ffn.lin2, layer.ln3)
-            arrays = [tuple(p.data for p in part.parameters().values()) for part in parts]  # (weight or gain, bias)
-            self.layers.append(((qkv, qkv_bias), (kt.swapaxes(1, 2), np.ascontiguousarray(v)), *arrays))
+            linears = [(p.weight.data, p.bias.data) for p in (a.wo, c.wq, c.wo, layer.ffn.lin1, layer.ffn.lin2)]
+            norms = [(n.gain.data, n.bias.data) for n in (layer.ln1, layer.ln2, layer.ln3)]
+            self.layers.append(((qkv, qkv_bias), (kt.swapaxes(1, 2), np.ascontiguousarray(v)), *linears, *norms))
         shape = (1, heads, max_len, d // heads)
         self.past = [(np.empty(shape), np.empty(shape)) for _ in stack.layers]
 
@@ -264,7 +258,7 @@ class DecoderStep:
         t, heads, scale, eps, mask = self.length, self.heads, self.scale, self.eps, self.memory_mask
         x = self.embedding[np.asarray(tokens, dtype=np.int64)] + self.positions[t]
         b, new = len(x), slice(t, t + 1)
-        for (qkv, mem, self_wo, ln1, cross_wq, cross_wo, ln2, lin1, lin2, ln3), (k, v) in zip(self.layers, self.past):
+        for (qkv, mem, self_wo, cross_wq, cross_wo, lin1, lin2, ln1, ln2, ln3), (k, v) in zip(self.layers, self.past):
             q, k[:, :, new], v[:, :, new] = linear_array(x, *qkv).reshape(b, 3, heads, 1, -1).swapaxes(0, 1)
             out = attention_array(q, k[:, :, : t + 1], v[:, :, : t + 1], scale)[0]
             x = add_norm_array(x, linear_array(out.reshape(b, -1), *self_wo), *ln1, eps)[0]

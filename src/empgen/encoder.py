@@ -13,7 +13,7 @@ import numpy as np
 from .autodiff import Tensor, attention, embedding, parameter
 from .corpus import CLS_ID, Vocab
 from .knowledge import RELATIONS, KnowledgeBundle
-from .layers import EncoderLayer, pad_ids, padding_mask, prefixed, sinusoidal_positions
+from .layers import EncoderLayer, pad_ids, padding_mask, sinusoidal_positions
 
 DEFAULT_MAX_ANALYSIS_LEN = 128
 
@@ -36,12 +36,10 @@ class FusionParams:
             w_v=parameter(rng.uniform(-s, s, (d, d))),
         )
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v}
-
 
 class EncoderStack:
-    """Its own token embeddings, ``max_len`` fixed sinusoidal positions, post-norm layers."""
+    """Its own (vocab_size, d) token embeddings, whose shape sizes the stack,
+    ``max_len`` fixed sinusoidal positions and post-norm layers."""
 
     def __init__(
         self,
@@ -54,8 +52,6 @@ class EncoderStack:
         dropout: float,
         max_len: int,
     ):
-        self.vocab_size = vocab_size
-        self.d = d
         self.dropout = dropout
         self.token_embedding = parameter(rng.normal(0.0, 0.02, (vocab_size, d)))
         self.positions = sinusoidal_positions(max_len, d)
@@ -65,7 +61,7 @@ class EncoderStack:
         """Rows (len(ids), d) of one id sequence, run through ``encode_padded``
         as a batch of one. The model never calls it; ``perfbench/baseline.py``
         times it."""
-        return self.encode_padded(np.asarray([ids]), np.array([len(ids)]), rng).reshape(len(ids), self.d)
+        return self.encode_padded(np.asarray([ids]), np.array([len(ids)]), rng).reshape(len(ids), -1)
 
     def encode_padded(
         self, ids: np.ndarray, lengths: np.ndarray, rng: np.random.Generator | None = None
@@ -75,8 +71,9 @@ class EncoderStack:
         outputs are those of its unpadded sequence."""
         if ids.size == 0:
             raise ValueError("cannot encode an empty id sequence")
-        if ids.max() >= self.vocab_size or ids.min() < 0:
-            raise ValueError(f"token id out of range for vocab of {self.vocab_size}")
+        vocab_size = len(self.token_embedding.data)
+        if ids.max() >= vocab_size or ids.min() < 0:
+            raise ValueError(f"token id out of range for vocab of {vocab_size}")
         if ids.shape[-1] > len(self.positions):
             raise ValueError(
                 f"cannot encode {ids.shape[-1]} tokens: the encoder has {len(self.positions)} positions"
@@ -87,10 +84,6 @@ class EncoderStack:
         for layer in self.layers:
             x = layer(x, self.dropout, rng, mask)
         return x
-
-    def parameters(self) -> dict[str, Tensor]:
-        layers = prefixed({f"layers.{i}": layer for i, layer in enumerate(self.layers)})
-        return {"token_embedding": self.token_embedding, **layers}
 
 
 def fuse_sensible(

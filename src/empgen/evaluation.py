@@ -98,14 +98,14 @@ def rouge_n(hypothesis: list[str], reference: list[str], n: int) -> float:
 
 def _rouge_mean(pairs: list[NGramCounts]) -> tuple[float, int]:
     """Mean sentence-level score; a reference with no n-gram of the order scores 0 and is counted."""
+    if not pairs:
+        raise MetricError("empty corpus")
     return float(np.mean([_rouge(c) for c in pairs])), sum(c.ref_total == 0 for c in pairs)
 
 
 def rouge_n_corpus(hypotheses: list[list[str]], references: list[list[str]], n: int) -> tuple[float, int]:
     """Mean sentence-level score; empty references score 0 and are counted."""
     (pairs,) = _counts(hypotheses, references, [n])
-    if not pairs:
-        raise MetricError("empty corpus")
     if n not in (1, 2) and any(len(r) >= n for r in references):
         raise MetricError("rouge order must be 1 or 2")
     return _rouge_mean(pairs)
@@ -136,7 +136,8 @@ def _counts(hypotheses: list[list[str]], references: list[list[str]], orders) ->
 def text_metrics(hypotheses: list[list[str]], references: list[list[str]]) -> dict:
     """BLEU-1..4, ROUGE-1/2, Dist-1/2 and the empty-reference warnings of a
     corpus, from one count of each order per pair. Dist-n reads 0.0 where no
-    hypothesis reaches the order: such a corpus holds no distinct n-grams."""
+    hypothesis reaches the order: such a corpus holds no distinct n-grams.
+    An empty corpus is refused."""
     orders = _counts(hypotheses, references, (1, 2, 3, 4))
     (rouge1, warn1), (rouge2, warn2) = _rouge_mean(orders[0]), _rouge_mean(orders[1])
     return dict(

@@ -149,23 +149,18 @@ def write_knowledge_fixtures(records: list[dict], out_dir: str | Path) -> tuple[
     template_provider = TemplateCommonsenseProvider()
     echo = EchoLlmClient()
 
-    comet_rows = []
-    seen_hashes = set()
+    bundles = []
     analysis_rows = []
     for r in records:
         sample = parse_sample(r, labels)
         last = sample.last_utterance.text
-        h = FixtureCommonsenseProvider.utterance_hash(last)
-        if h not in seen_hashes:
-            seen_hashes.add(h)
-            bundle = template_provider.generate(last)
-            comet_rows.append({"hash": h, "utterance": last, "relations": bundle.relations})
+        bundles.append((last, template_provider.generate(last)))
         prompt = build_analysis_prompt(sample, sample.gold_emotion)
         analysis_rows.append(
             {"cache_key": prompt_cache_key(prompt), "prompt": prompt, "response": echo.complete(prompt)}
         )
     commonsense_path = out_dir / COMMONSENSE_FIXTURE
     analysis_path = out_dir / ANALYSIS_FIXTURE
-    write_jsonl(commonsense_path, comet_rows)
+    FixtureCommonsenseProvider.write(commonsense_path, bundles)
     write_jsonl(analysis_path, analysis_rows)
     return commonsense_path, analysis_path

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .corpus import DialogueSample, EmotionLabel, tokenize
 from .selectors import FixtureMissError
-from .util import now_iso, read_asset, read_jsonl, require_fields, sha256_hex
+from .util import now_iso, read_asset, read_jsonl, require_fields, sha256_hex, write_jsonl
 
 RELATIONS = ("xIntent", "xEffect", "xWant", "xReact", "xNeed")
 
@@ -128,6 +128,17 @@ class FixtureCommonsenseProvider(CommonsenseProvider):
     @staticmethod
     def utterance_hash(text: str) -> str:
         return sha256_hex(text)
+
+    @classmethod
+    def write(cls, path: str | Path, bundles) -> None:
+        """Write the file this class reads from (utterance, KnowledgeBundle)
+        pairs: one row per distinct utterance, in first-seen order, with its
+        first bundle."""
+        rows = {}
+        for utterance, bundle in bundles:
+            h = cls.utterance_hash(utterance)
+            rows.setdefault(h, {"hash": h, "utterance": utterance, "relations": bundle.relations})
+        write_jsonl(path, list(rows.values()))
 
     def _generate(self, last_utterance: str) -> KnowledgeBundle:
         key = self.utterance_hash(last_utterance)

@@ -48,17 +48,36 @@ def unpadded(lengths: np.ndarray, width: int) -> np.ndarray:
     return np.arange(width) < lengths[:, None]
 
 
-def padding_mask(lengths: np.ndarray | None, width: int) -> np.ndarray | None:
-    """Additive key mask (B, width): 0 on each row's first ``lengths[b]``
-    keys, -1e9 on its padding. None when nothing is padded."""
-    if lengths is None or np.all(lengths == width):
-        return None
-    return np.where(unpadded(lengths, width), 0.0, -1e9)
+def key_mask(valid: np.ndarray) -> np.ndarray | None:
+    """Additive key mask of the booleans ``valid``: 0 where True, -1e9
+    where False. None when every key is valid."""
+    return None if valid.all() else np.where(valid, 0.0, -1e9)
 
 
-def prefixed(parts: dict) -> dict[str, Tensor]:
-    """Each part's parameters, named ``<part name>.<parameter name>``."""
-    return {f"{name}.{k}": v for name, part in parts.items() for k, v in part.parameters().items()}
+def padding_mask(lengths: np.ndarray, width: int) -> np.ndarray | None:
+    """``key_mask`` (B, width) of each row's first ``lengths[b]`` keys."""
+    return key_mask(unpadded(lengths, width))
+
+
+def parameters_of(part) -> dict[str, Tensor]:
+    """Every ``Tensor`` reachable from ``part`` through its attributes, in
+    definition order, and lists, by index, named by its dotted path
+    (``layers.0.attn.wq.weight``). A tensor reached twice keeps its first
+    name."""
+    found: dict[int, tuple[str, Tensor]] = {}  # by id, in the order first reached
+
+    def walk(obj, path: str) -> None:
+        if isinstance(obj, Tensor):
+            found.setdefault(id(obj), (path, obj))
+        elif isinstance(obj, list):
+            for i, item in enumerate(obj):
+                walk(item, f"{path}{i}.")
+        elif hasattr(obj, "__dict__"):
+            for name, value in vars(obj).items():
+                walk(value, f"{path}{name}.")
+
+    walk(part, "")
+    return {path[:-1]: tensor for path, tensor in found.values()}
 
 
 class Linear:
@@ -68,12 +87,6 @@ class Linear:
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = {"weight": self.weight}
-        if self.bias is not None:
-            out["bias"] = self.bias
-        return out
 
 
 class LayerNorm:
@@ -87,9 +100,6 @@ class LayerNorm:
         """``LN(x + dropout(h))`` of a post-norm sublayer with input ``x``
         and result ``h``, as one ``add_norm`` node."""
         return add_norm(x, h, self.gain, self.bias, self.EPS, drop, rng)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"gain": self.gain, "bias": self.bias}
 
 
 class MultiHeadAttention:
@@ -114,9 +124,6 @@ class MultiHeadAttention:
         k, v = self.wk(context), self.wv(context)
         return self.wo(attention(self.wq(query), k, v, self.scale, mask, heads=self.heads))
 
-    def parameters(self) -> dict[str, Tensor]:
-        return prefixed({"wq": self.wq, "wk": self.wk, "wv": self.wv, "wo": self.wo})
-
 
 class FeedForward:
     def __init__(self, rng: np.random.Generator, d: int, hidden: int):
@@ -125,9 +132,6 @@ class FeedForward:
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.lin2(linear(x, self.lin1.weight, self.lin1.bias, relu=True))
-
-    def parameters(self) -> dict[str, Tensor]:
-        return prefixed({"lin1": self.lin1, "lin2": self.lin2})
 
 
 class EncoderLayer:
@@ -144,9 +148,6 @@ class EncoderLayer:
     ) -> Tensor:
         x = self.ln1(x, self.attn(x, x, mask), drop, rng)
         return self.ln2(x, self.ffn(x), drop, rng)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return prefixed({"attn": self.attn, "ln1": self.ln1, "ffn": self.ffn, "ln2": self.ln2})
 
 
 class DecoderLayer:
@@ -175,7 +176,3 @@ class DecoderLayer:
         x = self.ln1(x, self.self_attn(x, x, mask), drop, rng)
         x = self.ln2(x, self.cross_attn(x, memory, memory_mask), drop, rng)
         return self.ln3(x, self.ffn(x), drop, rng)
-
-    def parameters(self) -> dict[str, Tensor]:
-        names = ("self_attn", "ln1", "cross_attn", "ln2", "ffn", "ln3")
-        return prefixed({name: getattr(self, name) for name in names})

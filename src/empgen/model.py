@@ -44,7 +44,7 @@ from .encoder import (
     relation_token_ids,
 )
 from .knowledge import AnalysisCache, CommonsenseProvider, LlmClient, build_analysis_prompt, query_analysis
-from .layers import Linear, pad_ids, padding_mask
+from .layers import Linear, pad_ids, padding_mask, parameters_of
 from .selectors import CauseDetector, SentimentPredictor
 
 if TYPE_CHECKING:
@@ -233,23 +233,10 @@ class EmpathyModel:
         self.classifier = Linear(rng, 3 * d, len(LabelSet.default()))
 
     def named_parameters(self) -> dict[str, Tensor]:
-        """Flat name->tensor map; shared tensors appear exactly once."""
-        out: dict[str, Tensor] = {}
-        seen: set[int] = set()
-        groups = [
-            ("context_encoder", self.context_encoder.parameters()),
-            ("relation_encoder", self.relation_encoder.parameters()),
-            ("fusion", self.fusion.parameters()),
-            ("decoder", self.decoder.parameters()),
-            ("classifier", self.classifier.parameters()),
-        ]
-        for prefix, params in groups:
-            for name, tensor in params.items():
-                if id(tensor) in seen:
-                    continue
-                seen.add(id(tensor))
-                out[f"{prefix}.{name}"] = tensor
-        return out
+        """Every parameter by its attribute path (``parameters_of``): the
+        decoder's token table is the context encoder's, named once as
+        ``context_encoder.token_embedding``."""
+        return parameters_of(self)
 
     def zero_grad(self) -> None:
         for t in self.named_parameters().values():

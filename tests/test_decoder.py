@@ -19,7 +19,7 @@ from empgen.decoder import (
     greedy_decode,
     nll_loss,
 )
-from empgen.layers import causal_mask
+from empgen.layers import causal_mask, parameters_of
 from empgen.model import PLANS, prepare_samples
 from empgen.training import TrainConfig
 
@@ -309,7 +309,7 @@ def test_the_step_reads_each_part_of_each_layer(rng):
     # one LayerNorm's arrays in another's place would match an untrained
     # stack: draw every parameter.
     stack = micro_decoder(seed=6, vocab_size=12, layers=2)
-    for p in stack.parameters().values():
+    for p in parameters_of(stack).values():
         p.data[...] = rng.normal(0, 0.5, p.shape)
     mem = random_memory(rng)
     seq = [BOS_ID, 5, 7, 3]

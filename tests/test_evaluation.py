@@ -121,10 +121,17 @@ def test_rouge_empty_reference_scores_zero_with_warning():
 
 
 def test_an_empty_corpus_is_refused_without_a_warning():
-    # rouge_n_corpus once took numpy's mean over no pairs: nan, with a warning.
+    # rouge_n_corpus and text_metrics once took numpy's mean over no pairs:
+    # nan, with a warning.
+    metrics = (
+        lambda: rouge_n_corpus([], [], 1),
+        lambda: rouge_n_corpus([], [], 2),
+        lambda: dist_n([], 1),
+        lambda: text_metrics([], []),
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for metric in (lambda: rouge_n_corpus([], [], 1), lambda: rouge_n_corpus([], [], 2), lambda: dist_n([], 1)):
+        for metric in metrics:
             with pytest.raises(MetricError, match="^empty corpus$"):
                 metric()
 

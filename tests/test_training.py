@@ -355,6 +355,23 @@ def test_checkpoint_whose_config_holds_min_freq_loads(tmp_path, mini_vocab):
             load_with(**{**old_defaults, name: value})
 
 
+@pytest.mark.parametrize("overrides, count", [({}, 118), ({"d": 16, "layers": 1, "heads": 2}, 64)])
+def test_each_parameter_is_named_by_its_attribute_path(overrides, count):
+    model = TrainConfig(**overrides).build_model(40)
+    params = model.named_parameters()
+    assert len(params) == count
+    for name, tensor in params.items():
+        part = model
+        for key in name.split("."):
+            part = part[int(key)] if isinstance(part, list) else getattr(part, key)
+        assert part is tensor, name
+        assert tensor.requires_grad and not tensor._parents, name
+    # The decoder reads the context encoder's token table; it is named once.
+    assert model.decoder.token_embedding is params["context_encoder.token_embedding"]
+    assert not any(name.endswith("token_embedding") for name in params if name.startswith("decoder."))
+    assert len({id(t) for t in params.values()}) == count
+
+
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(CheckpointError, match="not found"):
         load_checkpoint(tmp_path / "absent.npz")
@@ -365,9 +382,9 @@ def test_checkpoint_holds_only_the_parameters_and_meta(tmp_path, mini_vocab):
     model = config.build_model(len(mini_vocab))
     save_checkpoint(tmp_path / "ck.npz", model, config, mini_vocab)
     with np.load(tmp_path / "ck.npz", allow_pickle=False) as archive:
-        names = set(archive.files)
+        names = archive.files
         meta = json.loads(str(archive["meta"]))
-    assert names == {"meta"} | {f"param/{name}" for name in model.named_parameters()}
+    assert names == [f"param/{name}" for name in model.named_parameters()] + ["meta"]
     assert set(meta) == {"version", "config", "vocab_size", "vocab_fingerprint"}
 
 
